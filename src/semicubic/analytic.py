@@ -300,11 +300,25 @@ def euler_product(
     )
 
 
+def _prefactor(k: int) -> float:
+    """4k / ((3k-1)(4^k-1)|B_2k|), the rational part of the leading constant."""
+    return 4 * k / ((3 * k - 1) * (4**k - 1) * float(abs(bernoulli(2 * k))))
+
+
+def _main_terms(k: int, g: float, lead: float, bound) -> dict:
+    """Leading main terms at B from the Euler product g and leading constant."""
+    size = bound ** (4 * k - 1) * math.log(bound)
+    return {
+        "n_main": lead * size,
+        "s_main": g / (3 * (2 * k - 1)) * size,
+        "t_main": g / (6 * (2 * k - 1) * (3 * k - 1)) * size,
+    }
+
+
 def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:
     """4k G_S(1,2k-1) / ((3k-1)(4^k-1)|B_2k| zeta(4k-1))."""
     g = euler_product(k, s_set, prime_cutoff).value
-    pre = 4 * k / ((3 * k - 1) * (4**k - 1) * float(abs(bernoulli(2 * k))))
-    return pre * g / zeta_real(4 * k - 1)
+    return _prefactor(k) * g / zeta_real(4 * k - 1)
 
 
 def predict(bound: float, k: int, s_set: PrimeSet, prime_cutoff: int) -> dict:
@@ -312,13 +326,7 @@ def predict(bound: float, k: int, s_set: PrimeSet, prime_cutoff: int) -> dict:
     if bound <= 1:
         raise DomainError("bound must exceed 1")
     g = euler_product(k, s_set, prime_cutoff).value
-    pre = 4 * k / ((3 * k - 1) * (4**k - 1) * float(abs(bernoulli(2 * k))))
-    size = bound ** (4 * k - 1) * math.log(bound)
-    return {
-        "n_main": pre * g / zeta_real(4 * k - 1) * size,
-        "s_main": g / (3 * (2 * k - 1)) * size,
-        "t_main": g / (6 * (2 * k - 1) * (3 * k - 1)) * size,
-    }
+    return _main_terms(k, g, _prefactor(k) * g / zeta_real(4 * k - 1), bound)
 
 
 def constants_report(
@@ -327,30 +335,24 @@ def constants_report(
     """Everything the prediction rests on, with truncation metadata."""
     ep = euler_product(k, s_set, prime_cutoff)
     z = zeta_real(4 * k - 1)
-    b2k = abs(bernoulli(2 * k))
-    pre = 4 * k / ((3 * k - 1) * (4**k - 1) * float(b2k))
-    report = {
+    pre = _prefactor(k)
+    lead = pre * ep.value / z
+    return {
         "schema": "v1",
         "k": k,
         "exclude_primes": str(s_set),
         "prime_cutoff": prime_cutoff,
-        "bernoulli_2k": str(b2k),
+        "bernoulli_2k": str(abs(bernoulli(2 * k))),
         "zeta_4k_minus_1": z,
         "prefactor": pre / z,
         "euler_product": ep.value,
         "euler_product_tail_estimate": ep.tail_estimate,
-        "leading_constant": pre * ep.value / z,
+        "leading_constant": lead,
         "g2_special_vs_certified_abs_diff": abs(
             gp_special(2, k, 2 in s_set)
             - gp(EulerFactorInput(p=2, k=k, in_S=2 in s_set, s=1.0, w=2.0 * k - 1.0))
         ),
-        "predictions": [],
+        "predictions": [
+            {"bound": b, **_main_terms(k, ep.value, lead, b)} for b in bounds
+        ],
     }
-    for b in bounds:
-        entry = {"bound": b}
-        size = b ** (4 * k - 1) * math.log(b)
-        entry["n_main"] = report["leading_constant"] * size
-        entry["s_main"] = ep.value / (3 * (2 * k - 1)) * size
-        entry["t_main"] = ep.value / (6 * (2 * k - 1) * (3 * k - 1)) * size
-        report["predictions"].append(entry)
-    return report

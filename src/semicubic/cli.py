@@ -134,6 +134,7 @@ def _compare_rows(cfg: CliConfig):
             k=cfg.k, bound=Fraction(b), s_set=cfg.exclude_primes, r_source=source
         )
         tuples = n_mobius(b, req)
+        # (lead * b**(4k-1)) * log b, not _main_terms' lead * size: the digits differ
         main = lead * b ** (4 * cfg.k - 1) * math.log(b)
         rows.append(
             (b, tuples, tuples // 2, main, tuples / main, tuples / 2 / main)
@@ -174,30 +175,15 @@ def _cmd_local_factors(cfg: CliConfig) -> int:
 def _cmd_table(cfg: CliConfig) -> int:
     source = _resolve_source(cfg)
     rep = constants_report(cfg.k, cfg.exclude_primes, cfg.prime_cutoff, cfg.bounds)
-    lead = rep["leading_constant"]
-    g = rep["euler_product"]
     rows = []
-    for b in cfg.bounds:
+    for b, pred in zip(cfg.bounds, rep["predictions"]):
         req = CountRequest(
             k=cfg.k, bound=Fraction(b), s_set=cfg.exclude_primes, r_source=source
         )
         tuples = n_mobius(b, req)
-        size = b ** (4 * cfg.k - 1) * math.log(b)
-        sv = s_sum(b, b * b, req)
-        tv = t_sum(b, req)
-        rows.append(
-            (
-                b,
-                tuples,
-                tuples // 2,
-                lead * size,
-                tuples / (lead * size),
-                sv,
-                g / (3 * (2 * cfg.k - 1)) * size,
-                tv,
-                g / (6 * (2 * cfg.k - 1) * (3 * cfg.k - 1)) * size,
-            )
-        )
+        rows.append((b, tuples, tuples // 2, pred["n_main"], tuples / pred["n_main"],
+                     s_sum(b, b * b, req), pred["s_main"],
+                     t_sum(b, req), pred["t_main"]))
     _emit_csv(
         ["B", "tuples", "points", "n_main", "ratio_tuples",
          "s_sum", "s_main", "t_sum", "t_main"],
@@ -365,23 +351,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> CliConfig:
     cfg = CliConfig(command=args.command)
-    for name in ("k", "method", "timings", "suite", "prime_cutoff"):
+    for name in ("k", "method", "timings", "suite", "prime_cutoff", "r_source",
+                 "with_st"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "r_source"):
-        cfg.r_source = args.r_source
-    if hasattr(args, "with_st"):
-        cfg.with_st = args.with_st
-    if hasattr(args, "exclude_primes"):
-        cfg.exclude_primes = PrimeSet.parse(args.exclude_primes)
     if hasattr(args, "out"):
         cfg.output_path = args.out
     if hasattr(args, "format"):
         cfg.output_format = args.format
-    if hasattr(args, "bound"):
-        cfg.bounds = [args.bound]
-    elif hasattr(args, "bounds"):
-        cfg.bounds = [int(t) for t in args.bounds.split(",") if t.strip()]
+    try:
+        if hasattr(args, "exclude_primes"):
+            cfg.exclude_primes = PrimeSet.parse(args.exclude_primes)
+        if hasattr(args, "bound"):
+            cfg.bounds = [args.bound]
+        elif hasattr(args, "bounds"):
+            cfg.bounds = [int(t) for t in args.bounds.split(",") if t.strip()]
+    except DomainError:
+        raise
+    except ValueError as exc:  # a token that is not an integer
+        raise DomainError(f"expected comma-separated integers: {exc}") from exc
+    low = 2 if cfg.command in ("compare", "table") else 1  # main term is 0 at B = 1
+    for b in cfg.bounds:
+        if b < low:
+            raise DomainError(f"bound {b} must be >= {low} for {cfg.command}")
+    if len(set(cfg.bounds)) != len(cfg.bounds):
+        raise DomainError(f"duplicate bounds in {cfg.bounds}")
     return cfg
 
 

@@ -23,6 +23,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
 from .arith import (
     CapacityError,
@@ -94,75 +96,63 @@ def _factor_from_spf(n: int, spf: list) -> list:
     return fs
 
 
-def _profile(factors, k, s_primes, hi_cap, source, table=None):
+@lru_cache(maxsize=1 << 16)
+def _prime_weights(p: int, e: int, k: int, in_s: bool) -> tuple:
+    """(p^f, r*(p^f)) for f = 0..3e, the divisors of p^(3e) that n = p^e allows.
+
+    The indicator v_p(n^2/d) != 1 for p outside the set is equivalent to
+    skipping f = 2e-1, so disallowed divisors are never generated.
+    """
+    skip = -1 if in_s else 2 * e - 1
+    out = []
+    pf = 1
+    for f in range(3 * e + 1):
+        if f != skip:
+            out.append((pf, r4k_star_prime_power(p, f, k)))
+        pf *= p
+    return tuple(out)
+
+
+def _profile(factors, k, s_primes, hi_cap, scale=1, table=None):
     """Divisors of n^3 passing the indicator, sorted, with weight prefix sums.
 
-    factors is the factorization of n.  The indicator v_p(n^2/d) != 1 for
-    p outside the set is equivalent to skipping exponent 2e-1 at each such
-    prime, so disallowed divisors are never generated.  Divisors above
-    hi_cap are pruned (partial products only grow).
+    factors is the factorization of n.  Each divisor d weighs scale * r*(d)
+    (scale 8 at k = 1 is exactly r_4), or table[d] when a table is given.
+    Divisors above hi_cap are pruned (partial products only grow).
     """
-    items = [(1, 8)] if source == RSource.JACOBI else [(1, 1)]
+    items = [(1, scale)]
     for p, e in factors:
-        skip = -1 if p in s_primes else 2 * e - 1
-        pws = []
-        pf = 1
-        if source == RSource.JACOBI:
-            if p == 2:
-                for f in range(3 * e + 1):
-                    if f:
-                        pf *= 2
-                    if f != skip:
-                        pws.append((pf, 1 if f == 0 else 3))
-            else:
-                sigma = 1
-                for f in range(3 * e + 1):
-                    if f:
-                        pf *= p
-                        sigma += pf
-                    if f != skip:
-                        pws.append((pf, sigma))
-        elif source == RSource.RSTAR:
-            for f in range(3 * e + 1):
-                if f:
-                    pf *= p
-                if f != skip:
-                    pws.append((pf, r4k_star_prime_power(p, f, k)))
-        else:  # EXACT: weights come from the table afterwards
-            for f in range(3 * e + 1):
-                if f:
-                    pf *= p
-                if f != skip:
-                    pws.append((pf, 1))
-        grown = []
-        for d, wt in items:
-            for pf, wf in pws:
-                nd = d * pf
-                if nd <= hi_cap:
-                    grown.append((nd, wt * wf))
-        items = grown
+        pws = _prime_weights(p, e, k, p in s_primes)
+        items = [(nd, wt * wf) for d, wt in items for pf, wf in pws
+                 if (nd := d * pf) <= hi_cap]
     items.sort()
     ds = [d for d, _ in items]
-    prefix = [0] * (len(items) + 1)
-    acc = 0
-    if table is not None:
-        for i, (d, _) in enumerate(items):
-            acc += table[d]
-            prefix[i + 1] = acc
-    else:
-        for i, (_, wt) in enumerate(items):
-            acc += wt
-            prefix[i + 1] = acc
-    return ds, prefix
+    weights = [table[d] for d in ds] if table is not None else [wt for _, wt in items]
+    return ds, [0, *accumulate(weights)]
+
+
+def _profiles(nmax: int, req: CountRequest, cap, source: RSource = None):
+    """Yield (n, ds, prefix) for n = 1..nmax: the one loop over n.
+
+    cap is the divisor cap, an int or a function of n; n with a cap
+    below 1 are skipped.  The exact table, when the source asks for it,
+    is built once up to the int cap.
+    """
+    source = req.r_source if source is None else source
+    spf = smallest_prime_factors(nmax)
+    table = r4k_bruteforce(cap, req.k) if source == RSource.EXACT else None
+    scale = 8 if source == RSource.JACOBI else 1
+    for n in range(1, nmax + 1):
+        hi = cap if isinstance(cap, int) else cap(n)
+        if hi < 1:
+            continue
+        factors = _factor_from_spf(n, spf)
+        yield (n, *_profile(factors, req.k, req.s_set, hi, scale, table))
 
 
 def _window(ds, prefix, lo_floor, hi_floor) -> int:
     """Weight sum over divisors d with lo_floor < d <= hi_floor."""
     return prefix[bisect_right(ds, hi_floor)] - prefix[bisect_right(ds, lo_floor)]
-
-
-def _exact_table(limit: int, k: int):
-    return r4k_bruteforce(limit, k)
 
 
 def indicator_1S(num: int, den: int, s_set: PrimeSet) -> int:
@@ -179,22 +169,7 @@ def indicator_1S(num: int, den: int, s_set: PrimeSet) -> int:
 
 def n_star(bound, req: CountRequest) -> int:
     """2 * sum over n <= B of weights of divisors d | n^3 with n^3/B < d <= B^2."""
-    b = _as_fraction(bound)
-    if b < 1:
-        raise DomainError("bound must be >= 1")
-    bn, bd = b.numerator, b.denominator
-    nmax = bn // bd
-    hi = (bn * bn) // (bd * bd)
-    spf = smallest_prime_factors(nmax)
-    table = _exact_table(hi, req.k) if req.r_source == RSource.EXACT else None
-    total = 0
-    for n in range(1, nmax + 1):
-        ds, prefix = _profile(
-            _factor_from_spf(n, spf), req.k, req.s_set, hi, req.r_source, table
-        )
-        lo = (n * n * n * bd) // bn
-        total += _window(ds, prefix, lo, hi)
-    return 2 * total
+    return n_star_by_divisor(bound, req).get(1, 0)
 
 
 def n_star_by_divisor(bound, req: CountRequest) -> dict:
@@ -208,22 +183,15 @@ def n_star_by_divisor(bound, req: CountRequest) -> dict:
         raise DomainError("bound must be >= 1")
     bn, bd = b.numerator, b.denominator
     nmax = bn // bd
-    hi_all = (bn * bn) // (bd * bd)
-    mu = mobius_sieve(nmax)
-    spf = smallest_prime_factors(nmax)
-    table = _exact_table(hi_all, req.k) if req.r_source == RSource.EXACT else None
-    buckets: dict = {}
     bn2 = bn * bn
     bd2 = bd * bd
-    for n in range(1, nmax + 1):
-        ds, prefix = _profile(
-            _factor_from_spf(n, spf), req.k, req.s_set, hi_all, req.r_source, table
-        )
+    mu = mobius_sieve(nmax)
+    buckets: dict = {}
+    for n, ds, prefix in _profiles(nmax, req, bn2 // bd2):
         if not ds:
             continue
         n3bd = n * n * n * bd
-        emax = bn // (bd * n)
-        for e in range(1, emax + 1):
+        for e in range(1, bn // (bd * n) + 1):
             if mu[e] == 0:
                 continue
             s = _window(ds, prefix, (n3bd * e) // bn, bn2 // (bd2 * e * e))
@@ -232,13 +200,15 @@ def n_star_by_divisor(bound, req: CountRequest) -> dict:
     return {e: 2 * v for e, v in sorted(buckets.items())}
 
 
+def _mobius_combine(by_d: dict) -> int:
+    """Sum of mu(e) * n_star(B/e) over {e: n_star(B/e)}: the primitive tuple count."""
+    mu = mobius_sieve(max(by_d)) if by_d else []
+    return sum(mu[e] * v for e, v in by_d.items())
+
+
 def n_mobius(bound, req: CountRequest) -> int:
     """Mobius inclusion-exclusion over scaled bounds: the primitive tuple count."""
-    by_d = n_star_by_divisor(bound, req)
-    if not by_d:
-        return 0
-    mu = mobius_sieve(max(by_d))
-    return sum(mu[e] * v for e, v in by_d.items())
+    return _mobius_combine(n_star_by_divisor(bound, req))
 
 
 def s_sum(x_bound, y_bound, req: CountRequest) -> int:
@@ -249,16 +219,8 @@ def s_sum(x_bound, y_bound, req: CountRequest) -> int:
         raise DomainError("bounds must be nonnegative")
     nmax = x.numerator // x.denominator
     hi = y.numerator // y.denominator
-    if nmax < 1 or hi < 1:
-        return 0
-    spf = smallest_prime_factors(nmax)
-    total = 0
-    for n in range(1, nmax + 1):
-        ds, prefix = _profile(
-            _factor_from_spf(n, spf), req.k, req.s_set, hi, RSource.RSTAR
-        )
-        total += prefix[bisect_right(ds, hi)]
-    return total
+    # profiles are pruned at the cap, so each one's total is its last prefix
+    return sum(prefix[-1] for _, _, prefix in _profiles(nmax, req, hi, RSource.RSTAR))
 
 
 def t_sum(bound, req: CountRequest) -> int:
@@ -267,18 +229,8 @@ def t_sum(bound, req: CountRequest) -> int:
     if b < 1:
         raise DomainError("bound must be >= 1")
     bn, bd = b.numerator, b.denominator
-    nmax = bn // bd
-    spf = smallest_prime_factors(nmax)
-    total = 0
-    for n in range(1, nmax + 1):
-        hi = (n * n * n * bd) // bn
-        if hi < 1:
-            continue
-        ds, prefix = _profile(
-            _factor_from_spf(n, spf), req.k, req.s_set, hi, RSource.RSTAR
-        )
-        total += prefix[bisect_right(ds, hi)]
-    return total
+    profiles = _profiles(bn // bd, req, lambda n: (n * n * n * bd) // bn, RSource.RSTAR)
+    return sum(prefix[-1] for _, _, prefix in profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +412,7 @@ def count_report(req: CountRequest, with_oracle: bool = False,
     timings = {}
     t0 = time.perf_counter()
     by_d = n_star_by_divisor(req.bound, req)
-    mu = mobius_sieve(max(by_d)) if by_d else []
-    total = sum(mu[e] * v for e, v in by_d.items())
+    total = _mobius_combine(by_d)
     timings["mobius_s"] = time.perf_counter() - t0
     oracle = None
     if with_oracle:

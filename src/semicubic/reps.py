@@ -10,6 +10,10 @@ norm d:
 * the multiplicative model rstar_{4k}, which reproduces r_{4k} up to the
   rational coefficient 4k/((4^k-1)|B_{2k}|) and an O(d^k) error that
   vanishes identically for k = 1.
+
+Counting weighs divisors by the model alone: 8 * rstar_4 is exactly r_4
+at k = 1, so the divisor-sum form r4_jacobi is kept only as the test
+reference for that identity.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CapacityError, DomainError, Factorization, bernoulli, factorize
+from .arith import CapacityError, DomainError, bernoulli, factorize
 
 # Guard for table construction: limit * 4k may not exceed this.
 R4K_TABLE_BUDGET = 1_000_000
@@ -127,14 +131,3 @@ def r4k_main_coeff(k: int) -> Fraction:
         raise DomainError("k must be >= 1")
     return Fraction(4 * k) / ((4 ** k - 1) * abs(bernoulli(2 * k)))
 
-
-def r4k_from_factorization(f: Factorization) -> int:
-    """r_4 via the divisor-sum form, reusing an existing factorization."""
-    total = 1
-    even = False
-    for p, e in f.factors:
-        if p == 2:
-            even = True
-        else:
-            total *= (p ** (e + 1) - 1) // (p - 1)
-    return 8 * (3 if even else 1) * total

@@ -52,18 +52,44 @@ def test_capacity_exit_code(capsys):
     assert code == 3
 
 
+def _assert_usage_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert err.strip() and "Traceback" not in err, (argv, err)
+
+
+BAD_BOUNDS = [
+    ["predict", "--bounds", "a"],
+    ["predict", "--bounds", "0"],
+    ["predict", "--bounds", "-2"],
+    ["predict", "--bounds", "10,10"],
+    ["compare", "--bounds", "1"],
+    ["compare", "--bounds", "20,a"],
+    ["table", "--bounds", "1"],
+    ["table", "--bounds", "5,20,5"],
+    ["count", "--bound", "0"],
+]
+
+
 def test_usage_exit_codes(capsys):
     code, _ = _run(capsys, ["compare", "--k", "1"])
     assert code == 2
     with pytest.raises(SystemExit) as exc:
         main(["count", "--k", "1"])  # missing --bound
     assert exc.value.code == 2
+    for argv in BAD_BOUNDS:
+        _assert_usage_error(capsys, argv)
+    # B = 1 is a valid prediction bound (the main terms are 0 there)
+    code, out = _run(capsys, ["predict", "--prime-cutoff", "200", "--bounds", "1"])
+    assert code == 0
+    assert json.loads(out)["predictions"][0]["n_main"] == 0
 
 
 def test_bad_prime_set_is_usage_error(capsys):
-    code, _ = _run(capsys, ["count", "--k", "1", "--bound", "5",
-                            "--exclude-primes", "4"])
-    assert code == 2
+    for primes in ("4", "x", "2,x", "2,,3"):
+        _assert_usage_error(capsys, ["count", "--k", "1", "--bound", "5",
+                                     "--exclude-primes", primes])
 
 
 def test_count_k2_exact_route(capsys):
