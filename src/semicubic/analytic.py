@@ -307,6 +307,8 @@ def _prefactor(k: int) -> float:
 
 def _main_terms(k: int, g: float, lead: float, bound) -> dict:
     """Leading main terms at B from the Euler product g and leading constant."""
+    if bound < 1:
+        raise DomainError("bound must be >= 1")
     size = bound ** (4 * k - 1) * math.log(bound)
     return {
         "n_main": lead * size,
@@ -323,8 +325,6 @@ def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:
 
 def predict(bound: float, k: int, s_set: PrimeSet, prime_cutoff: int) -> dict:
     """Leading main terms at B: the tuple count and the two auxiliary sums."""
-    if bound <= 1:
-        raise DomainError("bound must exceed 1")
     g = euler_product(k, s_set, prime_cutoff).value
     return _main_terms(k, g, _prefactor(k) * g / zeta_real(4 * k - 1), bound)
 

@@ -7,10 +7,19 @@
 * s_sum / t_sum: the auxiliary double sums over the multiplicative model,
   feeding the main-term identities.
 
+All three sums run over cofactors c = n^3/d.  With B = bn/bd, d lies in
+the window n^3 e/B < d <= B^2/e^2 of e exactly when e c bd < bn and
+e^2 n^3 bd^2 <= bn^2 c, so a cofactor c < B lies in the windows of
+e = 1..top(c), top(c) = min(isqrt(bn^2 c // (n^3 bd^2)), (bn-1) // (c bd)),
+and one difference array over e gives every n_star(B/e).  Every weight is
+positive (r*(p^f) >= 1, and r_4k(d) >= 1 for d >= 1), so the nonzero e are
+those whose window holds a cofactor.  s_sum and t_sum are the
+multiplicative total less the cofactors below a cap.
+
 All window comparisons are exact (integer cross-multiplication against
 rational bounds); no float enters any counting predicate.  The z-boundary
 is the half-open convention |z| < B in every route, so cross-route
-equality is exact.  Outer loops accumulate integer partial sums per n,
+equality is exact.  Outer loops add up integer partial sums per n,
 so any partition of the n-range reduces to a bit-identical total.
 """
 
@@ -19,12 +28,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from math import isqrt
 
 from .arith import (
     CapacityError,
@@ -98,61 +106,54 @@ def _factor_from_spf(n: int, spf: list) -> list:
 
 @lru_cache(maxsize=1 << 16)
 def _prime_weights(p: int, e: int, k: int, in_s: bool) -> tuple:
-    """(p^f, r*(p^f)) for f = 0..3e, the divisors of p^(3e) that n = p^e allows.
+    """((p^g, r*(p^(3e-g))) for the cofactor exponents g that n = p^e allows, total).
 
-    The indicator v_p(n^2/d) != 1 for p outside the set is equivalent to
-    skipping f = 2e-1, so disallowed divisors are never generated.
+    A cofactor c = n^3/d takes p^g where d takes p^(3e-g).  The indicator
+    v_p(n^2/d) != 1 for p outside the set is equivalent to skipping
+    g = e+1, so disallowed cofactors are never generated.
     """
-    skip = -1 if in_s else 2 * e - 1
-    out = []
-    pf = 1
-    for f in range(3 * e + 1):
-        if f != skip:
-            out.append((pf, r4k_star_prime_power(p, f, k)))
-        pf *= p
-    return tuple(out)
+    skip = -1 if in_s else e + 1
+    pairs = tuple((p**g, r4k_star_prime_power(p, 3 * e - g, k))
+                  for g in range(3 * e + 1) if g != skip)
+    return pairs, sum(w for _, w in pairs)
 
 
-def _profile(factors, k, s_primes, hi_cap, scale=1, table=None):
-    """Divisors of n^3 passing the indicator, sorted, with weight prefix sums.
+def _profile(factors, k, s_primes, hi_cap, scale=1):
+    """Allowed cofactors c = n^3/d up to hi_cap, weighted, and the uncapped total.
 
-    factors is the factorization of n.  Each divisor d weighs scale * r*(d)
-    (scale 8 at k = 1 is exactly r_4), or table[d] when a table is given.
-    Divisors above hi_cap are pruned (partial products only grow).
+    factors is the factorization of n.  Items are (c, scale * r*(n^3/c))
+    pairs in generation order (scale 8 at k = 1 is exactly r_4); cofactors above
+    hi_cap are pruned (partial products only grow).  The total is the
+    weight of every allowed cofactor, a product of per-prime sums.
     """
-    items = [(1, scale)]
+    items = [(1, scale)] if hi_cap >= 1 else []
+    total = scale
     for p, e in factors:
-        pws = _prime_weights(p, e, k, p in s_primes)
-        items = [(nd, wt * wf) for d, wt in items for pf, wf in pws
-                 if (nd := d * pf) <= hi_cap]
-    items.sort()
-    ds = [d for d, _ in items]
-    weights = [table[d] for d in ds] if table is not None else [wt for _, wt in items]
-    return ds, [0, *accumulate(weights)]
+        pws, psum = _prime_weights(p, e, k, p in s_primes)
+        total *= psum
+        items = [(nc, wt * wf) for c, wt in items for pg, wf in pws
+                 if (nc := c * pg) <= hi_cap]
+    return items, total
 
 
 def _profiles(nmax: int, req: CountRequest, cap, source: RSource = None):
-    """Yield (n, ds, prefix) for n = 1..nmax: the one loop over n.
+    """Yield (n, items, total) for n = 1..nmax: the one loop over n.
 
-    cap is the divisor cap, an int or a function of n; n with a cap
-    below 1 are skipped.  The exact table, when the source asks for it,
-    is built once up to the int cap.
+    cap is the cofactor cap, an int or a function of n.
     """
     source = req.r_source if source is None else source
     spf = smallest_prime_factors(nmax)
-    table = r4k_bruteforce(cap, req.k) if source == RSource.EXACT else None
     scale = 8 if source == RSource.JACOBI else 1
     for n in range(1, nmax + 1):
         hi = cap if isinstance(cap, int) else cap(n)
-        if hi < 1:
-            continue
-        factors = _factor_from_spf(n, spf)
-        yield (n, *_profile(factors, req.k, req.s_set, hi, scale, table))
+        yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi, scale))
 
 
-def _window(ds, prefix, lo_floor, hi_floor) -> int:
-    """Weight sum over divisors d with lo_floor < d <= hi_floor."""
-    return prefix[bisect_right(ds, hi_floor)] - prefix[bisect_right(ds, lo_floor)]
+def _window(items, lo: int, n3: int, table=None) -> int:
+    """Weight sum over cofactors c >= lo; with a table, c weighs table[n^3/c]."""
+    if table is None:
+        return sum(w for c, w in items if c >= lo)
+    return sum(table[n3 // c] for c, _ in items if c >= lo)
 
 
 def indicator_1S(num: int, den: int, s_set: PrimeSet) -> int:
@@ -175,29 +176,37 @@ def n_star(bound, req: CountRequest) -> int:
 def n_star_by_divisor(bound, req: CountRequest) -> dict:
     """{e: n_star(B/e)} for squarefree e, nonzero entries only.
 
-    Shares one divisor profile per n across all scaled bounds, so the
-    whole Mobius family costs little more than n_star(B) alone.
+    Each cofactor adds its weight at top(c); suffix sums give n_star(B/e) / 2.
     """
     b = _as_fraction(bound)
     if b < 1:
         raise DomainError("bound must be >= 1")
     bn, bd = b.numerator, b.denominator
     nmax = bn // bd
-    bn2 = bn * bn
-    bd2 = bd * bd
-    mu = mobius_sieve(nmax)
-    buckets: dict = {}
-    for n, ds, prefix in _profiles(nmax, req, bn2 // bd2):
-        if not ds:
+    bn2, bd2 = bn * bn, bd * bd
+    cmax = (bn - 1) // bd
+    table = r4k_bruteforce(bn2 // bd2, req.k) if req.r_source == RSource.EXACT else None
+    diff = [0] * (nmax + 1)
+    for n, items, _ in _profiles(nmax, req, cmax):
+        n3 = n * n * n
+        if 2 * n * bd > bn:
+            # e < B/n < 2: only the e = 1 window, c >= n^3/B^2, is left
+            diff[1] += _window(items, -(-n3 * bd2 // bn2), n3, table)
             continue
-        n3bd = n * n * n * bd
-        for e in range(1, bn // (bd * n) + 1):
-            if mu[e] == 0:
-                continue
-            s = _window(ds, prefix, (n3bd * e) // bn, bn2 // (bd2 * e * e))
-            if s:
-                buckets[e] = buckets.get(e, 0) + s
-    return {e: 2 * v for e, v in sorted(buckets.items())}
+        n3bd2 = n3 * bd2
+        if table is None:
+            for c, w in items:
+                diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
+        else:
+            for c, _ in items:
+                if top := min(isqrt(bn2 * c // n3bd2), cmax // c):
+                    diff[top] += table[n3 // c]
+    acc = 0
+    for e in range(nmax, 0, -1):
+        acc += diff[e]
+        diff[e] = acc
+    mu = mobius_sieve(nmax)
+    return {e: 2 * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
 
 
 def _mobius_combine(by_d: dict) -> int:
@@ -211,16 +220,24 @@ def n_mobius(bound, req: CountRequest) -> int:
     return _mobius_combine(n_star_by_divisor(bound, req))
 
 
+def _cofactor_remainder(nmax: int, req: CountRequest, cap) -> int:
+    """Model weight of the cofactors above cap, summed over n <= nmax."""
+    return sum(total - sum(w for _, w in items)
+               for _, items, total in _profiles(nmax, req, cap, RSource.RSTAR))
+
+
 def s_sum(x_bound, y_bound, req: CountRequest) -> int:
     """Double sum of the multiplicative model over n <= X, d | n^3, d <= Y."""
     x = _as_fraction(x_bound)
     y = _as_fraction(y_bound)
     if x < 0 or y < 0:
         raise DomainError("bounds must be nonnegative")
-    nmax = x.numerator // x.denominator
     hi = y.numerator // y.denominator
-    # profiles are pruned at the cap, so each one's total is its last prefix
-    return sum(prefix[-1] for _, _, prefix in _profiles(nmax, req, hi, RSource.RSTAR))
+    if hi < 1:
+        return 0
+    # d > Y exactly when c * floor(Y) < n^3: the cap is 0 once n^3 <= Y
+    return _cofactor_remainder(x.numerator // x.denominator, req,
+                               lambda n: (n * n * n - 1) // hi)
 
 
 def t_sum(bound, req: CountRequest) -> int:
@@ -228,9 +245,9 @@ def t_sum(bound, req: CountRequest) -> int:
     b = _as_fraction(bound)
     if b < 1:
         raise DomainError("bound must be >= 1")
-    bn, bd = b.numerator, b.denominator
-    profiles = _profiles(bn // bd, req, lambda n: (n * n * n * bd) // bn, RSource.RSTAR)
-    return sum(prefix[-1] for _, _, prefix in profiles)
+    # d <= n^3/B exactly when c >= B: drop the cofactors c < B, as n_star keeps them
+    return _cofactor_remainder(b.numerator // b.denominator, req,
+                               (b.numerator - 1) // b.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +274,21 @@ def _signed_count(rem: int, left: int) -> int:
 
 
 def _coprime_count(rem: int, left: int, g: int) -> int:
-    """Vectors as above whose entries are jointly coprime to g."""
+    """Vectors as above whose entries are jointly coprime to g.
+
+    Inclusion-exclusion over squarefree q | g: the vectors whose entries
+    are all divisible by q are q times the vectors of squared norm rem/q^2.
+    """
     if g == 1:
         return _signed_count(rem, left)
-    if left == 0:
-        return 0
     key = (rem, left, g)
     c = _coprime_cache.get(key)
     if c is None:
-        c = _coprime_count(rem, left - 1, g)  # entry 0 keeps g
-        t = 1
-        while t * t <= rem:
-            c += 2 * _coprime_count(rem - t * t, left - 1, math.gcd(g, t))
-            t += 1
+        terms = [(1, 1)]
+        for p, _ in factorize(g).factors:
+            terms += [(q * p, -m) for q, m in terms]
+        c = sum(m * _signed_count(rem // (q * q), left)
+                for q, m in terms if rem % (q * q) == 0)
         _coprime_cache[key] = c
     return c
 
@@ -288,8 +307,8 @@ def n_oracle(bound: int, k: int, s_set: PrimeSet) -> int:
     """Count primitive solutions with |x| <= B, h <= B^2, |z| < B directly.
 
     For x in 1..B and each divisor d of x^3 in the window (x^3/B, B^2],
-    the y-vectors with squared norm d are enumerated exhaustively and
-    filtered by coprimality with gcd(x, z); the semi-integral condition
+    the y-vectors with squared norm d are counted exhaustively, coprime to
+    gcd(x, z) by inclusion-exclusion; the semi-integral condition
     depends only on (x, z) and is checked once per divisor.  The result
     is doubled for the sign of x.
     """
@@ -417,7 +436,7 @@ def count_report(req: CountRequest, with_oracle: bool = False,
     oracle = None
     if with_oracle:
         t0 = time.perf_counter()
-        oracle = n_oracle(int(req.bound), req.k, req.s_set)
+        oracle = n_oracle(req.bound, req.k, req.s_set)
         timings["oracle_s"] = time.perf_counter() - t0
     sv = tv = None
     if with_st:

@@ -256,6 +256,11 @@ def test_predict_identities():
         coeff = 8 * k / ((4**k - 1) * float(abs(bernoulli(2 * k))))
         rebuilt = (pk["s_main"] - pk["t_main"]) * coeff / zeta_real(4 * k - 1)
         assert abs(pk["n_main"] - rebuilt) <= 1e-12 * abs(pk["n_main"])
+    # one bound check serves predict and the report: B = 1 gives zero main terms
+    row = constants_report(1, PrimeSet.empty(), 1000, bounds=[1])["predictions"][0]
+    assert {"bound": 1, **predict(1, 1, PrimeSet.empty(), 1000)} == row
+    with pytest.raises(DomainError):
+        predict(0.5, 1, PrimeSet.empty(), 1000)
 
 
 def test_constants_report_fields():

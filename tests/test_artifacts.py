@@ -2,19 +2,23 @@
 
 The count JSON and the integer columns of the table CSV carry no floats,
 so their bytes are platform-independent; any refactor of the counting
-routes must leave them unchanged.  The digests were recorded before the
-weight branches and the n loops of the counting module were merged.
+routes must leave them unchanged.  The CLI digests were recorded before the
+weight branches and the n loops of the counting module were merged; the
+mid-size library digests before counting moved to the cofactor side.
 """
 
 import contextlib
 import functools
 import hashlib
 import io
+from fractions import Fraction
 
 import pytest
 
 from semicubic import counting
+from semicubic.arith import PrimeSet
 from semicubic.cli import main
+from semicubic.counting import CountRequest, RSource, n_star_by_divisor, s_sum, t_sum
 
 SETS = ("", "2", "2,3", "5,7")
 
@@ -50,6 +54,21 @@ TABLE_INT_COLUMNS = {
     ("rstar", "5,7"): "f8546c33a85513a8a352446e42ad2c9bd7ae1880189ca48c557cda2ba0736dcf",
 }
 
+# sha256 of repr((sorted(n_star_by_divisor(B).items()), s_sum(B, B^2), t_sum(B)))
+MID_SIZE = {
+    (1, Fraction(2000), "", "rstar_model"): "c6c0953ccc7e6e4417dacc2a7a64cbd3f28836c8c26df7eca816af0d7cd8d169",
+    (1, Fraction(2000), "2", "rstar_model"): "eca50cd84c6585536603807cbf350db1d77984efa5c223f2aeb263f3a2e2584c",
+    (1, Fraction(2000), "2,3", "rstar_model"): "62d03e93fee5ae911784395f7e79634bae9597fa938dac7edd8b2cacf590a07a",
+    (1, Fraction(2000), "5,7", "rstar_model"): "ecb2ebbe3c71970ee7f4a585d76bc5a68d4b17049977ee5bd9da1b3782d6604a",
+    (1, Fraction(4001, 2), "", "rstar_model"): "943461f0c39a46d946f42be0ef5ac153fb4b493b6d7f5041dccd61957da1b59f",
+    (1, Fraction(4001, 2), "2", "rstar_model"): "fd5b911e09e5f463cdd97c730be3bac57e9d7531224cacc4ccafd466d9e63e8c",
+    (1, Fraction(4001, 2), "2,3", "rstar_model"): "55ab315b5ea0e392aaddf62496440780e7400d9ab5bd7806a6fd43eb23e90c72",
+    (1, Fraction(4001, 2), "5,7", "rstar_model"): "22c61d7f159217e3313b0c3921eaefda546e7f791a4d1bfca3dca930eee60215",
+    (2, Fraction(60), "", "exact_bruteforce"): "7564cb15bc48f8fdd4e3877a36f5483c01391b4b75a06e39ef6f93a991ba5c55",
+    (2, Fraction(60), "", "rstar_model"): "ee12b62cf17a6cd6b56cf7c67509ccf74941687008e840f85f10ad1772f73776",
+    (3, Fraction(25), "", "exact_bruteforce"): "849b595b841e9e870a8f79af3be5bc4c6b4e1d3e03314077117347f05b101402",
+}
+
 
 def _stdout(argv, s):
     if s:
@@ -83,3 +102,12 @@ def test_table_integer_column_digests(s):
         cols = [rows[0].index(c) for c in ("B", "tuples", "s_sum", "t_sum")]
         text = "\n".join(",".join(r[i] for i in cols) for r in rows) + "\n"
         assert _sha(text) == TABLE_INT_COLUMNS[source, s], (source, s, text)
+
+
+@pytest.mark.parametrize("key", MID_SIZE, ids=lambda key: "-".join(map(str, key)))
+def test_mid_size_library_digests(key):
+    k, b, s, source = key
+    s_set = PrimeSet.parse(s) if s else PrimeSet.empty()
+    req = CountRequest(k=k, bound=b, s_set=s_set, r_source=RSource(source))
+    blob = repr((sorted(n_star_by_divisor(b, req).items()), s_sum(b, b * b, req), t_sum(b, req)))
+    assert _sha(blob) == MID_SIZE[key], key

@@ -181,6 +181,9 @@ def test_oracle_guard():
         n_oracle(101, 1, S0)
     with pytest.raises(CapacityError):
         n_oracle(13, 2, S0)
+    # a fractional bound reaches the oracle unchanged instead of being truncated
+    with pytest.raises(DomainError):
+        count_report(req(Fraction(7, 2)), with_oracle=True)
 
 
 def test_oracle_against_point_enumeration():
@@ -253,7 +256,7 @@ def test_s_t_k2_against_definitions():
 
 def test_st_nstar_relation():
     # 2 (S - T) = n_star with the model weights; times 8 with the exact r_4
-    for bound in (10, 25, 60):
+    for bound in (10, 25, 60, Fraction(301, 3), Fraction(121, 2)):
         for s_set in (S0, S23):
             r_model = req(bound, s_set=s_set, source=RSource.RSTAR)
             r_jac = req(bound, s_set=s_set)

@@ -12,6 +12,8 @@ from pathlib import Path
 
 from semicubic import arith, counting
 from semicubic.arith import PrimeSet
+from semicubic.counting import indicator_1S
+from semicubic.reps import r4k_star
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,9 +38,18 @@ def test_traced_names_resolve():
 
 
 def test_profile_and_cache_shapes():
-    # n = 12 = 2^2 * 3: the tracer's profile hook counts len(result[0])
-    ds, prefix = counting._profile([(2, 2), (3, 1)], 1, PrimeSet.empty(), 10**6)
-    assert ds == sorted(ds) and len(prefix) == len(ds) + 1
+    # n = 12 = 2^2 * 3: the tracer's profile hook counts len(result[0]), the
+    # allowed cofactors c = 12^3/d up to the cap, each paired with its weight
+    cap = 100
+    items, total = counting._profile([(2, 2), (3, 1)], 1, PrimeSet.empty(), cap)
+    allowed = [c for c in range(1, 12**3 + 1)
+               if 12**3 % c == 0 and indicator_1S(144 * c, 12**3, PrimeSet.empty())]
+    assert sorted(c for c, _ in items) == [c for c in allowed if c <= cap]
+    assert all(w == r4k_star(12**3 // c, 1) for c, w in items)
+    assert total == sum(r4k_star(12**3 // c, 1) for c in allowed)
+    window = counting._window(items, 10, 12**3)
+    assert isinstance(window, int)
+    assert window == sum(w for c, w in items if c >= 10)
     assert isinstance(counting._signed_cache, dict)
     assert isinstance(counting._coprime_cache, dict)
     for name in ("is_prime", "factorize"):
