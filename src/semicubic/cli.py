@@ -33,13 +33,14 @@ from .counting import (
     CountRequest,
     RSource,
     count_report,
-    iter_points,
     n_mobius,
     n_oracle,
+    point_classes,
     s_sum,
     t_sum,
 )
 from .geometry import intersection_mults, m_point_ok, semi_integral_ok
+from .reps import _p2_coefficients
 
 
 def _fmt(x) -> str:
@@ -60,8 +61,11 @@ def _round_floats(obj):
 
 def _emit(text: str, path):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -199,12 +203,8 @@ def _suite_mpoints(report) -> bool:
     ps = primes_up_to(100)
     # every checked quantity depends on the point only through (x, h, z),
     # so one representative per class covers the whole exhaustive set
-    classes = {}
-    n_points = 0
-    for pt in iter_points(40, k=1):
-        n_points += 1
-        classes.setdefault((pt.x, pt.h, pt.z), pt)
-    for pt in classes.values():
+    classes = point_classes(40)
+    for pt, _ in classes:
         for p in ps:
             m = intersection_mults(pt, p)
             if 2 * m.n1 + m.n2 != max(vp(p, pt.z) - vp(p, pt.x), 0):
@@ -214,35 +214,30 @@ def _suite_mpoints(report) -> bool:
             if semi_integral_ok(pt, s_set) != m_point_ok(pt, s_set):
                 report(f"equivalence fails at {pt} S={s_set}")
                 ok = False
-    report(
-        f"checked {n_points} points of height <= 40 "
-        f"({len(classes)} coordinate classes)"
-    )
+    report(f"checked {sum(n for _, n in classes)} points of height <= 40 "
+           f"({len(classes)} coordinate classes)")
     return ok
 
 
 def _suite_routes(report) -> bool:
     ok = True
+    bounds = (5, 10, 20, 30, 50)
     for s_set in (PrimeSet.empty(), PrimeSet.of(2), PrimeSet.of(2, 3)):
-        for b in (5, 10, 20, 30):
+        for b in bounds:
             a = n_oracle(b, 1, s_set)
-            reqj = CountRequest(
-                k=1, bound=Fraction(b), s_set=s_set, r_source=RSource.JACOBI
-            )
-            reqe = CountRequest(
-                k=1, bound=Fraction(b), s_set=s_set, r_source=RSource.EXACT
-            )
-            mj = n_mobius(b, reqj)
-            me = n_mobius(b, reqe)
+            mj, me = (n_mobius(b, CountRequest(k=1, bound=Fraction(b), s_set=s_set,
+                                               r_source=source))
+                      for source in (RSource.JACOBI, RSource.EXACT))
             if not (a == mj == me):
                 report(f"route mismatch B={b} S={s_set}: {a} {mj} {me}")
                 ok = False
-    report("route equality checked for B in {5,10,20,30}, three prime sets")
+    report(f"route equality checked for B in {{{','.join(map(str, bounds))}}}, "
+           "three prime sets")
     return ok
 
 
-def _suite_euler(report) -> bool:
-    ok = True
+def _check_euler_factors(report) -> bool:
+    """The series against the closed form, and the per-prime zeta identity."""
     worst = 0.0
     for p in (2, 3, 5, 7, 11):
         for k in (1, 2):
@@ -250,32 +245,50 @@ def _suite_euler(report) -> bool:
                 for s, w in ((2.0, 2.0 * k), (1.5, 2.0 * k - 0.5), (3.0, 2.0 * k + 1)):
                     inp = EulerFactorInput(p=p, k=k, in_S=in_s, s=s, w=w)
                     worst = max(worst, abs(fp_series(inp, 60) - fp_closed(inp)))
-    if worst > 1e-9:
-        report(f"series/closed disagreement {worst:.2e}")
-        ok = False
     report(f"series vs closed worst abs diff {worst:.2e}")
+    worst_zeta = 0.0
+    for k in (1, 2):
+        s, w = 2.0, 2.0 * k
+        for p in primes_up_to(10**4):
+            inp = EulerFactorInput(p=p, k=k, in_S=False, s=s, w=w)
+            zeta_side = gp(inp) / ((1 - p**-s)
+                                   * (1 - float(p) ** -(s + 2 * w - 4 * k + 2))
+                                   * (1 - float(p) ** -(s + 3 * w - 6 * k + 3)))
+            worst_zeta = max(worst_zeta,
+                             abs(fp_series(inp, 60) - zeta_side) / abs(zeta_side))
+    report(f"per-prime zeta identity for p <= 10^4 worst rel diff {worst_zeta:.2e}")
+    return worst <= 1e-9 and worst_zeta <= 1e-12
+
+
+def _check_specializations(report) -> bool:
+    """gp_special against the certified gp at s = 1, p <= 97: equal at odd primes.
+
+    At p = 2 in the set the tabulated form weights exponent 0 by A + B and the
+    model by 1, so gp - gp_special = (1 - A - B)/4; p = 2 outside it is reported.
+    """
+    worst, worst_at = 0.0, None
     for p in primes_up_to(97):
-        if p == 2:
-            continue
         for k in (1, 2):
             for in_s in (True, False):
-                d = abs(
-                    gp(EulerFactorInput(p=p, k=k, in_S=in_s, s=1.0, w=2.0 * k - 1.0))
-                    - gp_special(p, k, in_s)
-                )
-                if d > 1e-12:
-                    report(f"odd-prime specialization differs at p={p} k={k}: {d:.2e}")
-                    ok = False
-    for k in (1, 2):
-        for in_s in (True, False):
-            cert = gp(EulerFactorInput(p=2, k=k, in_S=in_s, s=1.0, w=2.0 * k - 1.0))
-            printed = gp_special(2, k, in_s)
-            report(
-                f"p=2 k={k} in_S={in_s}: certified {cert:.12g}, "
-                f"tabulated {printed:.12g}, abs diff {abs(cert - printed):.12g}"
-            )
-    report("odd-prime specializations match; p=2 differences reported above")
-    return ok
+                cert = gp(EulerFactorInput(p=p, k=k, in_S=in_s, s=1.0, w=2.0 * k - 1.0))
+                printed = gp_special(p, k, in_s)
+                expected = 0.0
+                if p == 2:
+                    report(f"p=2 k={k} in_S={in_s}: certified {cert:.12g}, tabulated "
+                           f"{printed:.12g}, abs diff {abs(cert - printed):.12g}")
+                    if not in_s:
+                        continue
+                    a, b = _p2_coefficients(k)
+                    expected = float((1 - a - b) / 4)
+                if (d := abs(cert - printed - expected)) > worst:
+                    worst, worst_at = d, (p, k, in_s)
+    report(f"gp - gp_special vs 0 at odd primes, (1 - A - B)/4 at p=2 in_S=True: "
+           f"worst residual {worst:.2e} at (p, k, in_S) = {worst_at}")
+    return worst <= 1e-12
+
+
+def _suite_euler(report) -> bool:
+    return all([_check_euler_factors(report), _check_specializations(report)])
 
 
 def _cmd_verify(cfg: CliConfig) -> int:

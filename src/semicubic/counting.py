@@ -43,6 +43,7 @@ from .arith import (
     factorize,
     mobius_sieve,
     smallest_prime_factors,
+    vp,
 )
 from .geometry import SurfacePoint
 from .reps import r4k_bruteforce, r4k_star_prime_power
@@ -293,44 +294,44 @@ def _coprime_count(rem: int, left: int, g: int) -> int:
     return c
 
 
-def _semi_ok_from_exponents(x_factors, dfac, s_set: PrimeSet) -> bool:
-    # v_p(z) - v_p(x) = 2 e_p(x) - e_p(d); only primes of x can violate
-    for p, e in x_factors:
-        if p in s_set:
-            continue
-        if 2 * e - dfac.exponent(p) == 1:
-            return False
-    return True
+def _semi_ok(x: int, dfac, s_set: PrimeSet) -> bool:
+    # v_p(z) - v_p(x) = 2 v_p(x) - v_p(d), even for the primes of x outside d
+    return all(p in s_set or 2 * vp(p, x) - f != 1 for p, f in dfac.factors)
+
+
+def _oracle_bound(bound, k: int) -> int:
+    if bound < 1 or int(bound) != bound:
+        raise DomainError("oracle bound must be a positive integer")
+    if bound > (cap := ORACLE_BOUND_LIMITS.get(k, 0)):
+        raise CapacityError(
+            f"oracle enumeration for k={k} is guarded at bound <= {cap}")
+    return int(bound)
+
+
+def _classes(bound: int, strict_z: bool):
+    """Yield (x, factored d, z = x^3/d, gcd(x, z)) for x <= B, d | x^3, d <= B^2.
+
+    |z| < B when strict_z, else |z| <= B.
+    """
+    for x in range(1, bound + 1):
+        x3 = x * x * x
+        lo = Fraction(x3, bound) if strict_z else Fraction(x3 - 1, bound)
+        for dfac in divisors_of_cube(x, lo, bound * bound):
+            z = x3 // dfac.value
+            yield x, dfac, z, math.gcd(x, z)
 
 
 def n_oracle(bound: int, k: int, s_set: PrimeSet) -> int:
     """Count primitive solutions with |x| <= B, h <= B^2, |z| < B directly.
 
-    For x in 1..B and each divisor d of x^3 in the window (x^3/B, B^2],
-    the y-vectors with squared norm d are counted exhaustively, coprime to
-    gcd(x, z) by inclusion-exclusion; the semi-integral condition
-    depends only on (x, z) and is checked once per divisor.  The result
-    is doubled for the sign of x.
+    For each (x, d, z) class the y-vectors with squared norm d are counted
+    exhaustively, coprime to gcd(x, z) by inclusion-exclusion; the
+    semi-integral condition depends only on (x, z) and is checked once
+    per class.  The result is doubled for the sign of x.
     """
-    if bound < 1 or int(bound) != bound:
-        raise DomainError("oracle bound must be a positive integer")
-    bound = int(bound)
-    cap = ORACLE_BOUND_LIMITS.get(k, 0)
-    if bound > cap:
-        raise CapacityError(
-            f"oracle enumeration for k={k} is guarded at bound <= {cap}"
-        )
-    total = 0
-    for x in range(1, bound + 1):
-        x3 = x * x * x
-        xf = factorize(x).factors
-        for dfac in divisors_of_cube(x, Fraction(x3, bound), bound * bound):
-            if not _semi_ok_from_exponents(xf, dfac, s_set):
-                continue
-            d = dfac.value
-            z = x3 // d
-            total += _coprime_count(d, 4 * k, math.gcd(x, z))
-    return 2 * total
+    return 2 * sum(_coprime_count(dfac.value, 4 * k, g)
+                   for x, dfac, _, g in _classes(_oracle_bound(bound, k), True)
+                   if _semi_ok(x, dfac, s_set))
 
 
 def _iter_vectors(rem: int, left: int):
@@ -347,6 +348,12 @@ def _iter_vectors(rem: int, left: int):
         t += 1
 
 
+def _class_points(k: int, x: int, dfac, z: int, g: int):
+    """The points of a class: y-vectors of squared norm d coprime to gcd(x, z)."""
+    return (SurfacePoint(k=k, x=x, ys=ys, z=z)
+            for ys in _iter_vectors(dfac.value, 4 * k) if math.gcd(g, *ys) == 1)
+
+
 def iter_points(bound: int, k: int = 1, strict_z: bool = False):
     """Yield every primitive point with x >= 1 up to the height bound.
 
@@ -355,22 +362,19 @@ def iter_points(bound: int, k: int = 1, strict_z: bool = False):
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
-    for x in range(1, bound + 1):
-        x3 = x * x * x
-        for dfac in divisors_of_cube(x, 0, bound * bound):
-            d = dfac.value
-            if strict_z:
-                if d * bound <= x3:
-                    continue
-            else:
-                if d * bound < x3:
-                    continue
-            z = x3 // d
-            g0 = math.gcd(x, z)
-            for ys in _iter_vectors(d, 4 * k):
-                if math.gcd(g0, *ys) != 1:
-                    continue
-                yield SurfacePoint(k=k, x=x, ys=ys, z=z)
+    for cls in _classes(bound, strict_z):
+        yield from _class_points(k, *cls)
+
+
+def point_classes(bound: int, k: int = 1) -> list:
+    """(first point, member count) per (x, h, z) class of iter_points(bound, k).
+
+    Members are counted, not built; every geometric predicate depends on a
+    point only through (x, h, z), so the first point stands for its class.
+    """
+    return [(next(_class_points(k, x, dfac, z, g)), n)
+            for x, dfac, z, g in _classes(_oracle_bound(bound, k), False)
+            if (n := _coprime_count(dfac.value, 4 * k, g))]
 
 
 # ---------------------------------------------------------------------------

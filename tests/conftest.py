@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from semicubic.counting import iter_points  # noqa: E402
+from semicubic.counting import point_classes  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -16,9 +16,5 @@ def height40():
     Every geometric predicate under test depends on the point only
     through (x, h, z), so the representatives carry full coverage.
     """
-    classes = {}
-    total = 0
-    for pt in iter_points(40, k=1):
-        total += 1
-        classes.setdefault((pt.x, pt.h, pt.z), pt)
-    return total, list(classes.values())
+    classes = point_classes(40)
+    return sum(n for _, n in classes), [pt for pt, _ in classes]

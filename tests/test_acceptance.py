@@ -1,7 +1,9 @@
 """Acceptance gates for the whole artifact, one test per criterion.
 
 Each test prints a `criterion N: PASS/FAIL` line (run with -s to see them
-all).  Criterion 7 checks the tabulated local-factor specializations
+all).  Criteria 3, 4, 6 and 7 run the checkers that `semicubic verify`
+runs, so each of their grids and thresholds is written once, in cli.py.
+Criterion 7 checks the tabulated local-factor specializations
 against the certified route: they agree at odd primes, and at p = 2 with
 2 in the exceptional set gp - gp_special is exactly the exponent-0 term
 (1 - A - B)/4, -1/2 for odd k and +1/2 for even k (the tabulated form
@@ -26,33 +28,32 @@ import math
 import time
 from fractions import Fraction
 
-from semicubic.arith import PrimeSet, primes_up_to, vp
-from semicubic.analytic import (
-    EulerFactorInput,
-    euler_product,
-    fp_closed,
-    fp_series,
-    gp,
-    gp_special,
-    leading_constant,
+from semicubic.arith import PrimeSet
+from semicubic.analytic import euler_product, leading_constant
+from semicubic.cli import (
+    _check_euler_factors,
+    _check_specializations,
+    _suite_mpoints,
+    _suite_routes,
 )
-from semicubic.counting import (
-    CountRequest,
-    RSource,
-    n_mobius,
-    n_oracle,
-    n_star,
-    s_sum,
-    t_sum,
-)
-from semicubic.geometry import intersection_mults, m_point_ok, semi_integral_ok
-from semicubic.reps import _p2_coefficients, r4_jacobi, r4k_bruteforce, r4k_star
+from semicubic.counting import CountRequest, RSource, n_mobius, n_star, s_sum, t_sum
+from semicubic.reps import r4_jacobi, r4k_bruteforce, r4k_star
 
 S0 = PrimeSet.empty()
 
 
 def _req(bound, k=1, s_set=S0, source=RSource.JACOBI):
     return CountRequest(k=k, bound=Fraction(bound), s_set=s_set, r_source=source)
+
+
+def _gate(n, checker):
+    """Run one of the checkers that `semicubic verify` runs, as criterion n."""
+    t0 = time.perf_counter()
+    lines = []
+    ok = checker(lines.append)
+    dt = time.perf_counter() - t0
+    print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {'; '.join(lines)} ({dt:.1f}s)")
+    assert ok, lines
 
 
 def test_criterion_01_jacobi_rstar_exactness():
@@ -82,33 +83,12 @@ def test_criterion_02_r8_witness_constant():
     assert c300 <= 4 * c150, (c150, c300)
 
 
-def test_criterion_03_m_point_equivalence(height40):
-    t0 = time.perf_counter()
-    total, classes = height40
-    sets = [PrimeSet.empty(), PrimeSet.of(2), PrimeSet.of(2, 3), PrimeSet.of(5)]
-    primes = primes_up_to(100)
-    for pt in classes:
-        for p in primes:
-            m = intersection_mults(pt, p)
-            assert 2 * m.n1 + m.n2 == max(vp(p, pt.z) - vp(p, pt.x), 0), (pt, p)
-        for s_set in sets:
-            assert semi_integral_ok(pt, s_set) == m_point_ok(pt, s_set), (pt, s_set)
-    dt = time.perf_counter() - t0
-    print(f"criterion 3: PASS - {total} points (as {len(classes)} coordinate "
-          f"classes), all p <= 100, four prime sets ({dt:.1f}s)")
+def test_criterion_03_m_point_equivalence():
+    _gate(3, _suite_mpoints)
 
 
 def test_criterion_04_route_equality():
-    t0 = time.perf_counter()
-    for s_set in (S0, PrimeSet.of(2), PrimeSet.of(2, 3)):
-        for bound in (5, 10, 20, 30, 50):
-            a = n_oracle(bound, 1, s_set)
-            b = n_mobius(bound, _req(bound, s_set=s_set))
-            c = n_mobius(bound, _req(bound, s_set=s_set, source=RSource.EXACT))
-            assert a == b == c, (bound, str(s_set), a, b, c)
-    dt = time.perf_counter() - t0
-    print(f"criterion 4: PASS - oracle = mobius(exact) = mobius(divisor form) "
-          f"on the full grid ({dt:.1f}s)")
+    _gate(4, _suite_routes)
 
 
 def test_criterion_05_s_t_nstar_identity():
@@ -123,77 +103,11 @@ def test_criterion_05_s_t_nstar_identity():
 
 
 def test_criterion_06_euler_factor_certification():
-    t0 = time.perf_counter()
-    worst_grid = 0.0
-    for p in (2, 3, 5, 7, 11):
-        for k in (1, 2):
-            for in_s in (True, False):
-                for s, w in ((2.0, 2.0 * k), (1.5, 2.0 * k - 0.5),
-                             (3.0, 2.0 * k + 1.0)):
-                    i = EulerFactorInput(p=p, k=k, in_S=in_s, s=s, w=w)
-                    worst_grid = max(worst_grid, abs(fp_series(i, 60) - fp_closed(i)))
-    worst_zeta = 0.0
-    for k in (1, 2):
-        s, w = 2.0, 2.0 * k
-        for p in primes_up_to(10**4):
-            i = EulerFactorInput(p=p, k=k, in_S=False, s=s, w=w)
-            f_raw = fp_series(i, 60)
-            zeta_side = gp(i) / (
-                (1 - p**-s)
-                * (1 - float(p) ** -(s + 2 * w - 4 * k + 2))
-                * (1 - float(p) ** -(s + 3 * w - 6 * k + 3))
-            )
-            worst_zeta = max(worst_zeta, abs(f_raw - zeta_side) / abs(zeta_side))
-    dt = time.perf_counter() - t0
-    ok = worst_grid <= 1e-9 and worst_zeta <= 1e-12
-    print(f"criterion 6: {'PASS' if ok else 'FAIL'} - series/closed "
-          f"{worst_grid:.2e}, per-prime zeta identity {worst_zeta:.2e} ({dt:.1f}s)")
-    assert worst_grid <= 1e-9
-    assert worst_zeta <= 1e-12
+    _gate(6, _check_euler_factors)
 
 
 def test_criterion_07_specialization_cross_check():
-    rows = []
-    for k in (1, 2):
-        for in_s in (True, False):
-            cert = gp(EulerFactorInput(p=2, k=k, in_S=in_s, s=1.0, w=2.0 * k - 1.0))
-            pub = gp_special(2, k, in_s)
-            rows.append((k, in_s, cert, pub, abs(cert - pub)))
-    for k, in_s, cert, pub, diff in rows:
-        print(f"criterion 7 report: p=2 k={k} in_S={in_s}: certified {cert:.12g} "
-              f"tabulated {pub:.12g} |diff| {diff:.12g}")
-    worst = 0.0
-    worst_at = None
-    worst_p2 = 0.0
-    for p in primes_up_to(97):
-        for k in (1, 2):
-            for in_s in (True, False):
-                if p == 2 and not in_s:
-                    continue  # case (4): reported above, not asserted
-                expected = 0.0
-                if p == 2:
-                    # case (3): the tabulated form weights exponent 0 by A + B,
-                    # the model by 1, so gp - gp_special = (1 - A - B)/4
-                    a, b = _p2_coefficients(k)
-                    expected = float((1 - a - b) / 4)
-                d = abs(
-                    gp(EulerFactorInput(p=p, k=k, in_S=in_s, s=1.0, w=2.0 * k - 1.0))
-                    - gp_special(p, k, in_s)
-                    - expected
-                )
-                if p == 2:
-                    worst_p2 = max(worst_p2, d)
-                if d > worst:
-                    worst, worst_at = d, (p, k, in_s)
-    ok = worst <= 1e-12
-    print(f"criterion 7: {'PASS' if ok else 'FAIL'} - worst residual in cases "
-          f"(1)-(3) is {worst:.6g} at (p, k, in_S) = {worst_at}; case (3) "
-          f"residual against gp - gp_special = (1 - A - B)/4 is {worst_p2:.6g}")
-    assert worst <= 1e-12, (
-        f"residual {worst:.6g} at {worst_at}: odd primes must agree with the "
-        f"tabulated specialization, and p = 2 in the set must differ from it "
-        f"by exactly the exponent-0 term (1 - A - B)/4"
-    )
+    _gate(7, _check_specializations)
 
 
 def test_criterion_08_euler_product_stability():

@@ -47,6 +47,9 @@ def test_factorize_examples():
     assert factorize(12).factors == ((2, 2), (3, 1))
     assert factorize(999966000289).factors == ((999983, 2),)
     assert is_prime(999983)
+    for n in range(2, (1 << 17) + 3):  # one more value than is_prime's cache holds
+        is_prime(n)
+    assert is_prime.cache_info().currsize <= 1 << 17
     with pytest.raises(DomainError):
         factorize(0)
 

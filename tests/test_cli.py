@@ -159,9 +159,11 @@ def test_verify_suites(capsys):
     code, out = _run(capsys, ["verify", "--suite", "routes"])
     assert code == 0
     assert "ok - routes" in out
-    code, out = _run(capsys, ["verify", "--suite", "euler"])
+    code, out = _run(capsys, ["verify", "--suite", "all"])
     assert code == 0
-    assert "ok - euler" in out
+    lines = out.splitlines()
+    assert all(f"ok - {suite}" in lines for suite in ("mpoints", "routes", "euler"))
+    assert "  checked 491512 points of height <= 40 (112 coordinate classes)" in lines
 
 
 def test_output_file(tmp_path, capsys):
@@ -171,6 +173,8 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     blob = json.loads(path.read_text())
     assert blob["schema"] == "v1"
+    _assert_usage_error(capsys, ["count", "--bound", "5",
+                                 "--out", str(tmp_path / "missing" / "x.json")])
 
 
 def test_config_from_args_round_trip():

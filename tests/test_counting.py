@@ -15,6 +15,7 @@ from semicubic.counting import (
     n_oracle,
     n_star,
     n_star_by_divisor,
+    point_classes,
     s_sum,
     t_sum,
 )
@@ -197,6 +198,16 @@ def test_oracle_against_point_enumeration():
                 if semi_integral_ok(pt, s_set)
             )
             assert n_oracle(bound, 1, s_set) == direct
+
+
+def test_point_classes_against_iter_points():
+    for bound, k in ((5, 1), (9, 1), (13, 1), (20, 1), (3, 2)):
+        want = {}
+        for pt in iter_points(bound, k=k):
+            first, n = want.get((pt.x, pt.h, pt.z), (pt, 0))
+            want[(pt.x, pt.h, pt.z)] = (first, n + 1)
+        # same classes in the same order, same first points and member counts
+        assert point_classes(bound, k=k) == list(want.values()), (bound, k)
 
 
 def test_oracle_k2_small():
