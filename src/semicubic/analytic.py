@@ -62,7 +62,6 @@ class EulerProductResult:
     value: float
     prime_cutoff: int
     tail_estimate: float
-    per_prime_log: list = None
 
 
 def f_poly(x: float, y: float, z: float) -> float:
@@ -267,9 +266,7 @@ def gp_special(p: int, k: int, in_S: bool) -> float:
     )
 
 
-def euler_product(
-    k: int, s_set: PrimeSet, prime_cutoff: int, keep_factors: bool = False
-) -> EulerProductResult:
+def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
     """Product of local factors at (1, 2k-1) over primes up to the cutoff.
 
     Sequential multiplication over sorted primes, so the value is
@@ -281,23 +278,15 @@ def euler_product(
     w = 2.0 * k - 1.0
     value = 1.0
     c_fit = 0.0
-    factors = [] if keep_factors else None
     for p in primes_up_to(prime_cutoff):
         g = gp(EulerFactorInput(p=p, k=k, in_S=p in s_set, s=1.0, w=w))
         value *= g
         if p > 10:
             c_fit = max(c_fit, abs(math.log(g)) * p * p)
-        if keep_factors:
-            factors.append((p, g))
     if value <= 0:
         raise ArithmeticError("Euler product is not positive")
     tail = 1.5 * c_fit / (prime_cutoff * math.log(prime_cutoff))
-    return EulerProductResult(
-        value=value,
-        prime_cutoff=prime_cutoff,
-        tail_estimate=tail,
-        per_prime_log=factors,
-    )
+    return EulerProductResult(value=value, prime_cutoff=prime_cutoff, tail_estimate=tail)
 
 
 def _prefactor(k: int) -> float:

@@ -99,7 +99,7 @@ class CliConfig:
 
 def _resolve_source(cfg: CliConfig) -> RSource:
     if cfg.r_source == "auto":
-        return RSource.JACOBI if cfg.k == 1 else RSource.EXACT
+        return RSource.JACOBI if cfg.k <= 2 else RSource.EXACT
     return {
         "exact": RSource.EXACT,
         "jacobi": RSource.JACOBI,
@@ -220,19 +220,22 @@ def _suite_mpoints(report) -> bool:
 
 
 def _suite_routes(report) -> bool:
+    """Oracle = scaled model = brute-force table; k = 2 up to its oracle guard, 12."""
     ok = True
-    bounds = (5, 10, 20, 30, 50)
-    for s_set in (PrimeSet.empty(), PrimeSet.of(2), PrimeSet.of(2, 3)):
-        for b in bounds:
-            a = n_oracle(b, 1, s_set)
-            mj, me = (n_mobius(b, CountRequest(k=1, bound=Fraction(b), s_set=s_set,
-                                               r_source=source))
-                      for source in (RSource.JACOBI, RSource.EXACT))
-            if not (a == mj == me):
-                report(f"route mismatch B={b} S={s_set}: {a} {mj} {me}")
-                ok = False
-    report(f"route equality checked for B in {{{','.join(map(str, bounds))}}}, "
-           "three prime sets")
+    grids = {1: (5, 10, 20, 30, 50), 2: (5, 10, 12)}
+    for k, bounds in grids.items():
+        for s_set in (PrimeSet.empty(), PrimeSet.of(2), PrimeSet.of(2, 3)):
+            for b in bounds:
+                a = n_oracle(b, k, s_set)
+                mj, me = (n_mobius(b, CountRequest(k=k, bound=Fraction(b), s_set=s_set,
+                                                   r_source=source))
+                          for source in (RSource.JACOBI, RSource.EXACT))
+                if not (a == mj == me):
+                    report(f"route mismatch k={k} B={b} S={s_set}: {a} {mj} {me}")
+                    ok = False
+    report("route equality checked for " + "; ".join(
+        f"k={k}, B in {{{','.join(map(str, bounds))}}}" for k, bounds in grids.items())
+        + "; three prime sets")
     return ok
 
 

@@ -46,7 +46,7 @@ from .arith import (
     vp,
 )
 from .geometry import SurfacePoint
-from .reps import r4k_bruteforce, r4k_star_prime_power
+from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 
 # Exhaustive-enumeration guards for the oracle, keyed by k.
 ORACLE_BOUND_LIMITS = {1: 100, 2: 12, 3: 5}
@@ -71,25 +71,29 @@ class CountRequest:
             raise DomainError("k must be >= 1")
         if self.bound < 1:
             raise DomainError("bound must be >= 1")
-        if self.r_source == RSource.JACOBI and self.k != 1:
-            raise DomainError("the divisor-sum closed form only applies at k = 1")
+        if self.r_source == RSource.JACOBI and self.k > 2:
+            raise DomainError("the scaled model r4k_main_coeff(k) * r* is exact "
+                              "only for k <= 2")
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "bound": str(self.bound),
             "exclude_primes": str(self.s_set),
-            "r_source": self.r_source.value,
+            # the scaled model names its k: jacobi_k1, jacobi_k2
+            "r_source": (f"jacobi_k{self.k}" if self.r_source == RSource.JACOBI
+                         else self.r_source.value),
             "z_boundary": "half_open",  # |z| < B in every route, by convention
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CountRequest":
+        name = d["r_source"]
         return cls(
             k=d["k"],
             bound=Fraction(d["bound"]),
             s_set=PrimeSet.parse(d["exclude_primes"]),
-            r_source=RSource(d["r_source"]),
+            r_source=RSource.JACOBI if name == f"jacobi_k{d['k']}" else RSource(name),
         )
 
 
@@ -123,9 +127,10 @@ def _profile(factors, k, s_primes, hi_cap, scale=1):
     """Allowed cofactors c = n^3/d up to hi_cap, weighted, and the uncapped total.
 
     factors is the factorization of n.  Items are (c, scale * r*(n^3/c))
-    pairs in generation order (scale 8 at k = 1 is exactly r_4); cofactors above
-    hi_cap are pruned (partial products only grow).  The total is the
-    weight of every allowed cofactor, a product of per-prime sums.
+    pairs in generation order (scale r4k_main_coeff(k), 8 at k = 1 and 16 at
+    k = 2, is exactly r_4k for k <= 2); cofactors above hi_cap are pruned
+    (partial products only grow).  The total is the weight of every allowed
+    cofactor, a product of per-prime sums.
     """
     items = [(1, scale)] if hi_cap >= 1 else []
     total = scale
@@ -144,17 +149,15 @@ def _profiles(nmax: int, req: CountRequest, cap, source: RSource = None):
     """
     source = req.r_source if source is None else source
     spf = smallest_prime_factors(nmax)
-    scale = 8 if source == RSource.JACOBI else 1
+    scale = int(r4k_main_coeff(req.k)) if source == RSource.JACOBI else 1
     for n in range(1, nmax + 1):
         hi = cap if isinstance(cap, int) else cap(n)
         yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi, scale))
 
 
-def _window(items, lo: int, n3: int, table=None) -> int:
-    """Weight sum over cofactors c >= lo; with a table, c weighs table[n^3/c]."""
-    if table is None:
-        return sum(w for c, w in items if c >= lo)
-    return sum(table[n3 // c] for c, _ in items if c >= lo)
+def _window(items, lo: int) -> int:
+    """Weight sum over cofactors c >= lo."""
+    return sum(w for c, w in items if c >= lo)
 
 
 def indicator_1S(num: int, den: int, s_set: PrimeSet) -> int:
@@ -190,18 +193,16 @@ def n_star_by_divisor(bound, req: CountRequest) -> dict:
     diff = [0] * (nmax + 1)
     for n, items, _ in _profiles(nmax, req, cmax):
         n3 = n * n * n
+        n3bd2 = n3 * bd2
+        if table is not None:
+            # top(c) >= 1 exactly when d = n^3/c <= B^2, the table's range
+            items = [(c, table[n3 // c]) for c, _ in items if bn2 * c >= n3bd2]
         if 2 * n * bd > bn:
             # e < B/n < 2: only the e = 1 window, c >= n^3/B^2, is left
-            diff[1] += _window(items, -(-n3 * bd2 // bn2), n3, table)
+            diff[1] += _window(items, -(-n3bd2 // bn2))
             continue
-        n3bd2 = n3 * bd2
-        if table is None:
-            for c, w in items:
-                diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
-        else:
-            for c, _ in items:
-                if top := min(isqrt(bn2 * c // n3bd2), cmax // c):
-                    diff[top] += table[n3 // c]
+        for c, w in items:
+            diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
     acc = 0
     for e in range(nmax, 0, -1):
         acc += diff[e]

@@ -9,11 +9,13 @@ norm d:
   exactly 8 * sum of divisors not divisible by 4,
 * the multiplicative model rstar_{4k}, which reproduces r_{4k} up to the
   rational coefficient 4k/((4^k-1)|B_{2k}|) and an O(d^k) error that
-  vanishes identically for k = 1.
+  vanishes identically for k <= 2 (the cusp forms of weight 2 and 4 on
+  Gamma_0(4) are zero).
 
-Counting weighs divisors by the model alone: 8 * rstar_4 is exactly r_4
-at k = 1, so the divisor-sum form r4_jacobi is kept only as the test
-reference for that identity.
+Counting weighs divisors by the model: 8 * rstar_4 is exactly r_4 and
+16 * rstar_8 exactly r_8, so the divisor-sum form r4_jacobi is kept only
+as the test reference for the first identity, and the table serves only
+k >= 3 and the checks that need an independent route.
 """
 
 from __future__ import annotations

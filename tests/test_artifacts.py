@@ -4,7 +4,9 @@ The count JSON and the integer columns of the table CSV carry no floats,
 so their bytes are platform-independent; any refactor of the counting
 routes must leave them unchanged.  The CLI digests were recorded before the
 weight branches and the n loops of the counting module were merged; the
-mid-size library digests before counting moved to the cofactor side.
+mid-size library digests before counting moved to the cofactor side; the
+k = 2 table digests with the brute-force r_8 table (`--r-source exact`),
+before `auto` took the scaled model at k = 2.
 """
 
 import contextlib
@@ -54,6 +56,14 @@ TABLE_INT_COLUMNS = {
     ("rstar", "5,7"): "f8546c33a85513a8a352446e42ad2c9bd7ae1880189ca48c557cda2ba0736dcf",
 }
 
+# the same columns of `table --k 2 --bounds 50,99`, asserted with auto
+TABLE_K2_INT_COLUMNS = {
+    "": "a3c723326a147ed68311eef862575ffccf3aec10ba0252d88f4c79e4e0ad8981",
+    "2": "0dc19c3700f3bccb3266638d255d90756c1e3d0c368aaf946ea5680fdfa40962",
+    "2,3": "855f6a63fff63f3a5cbaee0cc642408d6454da41d295448e8cdb439cf32789d7",
+    "5,7": "cc60a40ad7370db9cbdac754cd42c167420b53aa101e83b22f5a8d012935e3e4",
+}
+
 # sha256 of repr((sorted(n_star_by_divisor(B).items()), s_sum(B, B^2), t_sum(B)))
 MID_SIZE = {
     (1, Fraction(2000), "", "rstar_model"): "c6c0953ccc7e6e4417dacc2a7a64cbd3f28836c8c26df7eca816af0d7cd8d169",
@@ -93,15 +103,21 @@ def test_count_json_digests(s, monkeypatch):
         assert _sha(out) == COUNT_B97[source, s], (source, s, out)
 
 
+def _table_int_columns(k, bounds, source, s):
+    out = _stdout(["table", "--k", str(k), "--bounds", bounds,
+                   "--prime-cutoff", "100", "--r-source", source], s)
+    rows = [line.split(",") for line in out.strip().split("\n")]
+    cols = [rows[0].index(c) for c in ("B", "tuples", "s_sum", "t_sum")]
+    return "\n".join(",".join(r[i] for i in cols) for r in rows) + "\n"
+
+
 @pytest.mark.parametrize("s", SETS)
 def test_table_integer_column_digests(s):
     for source in ("auto", "rstar"):
-        out = _stdout(["table", "--k", "1", "--bounds", "50,99,300",
-                       "--prime-cutoff", "100", "--r-source", source], s)
-        rows = [line.split(",") for line in out.strip().split("\n")]
-        cols = [rows[0].index(c) for c in ("B", "tuples", "s_sum", "t_sum")]
-        text = "\n".join(",".join(r[i] for i in cols) for r in rows) + "\n"
+        text = _table_int_columns(1, "50,99,300", source, s)
         assert _sha(text) == TABLE_INT_COLUMNS[source, s], (source, s, text)
+    text = _table_int_columns(2, "50,99", "auto", s)
+    assert _sha(text) == TABLE_K2_INT_COLUMNS[s], (s, text)
 
 
 @pytest.mark.parametrize("key", MID_SIZE, ids=lambda key: "-".join(map(str, key)))

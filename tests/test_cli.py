@@ -50,6 +50,11 @@ def test_capacity_exit_code(capsys):
     code, _ = _run(capsys, ["count", "--k", "1", "--bound", "200",
                             "--method", "oracle"])
     assert code == 3
+    # k = 2 takes the model under auto; the brute-force r_8 table stops at B = 353
+    for source, want in (("auto", 0), ("exact", 3)):
+        code, _ = _run(capsys, ["count", "--k", "2", "--bound", "400",
+                                "--r-source", source])
+        assert code == want, source
 
 
 def _assert_usage_error(capsys, argv):
@@ -57,6 +62,7 @@ def _assert_usage_error(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2, argv
     assert err.strip() and "Traceback" not in err, (argv, err)
+    assert len(err.strip().splitlines()) == 1, (argv, err)
 
 
 BAD_BOUNDS = [
@@ -69,6 +75,8 @@ BAD_BOUNDS = [
     ["table", "--bounds", "1"],
     ["table", "--bounds", "5,20,5"],
     ["count", "--bound", "0"],
+    # not a bound: the scaled model is exact only for k <= 2
+    ["count", "--k", "3", "--bound", "5", "--r-source", "jacobi"],
 ]
 
 
@@ -78,6 +86,7 @@ def test_usage_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--k", "1"])  # missing --bound
     assert exc.value.code == 2
+    capsys.readouterr()  # argparse's usage text
     for argv in BAD_BOUNDS:
         _assert_usage_error(capsys, argv)
     # B = 1 is a valid prediction bound (the main terms are 0 there)
@@ -93,12 +102,13 @@ def test_bad_prime_set_is_usage_error(capsys):
 
 
 def test_count_k2_exact_route(capsys):
-    code, out = _run(capsys, ["count", "--k", "2", "--bound", "4",
-                              "--method", "both"])
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["request"]["r_source"] == "exact_bruteforce"
-    assert blob["n_oracle"] == blob["n_mobius"] > 0
+    for source, name in (("exact", "exact_bruteforce"), ("auto", "jacobi_k2")):
+        code, out = _run(capsys, ["count", "--k", "2", "--bound", "4",
+                                  "--method", "both", "--r-source", source])
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["request"]["r_source"] == name
+        assert blob["n_oracle"] == blob["n_mobius"] > 0
 
 
 def test_predict_deterministic(capsys):

@@ -19,7 +19,7 @@ from semicubic.counting import (
     s_sum,
     t_sum,
 )
-from semicubic.reps import r4k_bruteforce, r4k_star
+from semicubic.reps import r4k_bruteforce, r4k_main_coeff, r4k_star
 
 S0 = PrimeSet.empty()
 S2 = PrimeSet.of(2)
@@ -120,7 +120,8 @@ def test_n_star_matches_definition():
 
 
 def test_n_star_r_source_consistency():
-    for bound in (5, 10, 20, 30, 50):
+    # 8 and 27: d = B^2 divides n^3 for some n < B, the closed edge of the window
+    for bound in (5, 8, 10, 20, 27, 30, 50):
         a = n_star(bound, req(bound, source=RSource.JACOBI))
         b = n_star(bound, req(bound, source=RSource.EXACT))
         assert a == b, bound
@@ -160,8 +161,11 @@ def test_monotonicity():
 
 
 def test_jacobi_requires_k1():
+    # the scaled model is exact for k <= 2 only
     with pytest.raises(DomainError):
-        CountRequest(k=2, bound=Fraction(5), s_set=S0, r_source=RSource.JACOBI)
+        CountRequest(k=3, bound=Fraction(5), s_set=S0, r_source=RSource.JACOBI)
+    assert CountRequest(k=2, bound=Fraction(5), s_set=S0,
+                        r_source=RSource.JACOBI).k == 2
 
 
 def test_exact_capacity_guard():
@@ -211,11 +215,11 @@ def test_point_classes_against_iter_points():
 
 
 def test_oracle_k2_small():
-    # 8-dimensional enumeration cross-checked against the Mobius route
+    # 8-dimensional enumeration cross-checked against the table and the model
     for bound in (2, 4):
         got = n_oracle(bound, 2, S0)
-        want = n_mobius(bound, req(bound, k=2, source=RSource.EXACT))
-        assert got == want
+        assert got == n_mobius(bound, req(bound, k=2, source=RSource.EXACT))
+        assert got == n_mobius(bound, req(bound, k=2))
 
 
 def test_route_equality_small():
@@ -266,30 +270,33 @@ def test_s_t_k2_against_definitions():
 
 
 def test_st_nstar_relation():
-    # 2 (S - T) = n_star with the model weights; times 8 with the exact r_4
-    for bound in (10, 25, 60, Fraction(301, 3), Fraction(121, 2)):
-        for s_set in (S0, S23):
-            r_model = req(bound, s_set=s_set, source=RSource.RSTAR)
-            r_jac = req(bound, s_set=s_set)
-            st = s_sum(bound, bound * bound, r_model) - t_sum(bound, r_model)
-            assert 2 * st == n_star(bound, r_model)
-            assert 16 * st == n_star(bound, r_jac)
+    # 2 (S - T) = n_star with the model weights; times r4k_main_coeff(k)
+    # (8 at k = 1, 16 at k = 2) with the exact r_4k
+    for k in (1, 2):
+        for bound in (10, 25, 60, Fraction(301, 3), Fraction(121, 2)):
+            for s_set in (S0, S23):
+                r_model = req(bound, k=k, s_set=s_set, source=RSource.RSTAR)
+                r_jac = req(bound, k=k, s_set=s_set)
+                st = s_sum(bound, bound * bound, r_model) - t_sum(bound, r_model)
+                assert 2 * st == n_star(bound, r_model)
+                assert 2 * r4k_main_coeff(k) * st == n_star(bound, r_jac), (k, bound)
 
 
 # --- reports ----------------------------------------------------------------
 
 def test_count_report_round_trip():
-    r = req(20, s_set=S23)
-    rep = count_report(r, with_oracle=True, with_st=True)
-    assert rep.n_oracle == rep.n_mobius
-    assert rep.points == rep.tuples // 2
-    blob = rep.to_json(include_timings=False)
-    back = CountReport.from_json_dict(json.loads(blob))
-    assert back.request == rep.request
-    assert back.n_star_values == rep.n_star_values
-    assert back.n_mobius == rep.n_mobius
-    assert back.n_oracle == rep.n_oracle
-    assert back.s_value == rep.s_value and back.t_value == rep.t_value
+    for r in (req(20, s_set=S23), req(10, k=2, s_set=S23)):
+        rep = count_report(r, with_oracle=True, with_st=True)
+        assert rep.n_oracle == rep.n_mobius
+        assert rep.points == rep.tuples // 2
+        blob = rep.to_json(include_timings=False)
+        assert json.loads(blob)["request"]["r_source"] == f"jacobi_k{r.k}"
+        back = CountReport.from_json_dict(json.loads(blob))
+        assert back.request == rep.request
+        assert back.n_star_values == rep.n_star_values
+        assert back.n_mobius == rep.n_mobius
+        assert back.n_oracle == rep.n_oracle
+        assert back.s_value == rep.s_value and back.t_value == rep.t_value
 
 
 def test_count_report_mobius_recomputation():

@@ -13,7 +13,6 @@ from semicubic.geometry import (
 
 E1 = (1, 0, 0, 0)
 S_EMPTY = PrimeSet.empty()
-S_SETS = [PrimeSet.empty(), PrimeSet.of(2), PrimeSet.of(2, 3), PrimeSet.of(5)]
 
 
 def test_constructor_validation():
@@ -67,18 +66,6 @@ def test_m_point_examples():
     assert m_point_ok(p1, S_EMPTY)
     assert not m_point_ok(p2, S_EMPTY)
     assert m_point_ok(p2, PrimeSet.of(2))
-
-
-def test_corollary_identity_and_equivalence(height40):
-    total, classes = height40
-    assert total > 0
-    primes = primes_up_to(100)
-    for pt in classes:
-        for p in primes:
-            m = intersection_mults(pt, p)
-            assert 2 * m.n1 + m.n2 == max(vp(p, pt.z) - vp(p, pt.x), 0), (pt, p)
-        for s_set in S_SETS:
-            assert semi_integral_ok(pt, s_set) == m_point_ok(pt, s_set), (pt, s_set)
 
 
 def test_branch_consistency(height40):

@@ -47,7 +47,7 @@ def test_profile_and_cache_shapes():
     assert sorted(c for c, _ in items) == [c for c in allowed if c <= cap]
     assert all(w == r4k_star(12**3 // c, 1) for c, w in items)
     assert total == sum(r4k_star(12**3 // c, 1) for c in allowed)
-    window = counting._window(items, 10, 12**3)
+    window = counting._window(items, 10)
     assert isinstance(window, int)
     assert window == sum(w for c, w in items if c >= 10)
     assert isinstance(counting._signed_cache, dict)
