@@ -3,8 +3,9 @@
 Three routes for r_{4k}(d), the number of integer 4k-vectors of squared
 norm d:
 
-* an exact table built by repeated convolution with the one-variable
-  square-count sequence,
+* an exact table, the coefficients of theta(q)^(4k) with
+  theta = 1 + 2 * sum_t q^(t^2), raised by binary powering on packed
+  decimal numbers (Kronecker substitution, see r4k_bruteforce),
 * the divisor-sum closed form for 4 squares (k = 1), where the count is
   exactly 8 * sum of divisors not divisible by 4,
 * the multiplicative model rstar_{4k}, which reproduces r_{4k} up to the
@@ -20,7 +21,9 @@ k >= 3 and the checks that need an independent route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from fractions import Fraction
 
 from .arith import CapacityError, DomainError, bernoulli, factorize
@@ -41,8 +44,33 @@ class RepCountTable:
         return self.counts[d]
 
 
+def _slot_digits(limit: int, k: int) -> int:
+    """Digits w with 10^w > r_j(d) for every j <= 4k and d <= limit.
+
+    r_j(d) <= r_{4k}(d), since a j-vector padded with zeros is a 4k-vector.
+    r_{4k}(d) is at most (2 isqrt(limit) + 1)^(4k), as every |y_i| <= sqrt(d),
+    and at most (8k + 1)^limit: that many walks of `limit` steps, each moving
+    one coordinate by +-1 or none, reach every y with
+    sum |y_i| <= sum y_i^2 = d <= limit.
+    """
+    bound = min((2 * math.isqrt(limit) + 1) ** (4 * k), (8 * k + 1) ** limit)
+    return bound.bit_length() * 30103 // 100000 + 1  # 30103e-5 > log10(2)
+
+
 def r4k_bruteforce(limit: int, k: int) -> RepCountTable:
-    """Exact r_{4k} up to limit by 4k rounds of square-sequence convolution."""
+    """Exact r_{4k} up to limit: the coefficients of theta(q)^(4k).
+
+    A series c_0 + c_1 q + ... + c_limit q^limit is packed into the integer
+    sum c_d 10^(w d), one w-digit slot per coefficient, and theta is raised
+    to the power 4k by binary powering on these numbers in a decimal
+    context of maximal precision, whose large products run through
+    libmpdec's number-theoretic transform.  Every coefficient of every
+    partial power is a nonnegative r_j(d) < 10^w (`_slot_digits`), so no
+    slot carries into the next one and the low limit + 1 slots of each
+    product are the exact truncated series; the higher slots are cut off
+    after every product.  The traps on Inexact and Rounded make any
+    rounding raise.
+    """
     if limit < 1 or k < 1:
         raise DomainError("limit and k must be >= 1")
     if limit * 4 * k > R4K_TABLE_BUDGET:
@@ -50,24 +78,28 @@ def r4k_bruteforce(limit: int, k: int) -> RepCountTable:
             f"representation table of size {limit} x {4*k} exceeds budget "
             f"{R4K_TABLE_BUDGET}"
         )
-    pos_squares = []
-    t = 1
-    while t * t <= limit:
-        pos_squares.append(t * t)
-        t += 1
-    counts = [1] + [0] * limit
-    for _ in range(4 * k):
-        nxt = [0] * (limit + 1)
-        for d in range(limit + 1):
-            c = counts[d]
-            if c:
-                nxt[d] += c            # y = 0
-                for sq in pos_squares:
-                    if d + sq > limit:
-                        break
-                    nxt[d + sq] += 2 * c   # y = +-t
-        counts = nxt
-    return RepCountTable(k, limit, tuple(counts))
+    width = _slot_digits(limit, k)
+    size = (limit + 1) * width
+    digits = bytearray(b"0" * size)  # slot d holds digits [size - (d+1)w, size - dw)
+    digits[-1] = ord("1")
+    for t in range(1, math.isqrt(limit) + 1):
+        digits[size - 1 - t * t * width] = ord("2")
+    theta = Decimal(digits.decode())
+    del digits
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact, Rounded])
+    # shift(0) under precision `size` keeps the low `size` digits: the low slots
+    low_slots = Context(prec=size)
+    power = theta
+    for bit in bin(4 * k)[3:]:
+        # squaring one operand lets libmpdec transform it once
+        power = exact.multiply(power, power).shift(0, low_slots)
+        if bit == "1":
+            power = exact.multiply(power, theta).shift(0, low_slots)
+    text = str(power).rjust(size, "0")
+    del power, theta
+    return RepCountTable(k, limit, tuple(
+        int(text[end - width:end]) for end in range(size, 0, -width)))
 
 
 def r4_jacobi(d: int) -> int:

@@ -6,7 +6,9 @@ routes must leave them unchanged.  The CLI digests were recorded before the
 weight branches and the n loops of the counting module were merged; the
 mid-size library digests before counting moved to the cofactor side; the
 k = 2 table digests with the brute-force r_8 table (`--r-source exact`),
-before `auto` took the scaled model at k = 2.
+before `auto` took the scaled model at k = 2; the k = 3 table digests
+before the r_12 table was built by theta powering instead of 12 rounds of
+convolution.
 """
 
 import contextlib
@@ -64,6 +66,14 @@ TABLE_K2_INT_COLUMNS = {
     "5,7": "cc60a40ad7370db9cbdac754cd42c167420b53aa101e83b22f5a8d012935e3e4",
 }
 
+# the same columns of `table --k 3 --bounds 60,120`: auto is the r_12 table
+TABLE_K3_INT_COLUMNS = {
+    "": "cc60bc6a82b05399209cbbd3febf5594cea9319ef98ab1693aa4a146f9b10358",
+    "2": "f19e2f5193964a22435ddcdcf1cac824bd2fe7ed245d7924ab58fb0d55b74df4",
+    "2,3": "735a25982967a260ae242fe59b409df805e50c1ee28d0c65c17659fee2d1d391",
+    "5,7": "773c377c3610d2178bea1c487c6cae592a4745cc8bbaa4142d95f3a0bd186275",
+}
+
 # sha256 of repr((sorted(n_star_by_divisor(B).items()), s_sum(B, B^2), t_sum(B)))
 MID_SIZE = {
     (1, Fraction(2000), "", "rstar_model"): "c6c0953ccc7e6e4417dacc2a7a64cbd3f28836c8c26df7eca816af0d7cd8d169",
@@ -118,6 +128,8 @@ def test_table_integer_column_digests(s):
         assert _sha(text) == TABLE_INT_COLUMNS[source, s], (source, s, text)
     text = _table_int_columns(2, "50,99", "auto", s)
     assert _sha(text) == TABLE_K2_INT_COLUMNS[s], (s, text)
+    text = _table_int_columns(3, "60,120", "auto", s)
+    assert _sha(text) == TABLE_K3_INT_COLUMNS[s], (s, text)
 
 
 @pytest.mark.parametrize("key", MID_SIZE, ids=lambda key: "-".join(map(str, key)))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -5,6 +6,7 @@ from itertools import product
 import pytest
 
 from semicubic.arith import CapacityError, DomainError
+from semicubic.counting import _signed_count
 from semicubic.reps import (
     r4_jacobi,
     r4k_bruteforce,
@@ -12,6 +14,9 @@ from semicubic.reps import (
     r4k_star,
     r4k_star_prime_power,
 )
+
+
+R12_20000_SHA = "e9026eae09199bb48ec7938a92fb3682014d6d19553bd3214b086dfa59f4d386"
 
 
 def _count_vectors(d, dim):
@@ -29,6 +34,9 @@ def test_bruteforce_examples():
     assert list(t.counts) == [1, 8, 24, 32, 24]
     assert list(r4k_bruteforce(1, 2).counts) == [1, 16]
     assert r4k_bruteforce(2, 2)[2] == 112
+    # inside the budget; (2 isqrt(1) + 1)^(4k) alone would ask for
+    # 477,122-digit slots, the l1 bound 2,000,001 for 7 digits
+    assert r4k_bruteforce(1, 250000).counts == (1, 2000000)
 
 
 def test_bruteforce_against_nested_enumeration():
@@ -38,6 +46,24 @@ def test_bruteforce_against_nested_enumeration():
     t2 = r4k_bruteforce(3, 2)
     for d in range(1, 4):
         assert t2[d] == _count_vectors(d, 8)
+
+
+def test_bruteforce_against_signed_count():
+    # the oracle's exhaustive count; 4k = 12 and 20 take the multiply step
+    # of binary powering, 4, 8 and 16 square only
+    cases = [(k, top) for k in range(1, 7) for top in (1, 2, 3)]
+    cases += [(1, 200), (2, 200), (3, 200), (4, 40), (5, 40)]
+    for k, top in cases:
+        t = r4k_bruteforce(top, k)
+        assert t.limit == top
+        assert list(t.counts) == [_signed_count(d, 4 * k) for d in range(top + 1)]
+
+
+def test_bruteforce_digest():
+    # sha256 of repr(counts), recorded with 12 rounds of direct convolution
+    counts = r4k_bruteforce(20000, 3).counts
+    assert counts[:4] == (1, 24, 264, 1760)
+    assert hashlib.sha256(repr(counts).encode()).hexdigest() == R12_20000_SHA
 
 
 def test_bruteforce_capacity_guard():
