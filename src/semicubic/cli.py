@@ -6,8 +6,9 @@ fields are emitted in a fixed order and floats at 15 significant digits.
 Timings are only included when asked for, since they would break
 byte-identical reruns.
 
-Exit codes: 0 success, 1 verification-suite failure, 2 usage error,
-3 capacity guard.
+Exit codes: 0 success, 1 verification-suite failure, 2 usage error
+(including a --k or bound too large for the float arithmetic), 3 capacity
+guard.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import CapacityError, DomainError, PrimeSet, primes_up_to, vp
@@ -81,109 +81,70 @@ def _emit_csv(header, rows, path):
     _emit("\n".join(lines) + "\n", path)
 
 
-@dataclass
-class CliConfig:
-    command: str
-    k: int = 1
-    bounds: list = field(default_factory=list)
-    exclude_primes: PrimeSet = field(default_factory=PrimeSet.empty)
-    r_source: str = "auto"
-    prime_cutoff: int = 10000
-    output_format: str = "json"
-    output_path: str = None
-    method: str = "mobius"
-    with_st: bool = False
-    timings: bool = False
-    suite: str = "all"
+def _request(args, b) -> CountRequest:
+    return CountRequest(k=args.k, bound=Fraction(b), s_set=args.exclude_primes,
+                        r_source=args.r_source)
 
 
-def _resolve_source(cfg: CliConfig) -> RSource:
-    if cfg.r_source == "auto":
-        return RSource.JACOBI if cfg.k <= 2 else RSource.EXACT
-    return {
-        "exact": RSource.EXACT,
-        "jacobi": RSource.JACOBI,
-        "rstar": RSource.RSTAR,
-    }[cfg.r_source]
-
-
-def _cmd_count(cfg: CliConfig) -> int:
-    req = CountRequest(
-        k=cfg.k,
-        bound=Fraction(cfg.bounds[0]),
-        s_set=cfg.exclude_primes,
-        r_source=_resolve_source(cfg),
-    )
-    rep = count_report(
-        req, with_oracle=cfg.method in ("oracle", "both"), with_st=cfg.with_st
-    )
-    _emit_json(rep.to_json_dict(include_timings=cfg.timings), cfg.output_path)
+def _cmd_count(args) -> int:
+    rep = count_report(_request(args, args.bound),
+                       with_oracle=args.method in ("oracle", "both"),
+                       with_st=args.with_st)
+    _emit_json(rep.to_json_dict(include_timings=args.timings), args.out)
     return 0
 
 
-def _cmd_predict(cfg: CliConfig) -> int:
+def _cmd_predict(args) -> int:
     rep = constants_report(
-        cfg.k, cfg.exclude_primes, cfg.prime_cutoff, bounds=cfg.bounds
+        args.k, args.exclude_primes, args.prime_cutoff, bounds=args.bounds
     )
-    _emit_json(rep, cfg.output_path)
+    _emit_json(rep, args.out)
     return 0
 
 
-def _compare_rows(cfg: CliConfig):
-    source = _resolve_source(cfg)
-    lead = leading_constant(cfg.k, cfg.exclude_primes, cfg.prime_cutoff)
+def _cmd_compare(args) -> int:
+    lead = leading_constant(args.k, args.exclude_primes, args.prime_cutoff)
     rows = []
-    for b in cfg.bounds:
-        req = CountRequest(
-            k=cfg.k, bound=Fraction(b), s_set=cfg.exclude_primes, r_source=source
-        )
-        tuples = n_mobius(b, req)
+    for b in args.bounds:
+        tuples = n_mobius(b, _request(args, b))
         # (lead * b**(4k-1)) * log b, not _main_terms' lead * size: the digits differ
-        main = lead * b ** (4 * cfg.k - 1) * math.log(b)
+        main = lead * b ** (4 * args.k - 1) * math.log(b)
         rows.append(
             (b, tuples, tuples // 2, main, tuples / main, tuples / 2 / main)
         )
-    return rows
-
-
-def _cmd_compare(cfg: CliConfig) -> int:
-    rows = _compare_rows(cfg)
     header = ["B", "tuples", "points", "n_main", "ratio_tuples", "ratio_points"]
-    if cfg.output_format == "csv":
-        _emit_csv(header, rows, cfg.output_path)
+    if args.format == "csv":
+        _emit_csv(header, rows, args.out)
     else:
         _emit_json(
             {"schema": "v1", "columns": header, "rows": [list(r) for r in rows]},
-            cfg.output_path,
+            args.out,
         )
     return 0
 
 
-def _cmd_local_factors(cfg: CliConfig) -> int:
+def _cmd_local_factors(args) -> int:
     rows = []
-    for p in primes_up_to(cfg.prime_cutoff):
-        in_s = p in cfg.exclude_primes
+    for p in primes_up_to(args.prime_cutoff):
+        in_s = p in args.exclude_primes
         certified = gp(
-            EulerFactorInput(p=p, k=cfg.k, in_S=in_s, s=1.0, w=2.0 * cfg.k - 1.0)
+            EulerFactorInput(p=p, k=args.k, in_S=in_s, s=1.0, w=2.0 * args.k - 1.0)
         )
-        printed = gp_special(p, cfg.k, in_s)
+        printed = gp_special(p, args.k, in_s)
         rows.append((p, int(in_s), certified, printed, abs(certified - printed)))
     _emit_csv(
         ["p", "in_S", "gp_value", "gp_special_value", "abs_diff"],
         rows,
-        cfg.output_path,
+        args.out,
     )
     return 0
 
 
-def _cmd_table(cfg: CliConfig) -> int:
-    source = _resolve_source(cfg)
-    rep = constants_report(cfg.k, cfg.exclude_primes, cfg.prime_cutoff, cfg.bounds)
+def _cmd_table(args) -> int:
+    rep = constants_report(args.k, args.exclude_primes, args.prime_cutoff, args.bounds)
     rows = []
-    for b, pred in zip(cfg.bounds, rep["predictions"]):
-        req = CountRequest(
-            k=cfg.k, bound=Fraction(b), s_set=cfg.exclude_primes, r_source=source
-        )
+    for b, pred in zip(args.bounds, rep["predictions"]):
+        req = _request(args, b)
         tuples = n_mobius(b, req)
         rows.append((b, tuples, tuples // 2, pred["n_main"], tuples / pred["n_main"],
                      s_sum(b, b * b, req), pred["s_main"],
@@ -192,7 +153,7 @@ def _cmd_table(cfg: CliConfig) -> int:
         ["B", "tuples", "points", "n_main", "ratio_tuples",
          "s_sum", "s_main", "t_sum", "t_main"],
         rows,
-        cfg.output_path,
+        args.out,
     )
     return 0
 
@@ -294,13 +255,13 @@ def _suite_euler(report) -> bool:
     return all([_check_euler_factors(report), _check_specializations(report)])
 
 
-def _cmd_verify(cfg: CliConfig) -> int:
+def _cmd_verify(args) -> int:
     suites = {
         "mpoints": _suite_mpoints,
         "routes": _suite_routes,
         "euler": _suite_euler,
     }
-    names = list(suites) if cfg.suite == "all" else [cfg.suite]
+    names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
         print(f"suite {name}:")
@@ -317,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, bounds=False, bound=False):
+    def common(sp, bounds=False, bound=False, r_source=False, prime_cutoff=None):
         sp.add_argument("--k", type=int, default=1)
         sp.add_argument("--exclude-primes", default="",
                         help="comma-separated primes; empty for none")
@@ -325,77 +286,78 @@ def build_parser() -> argparse.ArgumentParser:
         if bounds:
             sp.add_argument("--bounds", default="",
                             help="comma-separated integer height bounds")
-        if bound:
+        if bound:  # count: one bound, and which routes run at it
             sp.add_argument("--bound", type=int, required=True)
+            sp.add_argument("--method", choices=["mobius", "oracle", "both"],
+                            default="mobius",
+                            help="the Mobius route always runs, so oracle (which "
+                                 "adds direct enumeration) gives the same output "
+                                 "as both")
+        if r_source:
+            sp.add_argument("--r-source", choices=["auto", "exact", "jacobi", "rstar"],
+                            default="auto")
+        if prime_cutoff:
+            sp.add_argument("--prime-cutoff", type=int, default=prime_cutoff)
 
     sp = sub.add_parser("count", help="run the counting routes at one bound")
-    common(sp, bound=True)
-    sp.add_argument("--method", choices=["mobius", "oracle", "both"],
-                    default="mobius")
-    sp.add_argument("--r-source", choices=["auto", "exact", "jacobi", "rstar"],
-                    default="auto")
+    common(sp, bound=True, r_source=True)
     sp.add_argument("--with-st", action="store_true")
     sp.add_argument("--timings", action="store_true")
 
     sp = sub.add_parser("predict", help="constants and main-term predictions")
-    common(sp, bounds=True)
-    sp.add_argument("--prime-cutoff", type=int, default=100000)
+    common(sp, bounds=True, prime_cutoff=100000)
 
     sp = sub.add_parser("compare", help="counts against the predicted main term")
-    common(sp, bounds=True)
-    sp.add_argument("--r-source", choices=["auto", "exact", "jacobi", "rstar"],
-                    default="auto")
-    sp.add_argument("--prime-cutoff", type=int, default=10000)
+    common(sp, bounds=True, r_source=True, prime_cutoff=10000)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("local-factors", help="CSV of local factors per prime")
-    common(sp)
-    sp.add_argument("--prime-cutoff", type=int, default=100)
+    common(sp, prime_cutoff=100)
 
     sp = sub.add_parser("verify", help="run an invariant suite")
     sp.add_argument("--suite", choices=["mpoints", "routes", "euler", "all"],
                     default="all")
 
     sp = sub.add_parser("table", help="CSV sweep for external plotting")
-    common(sp, bounds=True)
-    sp.add_argument("--r-source", choices=["auto", "exact", "jacobi", "rstar"],
-                    default="auto")
-    sp.add_argument("--prime-cutoff", type=int, default=10000)
+    common(sp, bounds=True, r_source=True, prime_cutoff=10000)
 
     return ap
 
 
-def config_from_args(args) -> CliConfig:
-    cfg = CliConfig(command=args.command)
-    for name in ("k", "method", "timings", "suite", "prime_cutoff", "r_source",
-                 "with_st"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "out"):
-        cfg.output_path = args.out
-    if hasattr(args, "format"):
-        cfg.output_format = args.format
+_SOURCES = {"exact": RSource.EXACT, "jacobi": RSource.JACOBI, "rstar": RSource.RSTAR}
+
+
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate the parsed arguments and resolve them in place.
+
+    --exclude-primes becomes a PrimeSet, --bounds a list of ints, and
+    --r-source an RSource (auto: the scaled model for k <= 2, the table
+    above).  Raises DomainError on bad input.
+    """
     try:
         if hasattr(args, "exclude_primes"):
-            cfg.exclude_primes = PrimeSet.parse(args.exclude_primes)
-        if hasattr(args, "bound"):
-            cfg.bounds = [args.bound]
-        elif hasattr(args, "bounds"):
-            cfg.bounds = [int(t) for t in args.bounds.split(",") if t.strip()]
+            args.exclude_primes = PrimeSet.parse(args.exclude_primes)
+        if hasattr(args, "bounds"):
+            args.bounds = [int(t) for t in args.bounds.split(",") if t.strip()]
     except DomainError:
         raise
     except ValueError as exc:  # a token that is not an integer
         raise DomainError(f"expected comma-separated integers: {exc}") from exc
-    low = 2 if cfg.command in ("compare", "table") else 1  # main term is 0 at B = 1
-    for b in cfg.bounds:
+    if hasattr(args, "r_source"):
+        args.r_source = (_SOURCES[args.r_source] if args.r_source != "auto"
+                         else RSource.JACOBI if args.k <= 2 else RSource.EXACT)
+    bounds = [args.bound] if hasattr(args, "bound") else getattr(args, "bounds", [])
+    low = 2 if args.command in ("compare", "table") else 1  # main term is 0 at B = 1
+    for b in bounds:
         if b < low:
-            raise DomainError(f"bound {b} must be >= {low} for {cfg.command}")
-    if len(set(cfg.bounds)) != len(cfg.bounds):
-        raise DomainError(f"duplicate bounds in {cfg.bounds}")
-    return cfg
+            raise DomainError(f"bound {b} must be >= {low} for {args.command}")
+    if len(set(bounds)) != len(bounds):
+        raise DomainError(f"duplicate bounds in {bounds}")
+    return args
 
 
-def run(cfg: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Run a subcommand on arguments resolved by config_from_args."""
     commands = {
         "count": _cmd_count,
         "predict": _cmd_predict,
@@ -404,27 +366,31 @@ def run(cfg: CliConfig) -> int:
         "verify": _cmd_verify,
         "table": _cmd_table,
     }
-    if cfg.command in ("count", "compare", "table") and not cfg.bounds:
+    if args.command in ("compare", "table") and not args.bounds:
         print("error: at least one bound is required", file=sys.stderr)
         return 2
     try:
-        return commands[cfg.command](cfg)
+        return commands[args.command](args)
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # float local factors at large k, or a huge bound
+        print(f"invalid arguments: --k or a bound is too large ({exc.args[-1]})",
+              file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        config_from_args(args)
     except DomainError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    return run(args)
 
 
 if __name__ == "__main__":

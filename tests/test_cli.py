@@ -3,7 +3,7 @@ import json
 import pytest
 
 from semicubic.cli import build_parser, config_from_args, main, run
-from semicubic.counting import CountReport
+from semicubic.counting import CountReport, RSource
 
 
 def _run(capsys, argv):
@@ -77,6 +77,9 @@ BAD_BOUNDS = [
     ["count", "--bound", "0"],
     # not a bound: the scaled model is exact only for k <= 2
     ["count", "--k", "3", "--bound", "5", "--r-source", "jacobi"],
+    # k too large for the float local factors: they overflow within a few primes
+    ["predict", "--k", "20", "--prime-cutoff", "200"],
+    ["local-factors", "--k", "20", "--prime-cutoff", "200"],
 ]
 
 
@@ -187,7 +190,7 @@ def test_output_file(tmp_path, capsys):
                                  "--out", str(tmp_path / "missing" / "x.json")])
 
 
-def test_config_from_args_round_trip():
+def test_config_from_args_round_trip(capsys):
     args = build_parser().parse_args(
         ["compare", "--k", "2", "--bounds", "5,10", "--exclude-primes", "2",
          "--format", "csv"]
@@ -197,5 +200,19 @@ def test_config_from_args_round_trip():
     assert cfg.k == 2
     assert cfg.bounds == [5, 10]
     assert 2 in cfg.exclude_primes
-    assert cfg.output_format == "csv"
+    assert cfg.format == "csv"
+    assert cfg.r_source == RSource.JACOBI  # auto: the scaled model at k = 2
     assert run(cfg) == 0
+    capsys.readouterr()
+    # the prime-cutoff defaults: 100 for local-factors, 100000 for predict
+    for argv, check in (
+        (["local-factors", "--k", "1"],
+         lambda out: len(out.strip().split("\n")) == 1 + 25),  # primes <= 100
+        (["predict", "--k", "1", "--bounds", "2"],
+         lambda out: json.loads(out)["prime_cutoff"] == 100000),
+    ):
+        assert main(argv) == 0
+        via_main = capsys.readouterr().out
+        assert run(config_from_args(build_parser().parse_args(argv))) == 0
+        via_run = capsys.readouterr().out
+        assert via_main == via_run and check(via_main), argv
