@@ -306,16 +306,22 @@ def _main_terms(k: int, g: float, lead: float, bound) -> dict:
     }
 
 
+def centre_factors(p: int, k: int, in_S: bool) -> tuple:
+    """(gp, gp_special) at the centre point (s, w) = (1, 2k-1)."""
+    certified = gp(EulerFactorInput(p=p, k=k, in_S=in_S, s=1.0, w=2.0 * k - 1.0))
+    return certified, gp_special(p, k, in_S)
+
+
 def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:
     """4k G_S(1,2k-1) / ((3k-1)(4^k-1)|B_2k| zeta(4k-1))."""
-    g = euler_product(k, s_set, prime_cutoff).value
-    return _prefactor(k) * g / zeta_real(4 * k - 1)
+    return constants_report(k, s_set, prime_cutoff)["leading_constant"]
 
 
 def predict(bound: float, k: int, s_set: PrimeSet, prime_cutoff: int) -> dict:
     """Leading main terms at B: the tuple count and the two auxiliary sums."""
-    g = euler_product(k, s_set, prime_cutoff).value
-    return _main_terms(k, g, _prefactor(k) * g / zeta_real(4 * k - 1), bound)
+    row = constants_report(k, s_set, prime_cutoff, [bound])["predictions"][0]
+    del row["bound"]
+    return row
 
 
 def constants_report(
@@ -326,6 +332,7 @@ def constants_report(
     z = zeta_real(4 * k - 1)
     pre = _prefactor(k)
     lead = pre * ep.value / z
+    g2, g2_special = centre_factors(2, k, 2 in s_set)
     return {
         "schema": "v1",
         "k": k,
@@ -337,10 +344,7 @@ def constants_report(
         "euler_product": ep.value,
         "euler_product_tail_estimate": ep.tail_estimate,
         "leading_constant": lead,
-        "g2_special_vs_certified_abs_diff": abs(
-            gp_special(2, k, 2 in s_set)
-            - gp(EulerFactorInput(p=2, k=k, in_S=2 in s_set, s=1.0, w=2.0 * k - 1.0))
-        ),
+        "g2_special_vs_certified_abs_diff": abs(g2_special - g2),
         "predictions": [
             {"bound": b, **_main_terms(k, ep.value, lead, b)} for b in bounds
         ],

@@ -26,25 +26,28 @@ class CapacityError(RuntimeError):
 _WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
 
 
+def _least_factor(n: int) -> int:
+    """Smallest prime factor of n >= 2, by trial division on the 2,3,5 wheel."""
+    for p in (2, 3, 5):
+        if n % p == 0:
+            return p
+    d = 7
+    i = 0
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += _WHEEL[i]
+        i = (i + 1) & 7
+    return n
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (values up to ~1e12)."""
     # cleared when full: maxsize adds a link node per entry, +4 MiB at 78,498 primes
     if is_prime.cache_info().currsize >= 1 << 17:
         is_prime.cache_clear()
-    if n < 2:
-        return False
-    for p in (2, 3, 5):
-        if n % p == 0:
-            return n == p
-    d = 7
-    i = 0
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += _WHEEL[i]
-        i = (i + 1) & 7
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -139,26 +142,13 @@ def factorize(n: int) -> Factorization:
         raise DomainError("factorize requires n >= 1")
     m = n
     out = []
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    d = 7
-    i = 0
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            out.append((d, e))
-        d += _WHEEL[i]
-        i = (i + 1) & 7
-    if m > 1:
-        out.append((m, 1))
+    while m > 1:
+        p = _least_factor(m)
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
     return Factorization(n, tuple(out))
 
 
@@ -194,22 +184,15 @@ def mobius(n: int) -> int:
 
 
 def mobius_sieve(n: int) -> list[int]:
-    """mu(0..n) as a list, by sieving with the smallest prime factor."""
+    """mu(0..n) as a list, from the smallest prime factors."""
+    spf = smallest_prime_factors(n)
     mu = [0] * (n + 1)
     if n >= 1:
         mu[1] = 1
-    primes = []
-    spf = [0] * (n + 1)
     for i in range(2, n + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            if p > spf[i] or i * p > n:
-                break
-            spf[i * p] = p
-            mu[i * p] = 0 if p == spf[i] else -mu[i]
+        p = spf[i]
+        q = i // p
+        mu[i] = 0 if spf[q] == p else -mu[q]
     return mu
 
 

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 from .arith import CapacityError, DomainError, PrimeSet, primes_up_to, vp
 from .analytic import (
     EulerFactorInput,
+    centre_factors,
     constants_report,
     fp_closed,
     fp_series,
     gp,
-    gp_special,
-    leading_constant,
 )
 from .counting import (
     CountRequest,
@@ -102,16 +100,22 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    lead = leading_constant(args.k, args.exclude_primes, args.prime_cutoff)
+def _count_rows(args) -> list:
+    """Per bound: the row prefix (B, tuples, points, n_main, ratio_tuples),
+    the prediction it rests on and the count request."""
+    rep = constants_report(args.k, args.exclude_primes, args.prime_cutoff, args.bounds)
     rows = []
-    for b in args.bounds:
-        tuples = n_mobius(b, _request(args, b))
-        # (lead * b**(4k-1)) * log b, not _main_terms' lead * size: the digits differ
-        main = lead * b ** (4 * args.k - 1) * math.log(b)
-        rows.append(
-            (b, tuples, tuples // 2, main, tuples / main, tuples / 2 / main)
-        )
+    for b, pred in zip(args.bounds, rep["predictions"]):
+        req = _request(args, b)
+        tuples = n_mobius(b, req)
+        rows.append(((b, tuples, tuples // 2, pred["n_main"], tuples / pred["n_main"]),
+                     pred, req))
+    return rows
+
+
+def _cmd_compare(args) -> int:
+    rows = [(b, tuples, points, main, ratio, tuples / 2 / main)
+            for (b, tuples, points, main, ratio), _, _ in _count_rows(args)]
     header = ["B", "tuples", "points", "n_main", "ratio_tuples", "ratio_points"]
     if args.format == "csv":
         _emit_csv(header, rows, args.out)
@@ -127,10 +131,7 @@ def _cmd_local_factors(args) -> int:
     rows = []
     for p in primes_up_to(args.prime_cutoff):
         in_s = p in args.exclude_primes
-        certified = gp(
-            EulerFactorInput(p=p, k=args.k, in_S=in_s, s=1.0, w=2.0 * args.k - 1.0)
-        )
-        printed = gp_special(p, args.k, in_s)
+        certified, printed = centre_factors(p, args.k, in_s)
         rows.append((p, int(in_s), certified, printed, abs(certified - printed)))
     _emit_csv(
         ["p", "in_S", "gp_value", "gp_special_value", "abs_diff"],
@@ -141,13 +142,10 @@ def _cmd_local_factors(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rep = constants_report(args.k, args.exclude_primes, args.prime_cutoff, args.bounds)
     rows = []
-    for b, pred in zip(args.bounds, rep["predictions"]):
-        req = _request(args, b)
-        tuples = n_mobius(b, req)
-        rows.append((b, tuples, tuples // 2, pred["n_main"], tuples / pred["n_main"],
-                     s_sum(b, b * b, req), pred["s_main"],
+    for row, pred, req in _count_rows(args):
+        b = row[0]
+        rows.append((*row, s_sum(b, b * b, req), pred["s_main"],
                      t_sum(b, req), pred["t_main"]))
     _emit_csv(
         ["B", "tuples", "points", "n_main", "ratio_tuples",
@@ -234,8 +232,7 @@ def _check_specializations(report) -> bool:
     for p in primes_up_to(97):
         for k in (1, 2):
             for in_s in (True, False):
-                cert = gp(EulerFactorInput(p=p, k=k, in_S=in_s, s=1.0, w=2.0 * k - 1.0))
-                printed = gp_special(p, k, in_s)
+                cert, printed = centre_factors(p, k, in_s)
                 expected = 0.0
                 if p == 2:
                     report(f"p=2 k={k} in_S={in_s}: certified {cert:.12g}, tabulated "
@@ -346,6 +343,8 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     if hasattr(args, "r_source"):
         args.r_source = (_SOURCES[args.r_source] if args.r_source != "auto"
                          else RSource.JACOBI if args.k <= 2 else RSource.EXACT)
+    if getattr(args, "prime_cutoff", 2) < 2:  # no prime lies below 2
+        raise DomainError(f"prime cutoff {args.prime_cutoff} must be >= 2")
     bounds = [args.bound] if hasattr(args, "bound") else getattr(args, "bounds", [])
     low = 2 if args.command in ("compare", "table") else 1  # main term is 0 at B = 1
     for b in bounds:

@@ -80,6 +80,9 @@ BAD_BOUNDS = [
     # k too large for the float local factors: they overflow within a few primes
     ["predict", "--k", "20", "--prime-cutoff", "200"],
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
+    # not a bound: no prime lies below the cutoff
+    ["local-factors", "--prime-cutoff", "0"],
+    ["local-factors", "--prime-cutoff", "-5"],
 ]
 
 
@@ -157,6 +160,18 @@ def test_compare_csv(capsys):
     b20 = lines[1].split(",")
     assert int(b20[1]) == 2 * int(b20[2])
     assert 0.2 < float(b20[4]) < 5.0
+    # compare, table and predict print one n_main, digit for digit; these
+    # bounds are where a second main-term expression differs in the last digit
+    for k, primes, bounds in ((1, "", "34,77"), (1, "2,3", "10"), (2, "", "50")):
+        tail = ["--k", str(k), "--bounds", bounds, "--prime-cutoff", "10000",
+                "--exclude-primes", primes]
+        _, out = _run(capsys, ["compare", "--format", "csv"] + tail)
+        via_compare = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
+        _, out = _run(capsys, ["table"] + tail)
+        via_table = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
+        _, out = _run(capsys, ["predict"] + tail)
+        via_predict = [f"{p['n_main']:.15g}" for p in json.loads(out)["predictions"]]
+        assert via_compare == via_table == via_predict, (k, primes, bounds)
 
 
 def test_table_csv(capsys):

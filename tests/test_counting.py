@@ -222,15 +222,6 @@ def test_oracle_k2_small():
         assert got == n_mobius(bound, req(bound, k=2))
 
 
-def test_route_equality_small():
-    for bound in (5, 10, 20):
-        for s_set in (S0, S2, S23):
-            a = n_oracle(bound, 1, s_set)
-            b = n_mobius(bound, req(bound, s_set=s_set))
-            c = n_mobius(bound, req(bound, s_set=s_set, source=RSource.EXACT))
-            assert a == b == c, (bound, str(s_set))
-
-
 # --- s_sum / t_sum ----------------------------------------------------------
 
 def test_s_sum_examples():

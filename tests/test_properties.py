@@ -1,0 +1,54 @@
+"""Property tests over random (B, S): the routes agree exactly.
+
+The acceptance gates check route equality on fixed grids; these draw the
+bound and the exceptional set at random (derandomized, so every run draws
+the same examples).
+"""
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from semicubic.arith import PrimeSet  # noqa: E402
+from semicubic.counting import (  # noqa: E402
+    CountRequest,
+    RSource,
+    n_mobius,
+    n_oracle,
+    n_star,
+    s_sum,
+    t_sum,
+)
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+PRIME_SETS = st.sets(st.sampled_from((2, 3, 5, 7))).map(
+    lambda ps: PrimeSet(frozenset(ps)))
+
+
+def _req(bound, k, s_set, source):
+    return CountRequest(k=k, bound=Fraction(bound), s_set=s_set, r_source=source)
+
+
+def _assert_routes_agree(bound, k, s_set):
+    """Oracle = scaled model = brute-force table."""
+    oracle = n_oracle(bound, k, s_set)
+    model, table = (n_mobius(bound, _req(bound, k, s_set, source))
+                    for source in (RSource.JACOBI, RSource.EXACT))
+    assert oracle == model == table, (bound, k, str(s_set))
+
+
+@PROPERTY
+@given(bound=st.integers(1, 50), s_set=PRIME_SETS)
+def test_routes_agree_k1(bound, s_set):
+    _assert_routes_agree(bound, 1, s_set)
+    model = _req(bound, 1, s_set, RSource.RSTAR)
+    st_diff = s_sum(bound, bound * bound, model) - t_sum(bound, model)
+    assert 16 * st_diff == n_star(bound, _req(bound, 1, s_set, RSource.JACOBI))
+
+
+@PROPERTY
+@given(bound=st.integers(1, 12), s_set=PRIME_SETS)
+def test_routes_agree_k2(bound, s_set):
+    _assert_routes_agree(bound, 2, s_set)

@@ -131,12 +131,6 @@ def test_rstar_nonnegative():
             assert r4k_star(d, k) >= 0
 
 
-def test_jacobi_identity_small():
-    t = r4k_bruteforce(400, 1)
-    for d in range(1, 401):
-        assert t[d] == r4_jacobi(d) == 8 * r4k_star(d, 1)
-
-
 def test_r8_is_exactly_sixteen_rstar():
     # the weight-4 cusp space is trivial, so the k = 2 error term also vanishes
     t = r4k_bruteforce(300, 2)

@@ -46,6 +46,9 @@ EXTRA = [
     ["predict", "--k", "2", "--bounds", "100,1000"],
     ["compare", "--k", "1", "--bounds", "20,40"],
     ["table", "--k", "1", "--bounds", "10,20"],
+    # bounds where two orders of the main-term product differ in the last digit
+    ["compare", "--k", "1", "--bounds", "34,77"],
+    ["table", "--k", "1", "--bounds", "34,77"],
     ["predict", "--k", "6", "--prime-cutoff", "1000000", "--bounds", "10"],
     ["local-factors", "--k", "6", "--prime-cutoff", "1000"],
     ["count", "--k", "1", "--bound", "20", "--method", "oracle"],
@@ -70,6 +73,8 @@ EXTRA = [
     ["count", "--k", "1", "--bound", "5", "--exclude-primes", "4"],
     ["count", "--k", "1", "--bound", "5", "--exclude-primes", "2,,3"],
     ["count", "--k", "1", "--bound", "5", "--r-source", "other"],
+    ["local-factors", "--prime-cutoff", "0"],
+    ["local-factors", "--prime-cutoff", "-5"],
     # large k: the float local factors overflow
     ["predict", "--k", "20", "--prime-cutoff", "200"],
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
