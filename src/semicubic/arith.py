@@ -62,6 +62,12 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
+# Largest member a PrimeSet accepts: is_prime's trial division covers it, and a
+# larger prime divides no n a counting route reaches nor lies below a cutoff
+# any route can sieve.
+PRIME_SET_LIMIT = 10**12
+
+
 @dataclass(frozen=True)
 class PrimeSet:
     """A finite set of excluded primes (the exceptional set)."""
@@ -70,6 +76,8 @@ class PrimeSet:
 
     def __post_init__(self):
         for p in self.primes:
+            if p > PRIME_SET_LIMIT:
+                raise DomainError(f"excluded prime {p} is above the limit 10^12")
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
 

@@ -34,8 +34,6 @@ from .counting import (
     n_mobius,
     n_oracle,
     point_classes,
-    s_sum,
-    t_sum,
 )
 from .geometry import intersection_mults, m_point_ok, semi_integral_ok
 from .reps import _p2_coefficients
@@ -102,15 +100,11 @@ def _cmd_predict(args) -> int:
 
 def _count_rows(args) -> list:
     """Per bound: the row prefix (B, tuples, points, n_main, ratio_tuples),
-    the prediction it rests on and the count request."""
+    the prediction it rests on and the count report, with S and T."""
     rep = constants_report(args.k, args.exclude_primes, args.prime_cutoff, args.bounds)
-    rows = []
-    for b, pred in zip(args.bounds, rep["predictions"]):
-        req = _request(args, b)
-        tuples = n_mobius(b, req)
-        rows.append(((b, tuples, tuples // 2, pred["n_main"], tuples / pred["n_main"]),
-                     pred, req))
-    return rows
+    counts = (count_report(_request(args, b), with_st=True) for b in args.bounds)
+    return [((b, r.tuples, r.points, pred["n_main"], r.tuples / pred["n_main"]),
+             pred, r) for b, pred, r in zip(args.bounds, rep["predictions"], counts)]
 
 
 def _cmd_compare(args) -> int:
@@ -142,11 +136,8 @@ def _cmd_local_factors(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = []
-    for row, pred, req in _count_rows(args):
-        b = row[0]
-        rows.append((*row, s_sum(b, b * b, req), pred["s_main"],
-                     t_sum(b, req), pred["t_main"]))
+    rows = [(*row, r.s_value, pred["s_main"], r.t_value, pred["t_main"])
+            for row, pred, r in _count_rows(args)]
     _emit_csv(
         ["B", "tuples", "points", "n_main", "ratio_tuples",
          "s_sum", "s_main", "t_sum", "t_main"],

@@ -5,7 +5,8 @@
 * n_star / n_mobius: the divisor-window double sum and its Mobius
   inclusion-exclusion, sharing no code with the oracle's point loop.
 * s_sum / t_sum: the auxiliary double sums over the multiplicative model,
-  feeding the main-term identities.
+  feeding the main-term identities: separate passes, the references for the
+  S(B, B^2) and T(B) that count_report takes from the count's own walk.
 
 All three sums run over cofactors c = n^3/d.  With B = bn/bd, d lies in
 the window n^3 e/B < d <= B^2/e^2 of e exactly when e c bd < bn and
@@ -13,8 +14,9 @@ e^2 n^3 bd^2 <= bn^2 c, so a cofactor c < B lies in the windows of
 e = 1..top(c), top(c) = min(isqrt(bn^2 c // (n^3 bd^2)), (bn-1) // (c bd)),
 and one difference array over e gives every n_star(B/e).  Every weight is
 positive (r*(p^f) >= 1, and r_4k(d) >= 1 for d >= 1), so the nonzero e are
-those whose window holds a cofactor.  s_sum and t_sum are the
-multiplicative total less the cofactors below a cap.
+those whose window holds a cofactor.  S and T are the multiplicative total
+less the cofactors below a cap: for T every c < B, all of them in the walk,
+and for S those with d > B^2, the walk's cofactors with top(c) = 0.
 
 All window comparisons are exact (integer cross-multiplication against
 rational bounds); no float enters any counting predicate.  The z-boundary
@@ -123,17 +125,16 @@ def _prime_weights(p: int, e: int, k: int, in_s: bool) -> tuple:
     return pairs, sum(w for _, w in pairs)
 
 
-def _profile(factors, k, s_primes, hi_cap, scale=1):
+def _profile(factors, k, s_primes, hi_cap):
     """Allowed cofactors c = n^3/d up to hi_cap, weighted, and the uncapped total.
 
-    factors is the factorization of n.  Items are (c, scale * r*(n^3/c))
-    pairs in generation order (scale r4k_main_coeff(k), 8 at k = 1 and 16 at
-    k = 2, is exactly r_4k for k <= 2); cofactors above hi_cap are pruned
-    (partial products only grow).  The total is the weight of every allowed
-    cofactor, a product of per-prime sums.
+    factors is the factorization of n.  Items are (c, r*(n^3/c)) pairs in
+    generation order; cofactors above hi_cap are pruned (partial products
+    only grow).  The total is the weight of every allowed cofactor, a
+    product of per-prime sums.
     """
-    items = [(1, scale)] if hi_cap >= 1 else []
-    total = scale
+    items = [(1, 1)] if hi_cap >= 1 else []
+    total = 1
     for p, e in factors:
         pws, psum = _prime_weights(p, e, k, p in s_primes)
         total *= psum
@@ -142,17 +143,15 @@ def _profile(factors, k, s_primes, hi_cap, scale=1):
     return items, total
 
 
-def _profiles(nmax: int, req: CountRequest, cap, source: RSource = None):
-    """Yield (n, items, total) for n = 1..nmax: the one loop over n.
+def _profiles(nmax: int, req: CountRequest, cap):
+    """Yield (n, items, total) for n = 1..nmax with the model weights r*.
 
     cap is the cofactor cap, an int or a function of n.
     """
-    source = req.r_source if source is None else source
     spf = smallest_prime_factors(nmax)
-    scale = int(r4k_main_coeff(req.k)) if source == RSource.JACOBI else 1
     for n in range(1, nmax + 1):
         hi = cap if isinstance(cap, int) else cap(n)
-        yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi, scale))
+        yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi))
 
 
 def _window(items, lo: int) -> int:
@@ -177,10 +176,13 @@ def n_star(bound, req: CountRequest) -> int:
     return n_star_by_divisor(bound, req).get(1, 0)
 
 
-def n_star_by_divisor(bound, req: CountRequest) -> dict:
-    """{e: n_star(B/e)} for squarefree e, nonzero entries only.
+def _walk(bound, req: CountRequest) -> tuple:
+    """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
 
-    Each cofactor adds its weight at top(c); suffix sums give n_star(B/e) / 2.
+    Squarefree e with nonzero entries only.  Each cofactor adds its weight
+    at top(c); suffix sums give n_star(B/e) / 2.  Slot 0 and far (n > B/2)
+    take top(c) = 0, that is d > B^2, so S is the model total less them;
+    T is S less the model weight of the e = 1 window.
     """
     b = _as_fraction(bound)
     if b < 1:
@@ -191,15 +193,23 @@ def n_star_by_divisor(bound, req: CountRequest) -> dict:
     cmax = (bn - 1) // bd
     table = r4k_bruteforce(bn2 // bd2, req.k) if req.r_source == RSource.EXACT else None
     diff = [0] * (nmax + 1)
-    for n, items, _ in _profiles(nmax, req, cmax):
+    total = near = far = 0
+    for n, items, weight in _profiles(nmax, req, cmax):
+        total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
+        lo = -(-n3bd2 // bn2)  # c >= lo exactly when d = n^3/c <= B^2
         if table is not None:
-            # top(c) >= 1 exactly when d = n^3/c <= B^2, the table's range
-            items = [(c, table[n3 // c]) for c, _ in items if bn2 * c >= n3bd2]
+            # the table weighs d <= B^2, its range; slot 0 and T keep the model
+            near += _window(items, lo)
+            items = [(c, table[n3 // c] if c >= lo else w) for c, w in items]
         if 2 * n * bd > bn:
-            # e < B/n < 2: only the e = 1 window, c >= n^3/B^2, is left
-            diff[1] += _window(items, -(-n3bd2 // bn2))
+            # e < B/n < 2: only the e = 1 window, c >= lo, is left; far gets the rest
+            for c, w in items:
+                if c < lo:
+                    far += w
+                else:
+                    diff[1] += w
             continue
         for c, w in items:
             diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
@@ -207,25 +217,29 @@ def n_star_by_divisor(bound, req: CountRequest) -> dict:
     for e in range(nmax, 0, -1):
         acc += diff[e]
         diff[e] = acc
+    s = total - diff[0] - far
+    t = s - (near if table is not None else diff[1])
+    # jacobi: r4k_main_coeff(k) r*, 8 r* at k = 1 and 16 r* at k = 2, is r_4k
+    scale = 2 * int(r4k_main_coeff(req.k)) if req.r_source == RSource.JACOBI else 2
     mu = mobius_sieve(nmax)
-    return {e: 2 * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
+    by_d = {e: scale * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
+    return by_d, sum(mu[e] * v for e, v in by_d.items()), s, t
 
 
-def _mobius_combine(by_d: dict) -> int:
-    """Sum of mu(e) * n_star(B/e) over {e: n_star(B/e)}: the primitive tuple count."""
-    mu = mobius_sieve(max(by_d)) if by_d else []
-    return sum(mu[e] * v for e, v in by_d.items())
+def n_star_by_divisor(bound, req: CountRequest) -> dict:
+    """{e: n_star(B/e)} for squarefree e, nonzero entries only."""
+    return _walk(bound, req)[0]
 
 
 def n_mobius(bound, req: CountRequest) -> int:
     """Mobius inclusion-exclusion over scaled bounds: the primitive tuple count."""
-    return _mobius_combine(n_star_by_divisor(bound, req))
+    return _walk(bound, req)[1]
 
 
 def _cofactor_remainder(nmax: int, req: CountRequest, cap) -> int:
     """Model weight of the cofactors above cap, summed over n <= nmax."""
     return sum(total - sum(w for _, w in items)
-               for _, items, total in _profiles(nmax, req, cap, RSource.RSTAR))
+               for _, items, total in _profiles(nmax, req, cap))
 
 
 def s_sum(x_bound, y_bound, req: CountRequest) -> int:
@@ -435,26 +449,19 @@ def count_report(req: CountRequest, with_oracle: bool = False,
                  with_st: bool = False) -> CountReport:
     timings = {}
     t0 = time.perf_counter()
-    by_d = n_star_by_divisor(req.bound, req)
-    total = _mobius_combine(by_d)
+    by_d, total, sv, tv = _walk(req.bound, req)
     timings["mobius_s"] = time.perf_counter() - t0
     oracle = None
     if with_oracle:
         t0 = time.perf_counter()
         oracle = n_oracle(req.bound, req.k, req.s_set)
         timings["oracle_s"] = time.perf_counter() - t0
-    sv = tv = None
-    if with_st:
-        t0 = time.perf_counter()
-        sv = s_sum(req.bound, req.bound * req.bound, req)
-        tv = t_sum(req.bound, req)
-        timings["st_s"] = time.perf_counter() - t0
     return CountReport(
         request=req,
         n_star_values=by_d,
         n_mobius=total,
         n_oracle=oracle,
-        s_value=sv,
-        t_value=tv,
+        s_value=sv if with_st else None,
+        t_value=tv if with_st else None,
         timings=timings,
     )

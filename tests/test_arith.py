@@ -192,4 +192,6 @@ def test_prime_set():
     assert list(PrimeSet.of(5, 2)) == [2, 5]
     with pytest.raises(DomainError):
         PrimeSet.of(4)
+    with pytest.raises(DomainError):  # past is_prime's range, refused before testing
+        PrimeSet.of(10**18 + 3)
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -102,7 +102,7 @@ def test_usage_exit_codes(capsys):
 
 
 def test_bad_prime_set_is_usage_error(capsys):
-    for primes in ("4", "x", "2,x", "2,,3"):
+    for primes in ("4", "x", "2,x", "2,,3", "1000000000000000003"):
         _assert_usage_error(capsys, ["count", "--k", "1", "--bound", "5",
                                      "--exclude-primes", primes])
 

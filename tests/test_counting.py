@@ -260,6 +260,12 @@ def test_s_t_k2_against_definitions():
     assert t_sum(6, r2) == _brute_t(6, 2, S0)
 
 
+def _assert_walk_st(r, s_value, t_value):
+    """The count's own S and T equal the separate s_sum and t_sum passes."""
+    rep = count_report(r, with_st=True)
+    assert (rep.s_value, rep.t_value) == (s_value, t_value), (r.k, r.bound, r.r_source)
+
+
 def test_st_nstar_relation():
     # 2 (S - T) = n_star with the model weights; times r4k_main_coeff(k)
     # (8 at k = 1, 16 at k = 2) with the exact r_4k
@@ -268,9 +274,20 @@ def test_st_nstar_relation():
             for s_set in (S0, S23):
                 r_model = req(bound, k=k, s_set=s_set, source=RSource.RSTAR)
                 r_jac = req(bound, k=k, s_set=s_set)
-                st = s_sum(bound, bound * bound, r_model) - t_sum(bound, r_model)
+                sv, tv = s_sum(bound, bound * bound, r_model), t_sum(bound, r_model)
+                st = sv - tv
                 assert 2 * st == n_star(bound, r_model)
                 assert 2 * r4k_main_coeff(k) * st == n_star(bound, r_jac), (k, bound)
+                for source in RSource:
+                    _assert_walk_st(req(bound, k=k, s_set=s_set, source=source), sv, tv)
+    # k = 3: no scaled model, and the table is not the model's multiple
+    for bound in (1, 7, 18, Fraction(59, 2), 30):
+        for s_set in (S0, S23):
+            r_model = req(bound, k=3, s_set=s_set, source=RSource.RSTAR)
+            sv, tv = s_sum(bound, bound * bound, r_model), t_sum(bound, r_model)
+            assert 2 * (sv - tv) == n_star(bound, r_model)
+            for source in (RSource.RSTAR, RSource.EXACT):
+                _assert_walk_st(req(bound, k=3, s_set=s_set, source=source), sv, tv)
 
 
 # --- reports ----------------------------------------------------------------
@@ -288,6 +305,21 @@ def test_count_report_round_trip():
         assert back.n_mobius == rep.n_mobius
         assert back.n_oracle == rep.n_oracle
         assert back.s_value == rep.s_value and back.t_value == rep.t_value
+
+
+def test_count_report_walks_once(monkeypatch):
+    # the count, its Mobius sum, S and T come from one pass over n, one mu sieve
+    import semicubic.counting as counting
+
+    calls = {"_profiles": 0, "mobius_sieve": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(counting, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(counting, name, counted)
+    rep = count_report(req(40, s_set=S23), with_st=True)
+    assert calls == {"_profiles": 1, "mobius_sieve": 1}
+    assert rep.s_value is not None and rep.t_value is not None
 
 
 def test_count_report_mobius_recomputation():

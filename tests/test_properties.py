@@ -15,6 +15,7 @@ from semicubic.arith import PrimeSet  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
     RSource,
+    count_report,
     n_mobius,
     n_oracle,
     n_star,
@@ -44,8 +45,11 @@ def _assert_routes_agree(bound, k, s_set):
 def test_routes_agree_k1(bound, s_set):
     _assert_routes_agree(bound, 1, s_set)
     model = _req(bound, 1, s_set, RSource.RSTAR)
-    st_diff = s_sum(bound, bound * bound, model) - t_sum(bound, model)
-    assert 16 * st_diff == n_star(bound, _req(bound, 1, s_set, RSource.JACOBI))
+    sv, tv = s_sum(bound, bound * bound, model), t_sum(bound, model)
+    assert 16 * (sv - tv) == n_star(bound, _req(bound, 1, s_set, RSource.JACOBI))
+    for source in RSource:  # the count's own S and T equal the separate passes
+        rep = count_report(_req(bound, 1, s_set, source), with_st=True)
+        assert (rep.s_value, rep.t_value) == (sv, tv), (bound, str(s_set), source)
 
 
 @PROPERTY

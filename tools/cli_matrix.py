@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 6 s on a 2-core x86 machine.
+Stdlib only; about 7 s on a 2-core x86 machine.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def commands() -> list:
             tail = ["--k", str(k), "--r-source", source]
             if s:
                 tail += ["--exclude-primes", s]
-            out.append(["count", "--bound", bound] + tail)
+            out.append(["count", "--bound", bound, "--with-st"] + tail)
             out.append(["table", "--bounds", bounds] + tail)
             for fmt in ("json", "csv"):
                 out.append(["compare", "--bounds", bounds, "--format", fmt] + tail)
