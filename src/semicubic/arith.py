@@ -191,9 +191,13 @@ def mobius(n: int) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-def mobius_sieve(n: int) -> list[int]:
-    """mu(0..n) as a list, from the smallest prime factors."""
-    spf = smallest_prime_factors(n)
+def mobius_sieve(n: int, spf: list | None = None) -> list[int]:
+    """mu(0..n) as a list, read off spf = smallest_prime_factors(n).
+
+    A caller that already holds that list passes it, so it is not built twice.
+    """
+    if spf is None:
+        spf = smallest_prime_factors(n)
     mu = [0] * (n + 1)
     if n >= 1:
         mu[1] = 1

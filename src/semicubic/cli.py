@@ -170,7 +170,7 @@ def _suite_mpoints(report) -> bool:
 
 
 def _suite_routes(report) -> bool:
-    """Oracle = scaled model = brute-force table; k = 2 up to its oracle guard, 12."""
+    """Oracle = scaled model = brute-force table on fixed grids, inside the oracle's guards."""
     ok = True
     grids = {1: (5, 10, 20, 30, 50), 2: (5, 10, 12)}
     for k, bounds in grids.items():

@@ -35,6 +35,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import add
 
 from .arith import (
     CapacityError,
@@ -50,8 +51,12 @@ from .arith import (
 from .geometry import SurfacePoint
 from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 
-# Exhaustive-enumeration guards for the oracle, keyed by k.
-ORACLE_BOUND_LIMITS = {1: 100, 2: 12, 3: 5}
+# Exhaustive-enumeration guards for the oracle, keyed by k: the largest
+# multiple of 50 at which one cold-cache n_oracle call took at most 1.5 s
+# (three quarters of a 2 s budget) and peaked under 36 MiB, on a 2-core x86
+# machine with Python 3.11.  The next multiple of 50 took 1.8 s (k = 1),
+# 2.5 s (k = 2), 1.9 s (k = 3) and 2.7 s (k = 4); k >= 5 is refused.
+ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 
 
 class RSource(str, Enum):
@@ -143,13 +148,13 @@ def _profile(factors, k, s_primes, hi_cap):
     return items, total
 
 
-def _profiles(nmax: int, req: CountRequest, cap):
-    """Yield (n, items, total) for n = 1..nmax with the model weights r*.
+def _profiles(spf: list, req: CountRequest, cap):
+    """Yield (n, items, total) with the model weights r*, for n = 1..nmax.
 
-    cap is the cofactor cap, an int or a function of n.
+    spf is smallest_prime_factors(nmax); cap is the cofactor cap, an int or
+    a function of n.
     """
-    spf = smallest_prime_factors(nmax)
-    for n in range(1, nmax + 1):
+    for n in range(1, len(spf)):
         hi = cap if isinstance(cap, int) else cap(n)
         yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi))
 
@@ -194,7 +199,8 @@ def _walk(bound, req: CountRequest) -> tuple:
     table = r4k_bruteforce(bn2 // bd2, req.k) if req.r_source == RSource.EXACT else None
     diff = [0] * (nmax + 1)
     total = near = far = 0
-    for n, items, weight in _profiles(nmax, req, cmax):
+    spf = smallest_prime_factors(nmax)
+    for n, items, weight in _profiles(spf, req, cmax):
         total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
@@ -221,7 +227,7 @@ def _walk(bound, req: CountRequest) -> tuple:
     t = s - (near if table is not None else diff[1])
     # jacobi: r4k_main_coeff(k) r*, 8 r* at k = 1 and 16 r* at k = 2, is r_4k
     scale = 2 * int(r4k_main_coeff(req.k)) if req.r_source == RSource.JACOBI else 2
-    mu = mobius_sieve(nmax)
+    mu = mobius_sieve(nmax, spf)  # the spf list the walk already holds
     by_d = {e: scale * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
     return by_d, sum(mu[e] * v for e, v in by_d.items()), s, t
 
@@ -239,7 +245,7 @@ def n_mobius(bound, req: CountRequest) -> int:
 def _cofactor_remainder(nmax: int, req: CountRequest, cap) -> int:
     """Model weight of the cofactors above cap, summed over n <= nmax."""
     return sum(total - sum(w for _, w in items)
-               for _, items, total in _profiles(nmax, req, cap))
+               for _, items, total in _profiles(smallest_prime_factors(nmax), req, cap))
 
 
 def s_sum(x_bound, y_bound, req: CountRequest) -> int:
@@ -269,44 +275,58 @@ def t_sum(bound, req: CountRequest) -> int:
 # ---------------------------------------------------------------------------
 # Direct enumeration (the oracle)
 
-_signed_cache: dict = {}
-_coprime_cache: dict = {}
+_signed_cache: dict = {}  # length j >= 1 -> [r_j(0), ..., r_j(L_j)], L_j falling in j
+_coprime_cache: dict = {}  # g -> [(q, mu(q)) for the squarefree q | g]
+
+
+def _vector_counts(left: int, need: int) -> list:
+    """[r(0), ..., r(L)] for some L >= need, r(m) the vectors in Z^left of squared norm m.
+
+    One table per length j <= left, built one coordinate at a time by
+    r_j(m) = r_{j-1}(m) + 2 sum_{t >= 1} r_{j-1}(m - t^2).  A short table is
+    extended, never rebuilt: each (m, t) term is added once, so a rising
+    run of bounds costs what the last one alone does, and no table is
+    longer than the largest need it met.
+    """
+    row = _signed_cache.get(left)
+    if row is not None and len(row) > need:
+        return row
+    row = [1] + [0] * need  # r_0
+    for j in range(1, left + 1):
+        prev, row = row, _signed_cache.setdefault(j, [])
+        old = len(row)
+        if old > need:
+            continue
+        twice = [2 * v for v in prev[:need + 1]]
+        new = prev[old:need + 1]
+        for t in range(1, isqrt(need) + 1):
+            lo = max(old, t * t)
+            src = lo - t * t  # 0 on a cold build, where twice needs no copy
+            new[lo - old:] = map(add, new[lo - old:], twice[src:] if src else twice)
+        row += new
+    return row
 
 
 def _signed_count(rem: int, left: int) -> int:
     """Number of integer vectors of length `left` with squared norm rem."""
-    if left == 0:
-        return 1 if rem == 0 else 0
-    key = (rem, left)
-    c = _signed_cache.get(key)
-    if c is None:
-        c = _signed_count(rem, left - 1)
-        t = 1
-        while t * t <= rem:
-            c += 2 * _signed_count(rem - t * t, left - 1)
-            t += 1
-        _signed_cache[key] = c
-    return c
+    return _vector_counts(left, rem)[rem]
 
 
-def _coprime_count(rem: int, left: int, g: int) -> int:
-    """Vectors as above whose entries are jointly coprime to g.
+def _coprime_count(table: list, rem: int, g: int) -> int:
+    """Vectors of squared norm rem, counted by table, with entries jointly coprime to g.
 
     Inclusion-exclusion over squarefree q | g: the vectors whose entries
     are all divisible by q are q times the vectors of squared norm rem/q^2.
     """
     if g == 1:
-        return _signed_count(rem, left)
-    key = (rem, left, g)
-    c = _coprime_cache.get(key)
-    if c is None:
+        return table[rem]
+    terms = _coprime_cache.get(g)
+    if terms is None:
         terms = [(1, 1)]
         for p, _ in factorize(g).factors:
             terms += [(q * p, -m) for q, m in terms]
-        c = sum(m * _signed_count(rem // (q * q), left)
-                for q, m in terms if rem % (q * q) == 0)
-        _coprime_cache[key] = c
-    return c
+        _coprime_cache[g] = terms
+    return sum(m * table[rem // (q * q)] for q, m in terms if rem % (q * q) == 0)
 
 
 def _semi_ok(x: int, dfac, s_set: PrimeSet) -> bool:
@@ -344,15 +364,21 @@ def n_oracle(bound: int, k: int, s_set: PrimeSet) -> int:
     semi-integral condition depends only on (x, z) and is checked once
     per class.  The result is doubled for the sign of x.
     """
-    return 2 * sum(_coprime_count(dfac.value, 4 * k, g)
-                   for x, dfac, _, g in _classes(_oracle_bound(bound, k), True)
-                   if _semi_ok(x, dfac, s_set))
+    b = _oracle_bound(bound, k)
+    table = _vector_counts(4 * k, b * b)
+    return 2 * sum(_coprime_count(table, dfac.value, g)
+                   for x, dfac, _, g in _classes(b, True) if _semi_ok(x, dfac, s_set))
 
 
 def _iter_vectors(rem: int, left: int):
-    if left == 0:
-        if rem == 0:
-            yield ()
+    """Vectors of length left >= 1 and squared norm rem: first entry t = 0, 1, ...
+    ascending, t before -t; the last entry is +-isqrt of what is left."""
+    if left == 1:
+        t = isqrt(rem)
+        if t * t == rem:
+            yield (t,)
+            if t:
+                yield (-t,)
         return
     t = 0
     while t * t <= rem:
@@ -387,9 +413,11 @@ def point_classes(bound: int, k: int = 1) -> list:
     Members are counted, not built; every geometric predicate depends on a
     point only through (x, h, z), so the first point stands for its class.
     """
+    b = _oracle_bound(bound, k)
+    table = _vector_counts(4 * k, b * b)
     return [(next(_class_points(k, x, dfac, z, g)), n)
-            for x, dfac, z, g in _classes(_oracle_bound(bound, k), False)
-            if (n := _coprime_count(dfac.value, 4 * k, g))]
+            for x, dfac, z, g in _classes(b, False)
+            if (n := _coprime_count(table, dfac.value, g))]
 
 
 # ---------------------------------------------------------------------------

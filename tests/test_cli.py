@@ -47,7 +47,7 @@ def test_count_timings_flag(capsys):
 
 
 def test_capacity_exit_code(capsys):
-    code, _ = _run(capsys, ["count", "--k", "1", "--bound", "200",
+    code, _ = _run(capsys, ["count", "--k", "1", "--bound", "251",
                             "--method", "oracle"])
     assert code == 3
     # k = 2 takes the model under auto; the brute-force r_8 table stops at B = 353

@@ -1,10 +1,13 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from semicubic import counting
 from semicubic.arith import CapacityError, DomainError, PrimeSet
 from semicubic.counting import (
+    ORACLE_BOUND_LIMITS,
     CountReport,
     CountRequest,
     RSource,
@@ -182,10 +185,10 @@ def test_oracle_examples():
 
 
 def test_oracle_guard():
-    with pytest.raises(CapacityError):
-        n_oracle(101, 1, S0)
-    with pytest.raises(CapacityError):
-        n_oracle(13, 2, S0)
+    # one step past each edge of ORACLE_BOUND_LIMITS, and k = 5 at any bound
+    for bound, k in ((251, 1), (201, 2), (151, 3), (151, 4), (1, 5)):
+        with pytest.raises(CapacityError):
+            n_oracle(bound, k, S0)
     # a fractional bound reaches the oracle unchanged instead of being truncated
     with pytest.raises(DomainError):
         count_report(req(Fraction(7, 2)), with_oracle=True)
@@ -212,6 +215,61 @@ def test_point_classes_against_iter_points():
             want[(pt.x, pt.h, pt.z)] = (first, n + 1)
         # same classes in the same order, same first points and member counts
         assert point_classes(bound, k=k) == list(want.values()), (bound, k)
+
+
+# sha256 of the repr of each list below, recorded while _iter_vectors still
+# looped over every value of the last coordinate
+POINT_PINS = {
+    "iter_points(25, 1)":
+        "f2586adec1d985708b9c4c1cc824da71a20026576292c4f5506538114b720f5b",
+    "point_classes(40)":
+        "e5b999a47ab5cc18b5d56960b601f70064875ecb60c9ce15f40fe21d1ed9e3f6",
+    "point_classes(12, 2)":
+        "61da18717e4c1fc5a646587ff1166276783a55525ac852a9e60e6b2f9ab6a05f",
+}
+
+
+def test_point_order_pins():
+    # same points in the same order, same class representatives and counts
+    lists = {
+        "iter_points(25, 1)": [(p.x, p.ys, p.z) for p in iter_points(25, 1)],
+        "point_classes(40)": [((p.x, p.ys, p.z), n) for p, n in point_classes(40)],
+        "point_classes(12, 2)": [((p.x, p.ys, p.z), n) for p, n in point_classes(12, 2)],
+    }
+    for name, got in lists.items():
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == POINT_PINS[name], name
+
+
+def test_oracle_at_guard_edges(monkeypatch):
+    # cold caches; oracle = Mobius at every edge, the model for k <= 2 and the
+    # brute-force table above; then one table per length j, as long as the
+    # largest edge that reads it asks for (B^2 + 1 entries) and no longer
+    monkeypatch.setattr(counting, "_signed_cache", {})
+    monkeypatch.setattr(counting, "_coprime_cache", {})
+    for k, edge in ORACLE_BOUND_LIMITS.items():
+        source = RSource.JACOBI if k <= 2 else RSource.EXACT
+        for s_set in (S0, S23):
+            assert n_oracle(edge, k, s_set) == n_mobius(edge, req(edge, k, s_set, source)), \
+                (k, str(s_set))
+    tables = counting._signed_cache
+    assert sorted(tables) == list(range(1, 4 * max(ORACLE_BOUND_LIMITS) + 1))
+    for j, table in tables.items():
+        assert len(table) == 1 + max(edge * edge for k, edge in ORACLE_BOUND_LIMITS.items()
+                                     if 4 * k >= j), j
+
+
+def test_oracle_tables_extend_in_place(monkeypatch):
+    monkeypatch.setattr(counting, "_signed_cache", {})
+    cold = {j: list(counting._vector_counts(j, 400)) for j in range(1, 9)}
+    monkeypatch.setattr(counting, "_signed_cache", {})
+    lengths = []
+    for bound, k in ((12, 1), (13, 1), (5, 2), (15, 1), (20, 1), (12, 2)):
+        n_oracle(bound, k, S0)
+        lengths.append(len(counting._signed_cache[4 * k]))
+    # each table grows to the largest B^2 it met, and equals a cold build
+    assert lengths == [145, 170, 26, 226, 401, 145]
+    for j, table in counting._signed_cache.items():
+        assert table == cold[j][:len(table)], j
 
 
 def test_oracle_k2_small():

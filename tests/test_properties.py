@@ -15,6 +15,7 @@ from semicubic.arith import PrimeSet  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
     RSource,
+    _signed_count,
     count_report,
     n_mobius,
     n_oracle,
@@ -56,3 +57,10 @@ def test_routes_agree_k1(bound, s_set):
 @given(bound=st.integers(1, 12), s_set=PRIME_SETS)
 def test_routes_agree_k2(bound, s_set):
     _assert_routes_agree(bound, 2, s_set)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(0, 60), j=st.integers(0, 8))
+def test_signed_count_in_any_order(m, j, literal_vector_counts):
+    # random order: each draw may find its length's table shorter or longer than m
+    assert _signed_count(m, j) == literal_vector_counts[m, j]

@@ -59,6 +59,11 @@ def test_bruteforce_against_signed_count():
         assert list(t.counts) == [_signed_count(d, 4 * k) for d in range(top + 1)]
 
 
+def test_signed_count_against_literal_enumeration(literal_vector_counts):
+    for (m, j), want in literal_vector_counts.items():
+        assert _signed_count(m, j) == want, (m, j)
+
+
 def test_bruteforce_digest():
     # sha256 of repr(counts), recorded with 12 rounds of direct convolution
     counts = r4k_bruteforce(20000, 3).counts

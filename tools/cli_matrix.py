@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 7 s on a 2-core x86 machine.
+Stdlib only; about 4 s on a 2-core x86 machine.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ EXTRA = [
     ["count", "--k", "1", "--bound", "20", "--method", "both", "--with-st"],
     ["count", "--k", "2", "--bound", "8", "--method", "both", "--r-source", "exact"],
     ["verify", "--suite", "all"],
+    # the oracle at k = 1, 2, 3 up to B = 100, 12, 5, which older trees with
+    # tighter guards accept too, two prime sets each, and at k = 4
+    *(["count", "--k", k, "--bound", bound, "--method", "both", "--with-st"] + s
+      for k, bound in (("1", "100"), ("2", "12"), ("3", "5"))
+      for s in ([], ["--exclude-primes", "2,3"])),
+    ["count", "--k", "4", "--bound", "20", "--method", "both", "--with-st"],
     # usage errors (exit 2)
     ["predict", "--bounds", "a"],
     ["predict", "--bounds", "0"],
@@ -80,7 +86,8 @@ EXTRA = [
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
     ["predict", "--k", "7", "--prime-cutoff", "1000000"],
     ["local-factors", "--k", "8", "--prime-cutoff", "100000"],
-    # capacity guards (exit 3), and the model past the table's guard (exit 0)
+    # the oracle at k = 1, B = 200 (inside its guard), the table's capacity
+    # guard (exit 3), and the model past it (exit 0)
     ["count", "--k", "1", "--bound", "200", "--method", "oracle"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "exact"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "auto"],
