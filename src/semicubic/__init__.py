@@ -27,11 +27,9 @@ from .arith import (
     mobius,
     primes_up_to,
     vp,
-    vp_rational,
     zeta_real,
 )
 from .counting import (
-    CountReport,
     CountRequest,
     RSource,
     count_report,
@@ -46,15 +44,12 @@ from .counting import (
 from .geometry import (
     MultPair,
     SurfacePoint,
-    height,
     height_le,
-    height_parts,
     intersection_mults,
     m_point_ok,
     semi_integral_ok,
 )
 from .reps import (
-    RepCountTable,
     r4_jacobi,
     r4k_bruteforce,
     r4k_main_coeff,

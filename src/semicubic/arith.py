@@ -130,12 +130,6 @@ class Factorization:
         if prod != self.value:
             raise DomainError("factor list does not reconstruct the value")
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def cube(self) -> "Factorization":
         return Factorization(self.value ** 3, tuple((p, 3 * e) for p, e in self.factors))
 
@@ -172,13 +166,6 @@ def vp(p: int, n: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def vp_rational(p: int, num: int, den: int) -> int:
-    """Valuation of num/den; independent of common factors."""
-    if num == 0 or den == 0:
-        raise DomainError("vp_rational requires nonzero numerator and denominator")
-    return vp(p, num) - vp(p, den)
 
 
 def mobius(n: int) -> int:

@@ -8,7 +8,7 @@ byte-identical reruns.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error
 (including a --k or bound too large for the float arithmetic), 3 capacity
-guard.
+guard (including a bound too large for memory).
 """
 
 from __future__ import annotations
@@ -86,7 +86,9 @@ def _cmd_count(args) -> int:
     rep = count_report(_request(args, args.bound),
                        with_oracle=args.method in ("oracle", "both"),
                        with_st=args.with_st)
-    _emit_json(rep.to_json_dict(include_timings=args.timings), args.out)
+    if not args.timings:
+        del rep["timings"]
+    _emit_json(rep, args.out)
     return 0
 
 
@@ -103,7 +105,7 @@ def _count_rows(args) -> list:
     the prediction it rests on and the count report, with S and T."""
     rep = constants_report(args.k, args.exclude_primes, args.prime_cutoff, args.bounds)
     counts = (count_report(_request(args, b), with_st=True) for b in args.bounds)
-    return [((b, r.tuples, r.points, pred["n_main"], r.tuples / pred["n_main"]),
+    return [((b, r["tuples"], r["points"], pred["n_main"], r["tuples"] / pred["n_main"]),
              pred, r) for b, pred, r in zip(args.bounds, rep["predictions"], counts)]
 
 
@@ -136,7 +138,7 @@ def _cmd_local_factors(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = [(*row, r.s_value, pred["s_main"], r.t_value, pred["t_main"])
+    rows = [(*row, r["s_value"], pred["s_main"], r["t_value"], pred["t_main"])
             for row, pred, r in _count_rows(args)]
     _emit_csv(
         ["B", "tuples", "points", "n_main", "ratio_tuples",
@@ -320,7 +322,7 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 
     --exclude-primes becomes a PrimeSet, --bounds a list of ints, and
     --r-source an RSource (auto: the scaled model for k <= 2, the table
-    above).  Raises DomainError on bad input.
+    above; rstar for count only).  Raises DomainError on bad input.
     """
     try:
         if hasattr(args, "exclude_primes"):
@@ -332,6 +334,9 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     except ValueError as exc:  # a token that is not an integer
         raise DomainError(f"expected comma-separated integers: {exc}") from exc
     if hasattr(args, "r_source"):
+        if args.r_source == "rstar" and args.command != "count":
+            # its columns would print the unscaled model as tuples; count names it
+            raise DomainError(f"--r-source rstar is for count only, not {args.command}")
         args.r_source = (_SOURCES[args.r_source] if args.r_source != "auto"
                          else RSource.JACOBI if args.k <= 2 else RSource.EXACT)
     if getattr(args, "prime_cutoff", 2) < 2:  # no prime lies below 2
@@ -363,6 +368,9 @@ def run(args: argparse.Namespace) -> int:
         return commands[args.command](args)
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # arrays of a bound past what this machine can hold
+        print("capacity guard: out of memory; lower the bound or --k", file=sys.stderr)
         return 3
     except DomainError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -27,10 +27,9 @@ so any partition of the n-range reduces to a bit-identical total.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -92,16 +91,6 @@ class CountRequest:
                          else self.r_source.value),
             "z_boundary": "half_open",  # |z| < B in every route, by convention
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CountRequest":
-        name = d["r_source"]
-        return cls(
-            k=d["k"],
-            bound=Fraction(d["bound"]),
-            s_set=PrimeSet.parse(d["exclude_primes"]),
-            r_source=RSource.JACOBI if name == f"jacobi_k{d['k']}" else RSource(name),
-        )
 
 
 def _factor_from_spf(n: int, spf: list) -> list:
@@ -423,73 +412,28 @@ def point_classes(bound: int, k: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # Reports
 
-@dataclass
-class CountReport:
-    request: CountRequest
-    n_star_values: dict
-    n_mobius: int
-    n_oracle: int = None
-    s_value: int = None
-    t_value: int = None
-    timings: dict = field(default_factory=dict)
-
-    @property
-    def tuples(self) -> int:
-        return self.n_mobius
-
-    @property
-    def points(self) -> int:
-        return self.n_mobius // 2
-
-    def to_json_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "schema": "v1",
-            "request": self.request.to_json_dict(),
-            "n_star_values": {str(e): v for e, v in self.n_star_values.items()},
-            "n_mobius": self.n_mobius,
-            "tuples": self.tuples,
-            "points": self.points,
-            "n_oracle": self.n_oracle,
-            "s_value": self.s_value,
-            "t_value": self.t_value,
-        }
-        if include_timings:
-            out["timings"] = dict(self.timings)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CountReport":
-        return cls(
-            request=CountRequest.from_json_dict(d["request"]),
-            n_star_values={int(e): v for e, v in d["n_star_values"].items()},
-            n_mobius=d["n_mobius"],
-            n_oracle=d.get("n_oracle"),
-            s_value=d.get("s_value"),
-            t_value=d.get("t_value"),
-            timings=dict(d.get("timings", {})),
-        )
-
-    def to_json(self, include_timings: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timings), indent=2)
-
-
 def count_report(req: CountRequest, with_oracle: bool = False,
-                 with_st: bool = False) -> CountReport:
-    timings = {}
+                 with_st: bool = False) -> dict:
+    """The count artifact, keys in output order: {e: n_star(B/e)}, the Mobius
+    total as tuples and points, the oracle, S and T (None unless asked for),
+    then the timings of the routes that ran."""
     t0 = time.perf_counter()
     by_d, total, sv, tv = _walk(req.bound, req)
-    timings["mobius_s"] = time.perf_counter() - t0
+    timings = {"mobius_s": time.perf_counter() - t0}
     oracle = None
     if with_oracle:
         t0 = time.perf_counter()
         oracle = n_oracle(req.bound, req.k, req.s_set)
         timings["oracle_s"] = time.perf_counter() - t0
-    return CountReport(
-        request=req,
-        n_star_values=by_d,
-        n_mobius=total,
-        n_oracle=oracle,
-        s_value=sv if with_st else None,
-        t_value=tv if with_st else None,
-        timings=timings,
-    )
+    return {
+        "schema": "v1",
+        "request": req.to_json_dict(),
+        "n_star_values": by_d,  # int keys; json writes them as strings
+        "n_mobius": total,
+        "tuples": total,
+        "points": total // 2,
+        "n_oracle": oracle,
+        "s_value": sv if with_st else None,
+        "t_value": tv if with_st else None,
+        "timings": timings,
+    }

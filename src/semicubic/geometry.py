@@ -42,27 +42,10 @@ class SurfacePoint:
         if math.gcd(self.x, self.z, *self.ys) != 1:
             raise DomainError("coordinates are not coprime")
 
-    def to_json_dict(self) -> dict:
-        return {"k": self.k, "x": self.x, "ys": list(self.ys), "z": self.z}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SurfacePoint":
-        return cls(k=d["k"], x=d["x"], ys=tuple(d["ys"]), z=d["z"])
-
 
 class MultPair(NamedTuple):
     n1: int
     n2: int
-
-
-def height(pt: SurfacePoint) -> float:
-    """max(|x|, sqrt(h), |z|) as a float; for display only."""
-    return max(abs(pt.x), math.sqrt(pt.h), abs(pt.z))
-
-
-def height_parts(pt: SurfacePoint) -> tuple:
-    """(max(|x|, |z|), h): the exact integer data the height compares on."""
-    return max(abs(pt.x), abs(pt.z)), pt.h
 
 
 def height_le(pt: SurfacePoint, bound) -> bool:

@@ -22,7 +22,14 @@ import pytest
 from semicubic import counting
 from semicubic.arith import PrimeSet
 from semicubic.cli import main
-from semicubic.counting import CountRequest, RSource, n_star_by_divisor, s_sum, t_sum
+from semicubic.counting import (
+    CountRequest,
+    RSource,
+    count_report,
+    n_star_by_divisor,
+    s_sum,
+    t_sum,
+)
 
 SETS = ("", "2", "2,3", "5,7")
 
@@ -46,7 +53,8 @@ COUNT_B97 = {
 }
 
 # B,tuples,s_sum,t_sum of `table --bounds 50,99,300`; auto is the k = 1
-# divisor-sum weight, rstar the model without the factor 8
+# divisor-sum weight, rstar the model without the factor 8 (table refuses
+# rstar, so its text is rebuilt from count_report)
 TABLE_INT_COLUMNS = {
     ("auto", ""): "bfd0557b87982441b61a41191efc3de3bb31d98c6ff5af7cc43ec1edd7117a2a",
     ("auto", "2"): "71bfc22b6b3b43a126ca674c36a03b4c758504bbef7f6993ab484775300ab0e6",
@@ -121,11 +129,21 @@ def _table_int_columns(k, bounds, source, s):
     return "\n".join(",".join(r[i] for i in cols) for r in rows) + "\n"
 
 
+def _rstar_int_columns(bounds, s):
+    """The text _table_int_columns gave for --r-source rstar, from count_report."""
+    s_set = PrimeSet.parse(s)
+    rows = [count_report(CountRequest(k=1, bound=b, s_set=s_set, r_source=RSource.RSTAR),
+                         with_st=True) for b in bounds]
+    return "B,tuples,s_sum,t_sum\n" + "".join(
+        f"{b},{r['tuples']},{r['s_value']},{r['t_value']}\n" for b, r in zip(bounds, rows))
+
+
 @pytest.mark.parametrize("s", SETS)
 def test_table_integer_column_digests(s):
-    for source in ("auto", "rstar"):
-        text = _table_int_columns(1, "50,99,300", source, s)
-        assert _sha(text) == TABLE_INT_COLUMNS[source, s], (source, s, text)
+    text = _table_int_columns(1, "50,99,300", "auto", s)
+    assert _sha(text) == TABLE_INT_COLUMNS["auto", s], (s, text)
+    text = _rstar_int_columns((50, 99, 300), s)
+    assert _sha(text) == TABLE_INT_COLUMNS["rstar", s], (s, text)
     text = _table_int_columns(2, "50,99", "auto", s)
     assert _sha(text) == TABLE_K2_INT_COLUMNS[s], (s, text)
     text = _table_int_columns(3, "60,120", "auto", s)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from semicubic import cli
 from semicubic.cli import build_parser, config_from_args, main, run
-from semicubic.counting import CountReport, RSource
+from semicubic.counting import RSource
 
 
 def _run(capsys, argv):
@@ -20,9 +21,7 @@ def test_count_json_and_round_trip(capsys):
     assert blob["schema"] == "v1"
     assert blob["n_oracle"] == blob["n_mobius"]
     assert blob["points"] * 2 == blob["tuples"]
-    rep = CountReport.from_json_dict(blob)
-    assert rep.n_mobius == blob["n_mobius"]
-    assert rep.request.k == 1
+    assert blob["request"]["k"] == 1
 
 
 def test_count_with_exclusions_and_st(capsys):
@@ -46,15 +45,26 @@ def test_count_timings_flag(capsys):
     assert "timings" in json.loads(out)
 
 
-def test_capacity_exit_code(capsys):
+def test_capacity_exit_code(capsys, monkeypatch):
     code, _ = _run(capsys, ["count", "--k", "1", "--bound", "251",
                             "--method", "oracle"])
     assert code == 3
-    # k = 2 takes the model under auto; the brute-force r_8 table stops at B = 353
+    # k = 2 takes the model under auto; the brute-force r_8 table stops at B = 381
     for source, want in (("auto", 0), ("exact", 3)):
-        code, _ = _run(capsys, ["count", "--k", "2", "--bound", "400",
+        code, _ = _run(capsys, ["count", "--k", "2", "--bound", "382",
                                 "--r-source", source])
         assert code == want, source
+
+    # a bound whose arrays do not fit in memory is a capacity refusal too
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "count_report", out_of_memory)
+    code = main(["count", "--k", "1", "--bound", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("capacity guard: ") and "Traceback" not in err, err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 def _assert_usage_error(capsys, argv):
@@ -83,6 +93,9 @@ BAD_BOUNDS = [
     # not a bound: no prime lies below the cutoff
     ["local-factors", "--prime-cutoff", "0"],
     ["local-factors", "--prime-cutoff", "-5"],
+    # not a bound: the unscaled model would be printed as the tuple count
+    ["compare", "--k", "1", "--bounds", "50,99", "--format", "csv", "--r-source", "rstar"],
+    ["table", "--k", "1", "--bounds", "50,99", "--r-source", "rstar"],
 ]
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,7 +10,6 @@ from semicubic import counting
 from semicubic.arith import CapacityError, DomainError, PrimeSet
 from semicubic.counting import (
     ORACLE_BOUND_LIMITS,
-    CountReport,
     CountRequest,
     RSource,
     count_report,
@@ -22,6 +23,7 @@ from semicubic.counting import (
     s_sum,
     t_sum,
 )
+from semicubic.geometry import SurfacePoint, height_le
 from semicubic.reps import r4k_bruteforce, r4k_main_coeff, r4k_star
 
 S0 = PrimeSet.empty()
@@ -172,8 +174,9 @@ def test_jacobi_requires_k1():
 
 
 def test_exact_capacity_guard():
+    # one step past the table's edge at k = 1, B = 518
     with pytest.raises(CapacityError):
-        n_star(10**4, req(10**4, source=RSource.EXACT))
+        n_star(519, req(519, source=RSource.EXACT))
 
 
 # --- oracle -----------------------------------------------------------------
@@ -205,6 +208,28 @@ def test_oracle_against_point_enumeration():
                 if semi_integral_ok(pt, s_set)
             )
             assert n_oracle(bound, 1, s_set) == direct
+
+
+def test_iter_points_height_window():
+    # the definition H <= B, listed: x <= B, every y_i in [-B, B], z = x^3/h,
+    # coprime, kept by height_le (and |z| < B for the strict form)
+    for bound, k in ((1, 1), (2, 1), (3, 1), (5, 1), (6, 1), (2, 2)):
+        closed, strict = set(), set()
+        for ys in product(range(-bound, bound + 1), repeat=4 * k):
+            if not (h := sum(y * y for y in ys)):
+                continue
+            for x in range(1, bound + 1):
+                if x**3 % h == 0 and math.gcd(x, x**3 // h, *ys) == 1:
+                    pt = SurfacePoint(k=k, x=x, ys=ys, z=x**3 // h)
+                    if height_le(pt, bound):
+                        closed.add(pt)
+                        if abs(pt.z) < bound:
+                            strict.add(pt)
+        got = list(iter_points(bound, k))
+        assert len(got) == len(closed) and set(got) == closed, (bound, k)
+        if k == 1:
+            got = list(iter_points(bound, k, strict_z=True))
+            assert len(got) == len(strict) and set(got) == strict, bound
 
 
 def test_point_classes_against_iter_points():
@@ -321,7 +346,7 @@ def test_s_t_k2_against_definitions():
 def _assert_walk_st(r, s_value, t_value):
     """The count's own S and T equal the separate s_sum and t_sum passes."""
     rep = count_report(r, with_st=True)
-    assert (rep.s_value, rep.t_value) == (s_value, t_value), (r.k, r.bound, r.r_source)
+    assert (rep["s_value"], rep["t_value"]) == (s_value, t_value), (r.k, r.bound, r.r_source)
 
 
 def test_st_nstar_relation():
@@ -353,16 +378,11 @@ def test_st_nstar_relation():
 def test_count_report_round_trip():
     for r in (req(20, s_set=S23), req(10, k=2, s_set=S23)):
         rep = count_report(r, with_oracle=True, with_st=True)
-        assert rep.n_oracle == rep.n_mobius
-        assert rep.points == rep.tuples // 2
-        blob = rep.to_json(include_timings=False)
-        assert json.loads(blob)["request"]["r_source"] == f"jacobi_k{r.k}"
-        back = CountReport.from_json_dict(json.loads(blob))
-        assert back.request == rep.request
-        assert back.n_star_values == rep.n_star_values
-        assert back.n_mobius == rep.n_mobius
-        assert back.n_oracle == rep.n_oracle
-        assert back.s_value == rep.s_value and back.t_value == rep.t_value
+        assert rep["n_oracle"] == rep["n_mobius"]
+        assert rep["points"] == rep["tuples"] // 2
+        assert rep["request"]["r_source"] == f"jacobi_k{r.k}"
+        back = json.loads(json.dumps(rep))  # int keys come back as strings
+        assert {int(e): v for e, v in back["n_star_values"].items()} == rep["n_star_values"]
 
 
 def test_count_report_walks_once(monkeypatch):
@@ -377,12 +397,12 @@ def test_count_report_walks_once(monkeypatch):
         monkeypatch.setattr(counting, name, counted)
     rep = count_report(req(40, s_set=S23), with_st=True)
     assert calls == {"_profiles": 1, "mobius_sieve": 1}
-    assert rep.s_value is not None and rep.t_value is not None
+    assert rep["s_value"] is not None and rep["t_value"] is not None
 
 
 def test_count_report_mobius_recomputation():
     from semicubic.arith import mobius
 
     rep = count_report(req(30))
-    recomputed = sum(mobius(e) * v for e, v in rep.n_star_values.items())
-    assert recomputed == rep.n_mobius
+    recomputed = sum(mobius(e) * v for e, v in rep["n_star_values"].items())
+    assert recomputed == rep["n_mobius"]

@@ -1,11 +1,9 @@
 import pytest
 
-from semicubic.arith import DomainError, PrimeSet, primes_up_to, vp, vp_rational
+from semicubic.arith import DomainError, PrimeSet, primes_up_to, vp
 from semicubic.geometry import (
     SurfacePoint,
-    height,
     height_le,
-    height_parts,
     intersection_mults,
     m_point_ok,
     semi_integral_ok,
@@ -31,12 +29,9 @@ def test_constructor_validation():
 def test_height_examples():
     p1 = SurfacePoint(k=1, x=1, ys=E1, z=1)
     assert height_le(p1, 1)
-    assert height_parts(p1) == (1, 1)
     p2 = SurfacePoint(k=1, x=2, ys=(1, 1, 0, 0), z=4)
     assert not height_le(p2, 3)
     assert height_le(p2, 4)
-    assert height(p2) == 4.0
-    assert height_parts(p2) == (4, 2)
 
 
 def test_negative_x_accepted():
@@ -81,33 +76,10 @@ def test_branch_consistency(height40):
     assert hit > 0
 
 
-def test_scale_invariance_via_vp_rational(height40):
-    _, classes = height40
-    for pt in classes[:40]:
-        for d in (1, 2, 6, 45):
-            for p in (2, 3, 5):
-                assert vp_rational(p, d * pt.z, d * pt.x) == vp(p, pt.z) - vp(p, pt.x)
-
-
 def test_valuation_difference_identity(height40):
     # v_p(z) - v_p(x) equals the valuation of x^2/h
     _, classes = height40
     for pt in classes:
         for p in primes_up_to(100):
-            assert vp(p, pt.z) - vp(p, pt.x) == vp_rational(p, pt.x**2, pt.h)
+            assert vp(p, pt.z) - vp(p, pt.x) == vp(p, pt.x**2) - vp(p, pt.h)
 
-
-def test_json_round_trip():
-    p2 = SurfacePoint(k=1, x=2, ys=(1, 1, 0, 0), z=4)
-    d = p2.to_json_dict()
-    assert d == {"k": 1, "x": 2, "ys": [1, 1, 0, 0], "z": 4}
-    assert SurfacePoint.from_json_dict(d) == p2
-
-
-def test_height_float_matches_exact_predicate(height40):
-    # the float height agrees with the exact form away from sqrt ties
-    _, classes = height40
-    for pt in classes:
-        for b in (5, 17, 40):
-            if pt.h != b * b:
-                assert height_le(pt, b) == (height(pt) <= b)

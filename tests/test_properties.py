@@ -50,7 +50,7 @@ def test_routes_agree_k1(bound, s_set):
     assert 16 * (sv - tv) == n_star(bound, _req(bound, 1, s_set, RSource.JACOBI))
     for source in RSource:  # the count's own S and T equal the separate passes
         rep = count_report(_req(bound, 1, s_set, source), with_st=True)
-        assert (rep.s_value, rep.t_value) == (sv, tv), (bound, str(s_set), source)
+        assert (rep["s_value"], rep["t_value"]) == (sv, tv), (bound, str(s_set), source)
 
 
 @PROPERTY

@@ -30,13 +30,12 @@ def _count_vectors(d, dim):
 
 
 def test_bruteforce_examples():
-    t = r4k_bruteforce(4, 1)
-    assert list(t.counts) == [1, 8, 24, 32, 24]
-    assert list(r4k_bruteforce(1, 2).counts) == [1, 16]
+    assert r4k_bruteforce(4, 1) == (1, 8, 24, 32, 24)
+    assert r4k_bruteforce(1, 2) == (1, 16)
     assert r4k_bruteforce(2, 2)[2] == 112
     # inside the budget; (2 isqrt(1) + 1)^(4k) alone would ask for
     # 477,122-digit slots, the l1 bound 2,000,001 for 7 digits
-    assert r4k_bruteforce(1, 250000).counts == (1, 2000000)
+    assert r4k_bruteforce(1, 250000) == (1, 2000000)
 
 
 def test_bruteforce_against_nested_enumeration():
@@ -54,9 +53,8 @@ def test_bruteforce_against_signed_count():
     cases = [(k, top) for k in range(1, 7) for top in (1, 2, 3)]
     cases += [(1, 200), (2, 200), (3, 200), (4, 40), (5, 40)]
     for k, top in cases:
-        t = r4k_bruteforce(top, k)
-        assert t.limit == top
-        assert list(t.counts) == [_signed_count(d, 4 * k) for d in range(top + 1)]
+        assert list(r4k_bruteforce(top, k)) == [_signed_count(d, 4 * k)
+                                                for d in range(top + 1)]
 
 
 def test_signed_count_against_literal_enumeration(literal_vector_counts):
@@ -66,13 +64,16 @@ def test_signed_count_against_literal_enumeration(literal_vector_counts):
 
 def test_bruteforce_digest():
     # sha256 of repr(counts), recorded with 12 rounds of direct convolution
-    counts = r4k_bruteforce(20000, 3).counts
+    counts = r4k_bruteforce(20000, 3)
     assert counts[:4] == (1, 24, 264, 1760)
     assert hashlib.sha256(repr(counts).encode()).hexdigest() == R12_20000_SHA
 
 
 def test_bruteforce_capacity_guard():
+    # B = 518 is the last count bound whose r_4 table fits the digit budget
     with pytest.raises(CapacityError):
+        r4k_bruteforce(519 * 519, 1)
+    with pytest.raises(CapacityError):  # refused at once: no power of 9 is raised
         r4k_bruteforce(10**9, 1)
     with pytest.raises(DomainError):
         r4k_bruteforce(0, 1)

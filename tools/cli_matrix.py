@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 4 s on a 2-core x86 machine.
+Stdlib only; about 10 s on a 2-core x86 machine.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ EXTRA = [
     ["count", "--k", "1", "--bound", "200", "--method", "oracle"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "exact"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "auto"],
+    # the table's edges (B = 518, 381, 320 for k = 1, 2, 3) and one step past
+    *(["count", "--k", k, "--bound", str(edge + step), "--r-source", "exact"]
+      for k, edge in (("1", 518), ("2", 381), ("3", 320)) for step in (0, 1)),
 ]
 
 
