@@ -51,10 +51,23 @@ class EulerFactorInput:
     def __post_init__(self):
         if not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
-        if self.k < 1:
-            raise DomainError("k must be >= 1")
-        if not (self.s > 15 / 16 and self.w > 2 * self.k - 17 / 16):
-            raise DomainError("(s, w) outside the holomorphy domain")
+        _check_point(self.k, self.s, self.w)
+
+
+def _check_point(k: int, s: float, w: float) -> None:
+    """The checks of EulerFactorInput that do not depend on p."""
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if not (s > 15 / 16 and w > 2 * k - 17 / 16):
+        raise DomainError("(s, w) outside the holomorphy domain")
+
+
+class _SievedInput(EulerFactorInput):
+    """An EulerFactorInput whose p comes from primes_up_to, at a point the
+    caller passed through _check_point once for the whole sweep."""
+
+    def __post_init__(self):
+        pass
 
 
 @dataclass
@@ -221,6 +234,11 @@ def gp_special(p: int, k: int, in_S: bool) -> float:
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    return _gp_special(p, k, in_S)
+
+
+def _gp_special(p: int, k: int, in_S: bool) -> float:
+    """gp_special for a p known to be prime."""
     if p != 2:
         pf = float(p)
         if in_S:
@@ -276,10 +294,11 @@ def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductRes
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be at least 100")
     w = 2.0 * k - 1.0
+    _check_point(k, 1.0, w)
     value = 1.0
     c_fit = 0.0
     for p in primes_up_to(prime_cutoff):
-        g = gp(EulerFactorInput(p=p, k=k, in_S=p in s_set, s=1.0, w=w))
+        g = gp(_SievedInput(p=p, k=k, in_S=p in s_set, s=1.0, w=w))
         value *= g
         if p > 10:
             c_fit = max(c_fit, abs(math.log(g)) * p * p)
@@ -308,8 +327,20 @@ def _main_terms(k: int, g: float, lead: float, bound) -> dict:
 
 def centre_factors(p: int, k: int, in_S: bool) -> tuple:
     """(gp, gp_special) at the centre point (s, w) = (1, 2k-1)."""
-    certified = gp(EulerFactorInput(p=p, k=k, in_S=in_S, s=1.0, w=2.0 * k - 1.0))
-    return certified, gp_special(p, k, in_S)
+    return _centre_factors(EulerFactorInput(p=p, k=k, in_S=in_S, s=1.0, w=2.0 * k - 1.0))
+
+
+def _centre_factors(inp: EulerFactorInput) -> tuple:
+    return gp(inp), _gp_special(inp.p, inp.k, inp.in_S)
+
+
+def local_factors(k: int, s_set: PrimeSet, prime_cutoff: int):
+    """Yield (p, in_S, gp, gp_special) at (1, 2k-1) for each prime up to the cutoff."""
+    w = 2.0 * k - 1.0
+    _check_point(k, 1.0, w)
+    for p in primes_up_to(prime_cutoff):
+        in_s = p in s_set
+        yield (p, in_s, *_centre_factors(_SievedInput(p=p, k=k, in_S=in_s, s=1.0, w=w)))
 
 
 def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:

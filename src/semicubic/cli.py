@@ -26,6 +26,7 @@ from .analytic import (
     fp_closed,
     fp_series,
     gp,
+    local_factors,
 )
 from .counting import (
     CountRequest,
@@ -124,11 +125,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_local_factors(args) -> int:
-    rows = []
-    for p in primes_up_to(args.prime_cutoff):
-        in_s = p in args.exclude_primes
-        certified, printed = centre_factors(p, args.k, in_s)
-        rows.append((p, int(in_s), certified, printed, abs(certified - printed)))
+    rows = [(p, int(in_s), certified, printed, abs(certified - printed))
+            for p, in_s, certified, printed
+            in local_factors(args.k, args.exclude_primes, args.prime_cutoff)]
     _emit_csv(
         ["p", "in_S", "gp_value", "gp_special_value", "abs_diff"],
         rows,

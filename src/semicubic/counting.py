@@ -57,6 +57,13 @@ from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 # 2.5 s (k = 2), 1.9 s (k = 3) and 2.7 s (k = 4); k >= 5 is refused.
 ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 
+# Largest floor(B) a loop over n <= B accepts.  Its spf list, difference array
+# and Mobius list grow linearly in B: on the same machine one cold
+# `count --k 1 --bound 1000000` took 41 s and peaked at 245 MiB (VmHWM), and
+# 12 s and 96 MiB at B = 3 * 10^5; twice the limit would pass a budget of a
+# minute and 256 MiB.
+WALK_BOUND_LIMIT = 10**6
+
 
 class RSource(str, Enum):
     EXACT = "exact_bruteforce"
@@ -170,6 +177,12 @@ def n_star(bound, req: CountRequest) -> int:
     return n_star_by_divisor(bound, req).get(1, 0)
 
 
+def _check_walk_bound(nmax: int) -> None:
+    """Refuse a loop over n <= nmax past WALK_BOUND_LIMIT, before it allocates."""
+    if nmax > WALK_BOUND_LIMIT:
+        raise CapacityError(f"the loop over n <= {nmax} is guarded at B <= {WALK_BOUND_LIMIT}")
+
+
 def _walk(bound, req: CountRequest) -> tuple:
     """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
 
@@ -185,6 +198,7 @@ def _walk(bound, req: CountRequest) -> tuple:
     nmax = bn // bd
     bn2, bd2 = bn * bn, bd * bd
     cmax = (bn - 1) // bd
+    _check_walk_bound(nmax)
     table = r4k_bruteforce(bn2 // bd2, req.k) if req.r_source == RSource.EXACT else None
     diff = [0] * (nmax + 1)
     total = near = far = 0
@@ -233,6 +247,7 @@ def n_mobius(bound, req: CountRequest) -> int:
 
 def _cofactor_remainder(nmax: int, req: CountRequest, cap) -> int:
     """Model weight of the cofactors above cap, summed over n <= nmax."""
+    _check_walk_bound(nmax)
     return sum(total - sum(w for _, w in items)
                for _, items, total in _profiles(smallest_prime_factors(nmax), req, cap))
 

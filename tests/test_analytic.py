@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from semicubic import analytic
 from semicubic.arith import DomainError, PrimeSet, bernoulli, primes_up_to, zeta_real
 from semicubic.analytic import (
     EulerFactorInput,
+    centre_factors,
     constants_report,
     euler_product,
     f_poly,
@@ -245,3 +247,77 @@ def test_constants_report_fields():
     assert len(rep["predictions"]) == 2
     assert rep["predictions"][1]["n_main"] > rep["predictions"][0]["n_main"]
     assert rep["g2_special_vs_certified_abs_diff"] > 0.1
+
+
+# --- sieve primes are not re-checked ------------------------------------------
+
+# the four prime sets of the benchmark grid (perfbench/workloads.py, S_GRID)
+S_GRID = ("", "2", "2,3", "5,7")
+
+# repr of (value, tail_estimate) of euler_product(k, S, 10**5), recorded while
+# every prime still passed through is_prime: skipping the check moves no bit
+EULER_PINS = {
+    (1, ""): (0.7061360777613679, 2.6057699619782518e-06),
+    (1, "2"): (0.8596439207529817, 2.6057699619782518e-06),
+    (1, "2,3"): (1.0062001565765977, 2.6057699619782518e-06),
+    (1, "5,7"): (0.9010534739535115, 2.6057699619782518e-06),
+    (2, ""): (0.9185392720822545, 9.799222357322483e-08),
+    (2, "2"): (1.0412646034356554, 9.799222357322483e-08),
+    (2, "2,3"): (1.2041090245364143, 9.799222357322483e-08),
+    (2, "5,7"): (1.1471322049983228, 9.799222357322483e-08),
+    (3, ""): (0.8186779911899061, 1.1831918609429478e-07),
+    (3, "2"): (0.9377436216906964, 1.1831918609429478e-07),
+    (3, "2,3"): (1.0822849018051972, 1.1831918609429478e-07),
+    (3, "5,7"): (1.0216384225828816, 1.1831918609429478e-07),
+}
+
+
+def test_sieved_primes_skip_is_prime(monkeypatch):
+    sets = [PrimeSet.parse(s) for s in S_GRID]  # parsed while is_prime still works
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called on a sieve prime")
+
+    monkeypatch.setattr(analytic, "is_prime", refuse)
+    for k in (1, 2):
+        for s_set in sets:
+            assert euler_product(k, s_set, 10**4).value > 0
+        rows = list(analytic.local_factors(k, sets[2], 1000))
+        assert [p for p, *_ in rows] == primes_up_to(1000)
+
+
+def test_euler_product_visits_each_prime_through_gp(monkeypatch):
+    # the benchmark's analytic.primes_visited counts gp calls under euler_product
+    calls = []
+
+    def counted(inp):
+        calls.append(inp.p)
+        return gp(inp)
+
+    monkeypatch.setattr(analytic, "gp", counted)
+    euler_product(1, PrimeSet.of(2, 3), 10**4)
+    assert calls == primes_up_to(10**4)
+
+
+def test_public_inputs_still_reject_composites():
+    for k in (1, 2):
+        with pytest.raises(DomainError, match="9 is not prime"):
+            _inp(9, k, False, 1.0, 2.0 * k - 1.0)
+        with pytest.raises(DomainError, match="9 is not prime"):
+            gp_special(9, k, False)
+        with pytest.raises(DomainError, match="9 is not prime"):
+            centre_factors(9, k, True)
+    # k and (s, w) are still checked once per product and per sweep
+    for bad_k in (0, -1):
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            euler_product(bad_k, PrimeSet.empty(), 1000)
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            list(analytic.local_factors(bad_k, PrimeSet.empty(), 1000))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_euler_product_pins(k):
+    for s in S_GRID:
+        ep = euler_product(k, PrimeSet.parse(s), 10**5)
+        assert (repr(ep.value), repr(ep.tail_estimate)) == tuple(
+            map(repr, EULER_PINS[k, s])), (k, s)

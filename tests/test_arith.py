@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from semicubic import arith
 from semicubic.arith import (
+    PRIME_SIEVE_LIMIT,
+    CapacityError,
     DomainError,
     Factorization,
     PrimeSet,
@@ -186,3 +189,17 @@ def test_prime_set():
     with pytest.raises(DomainError):  # past is_prime's range, refused before testing
         PrimeSet.of(10**18 + 3)
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_prime_sieve_guard(monkeypatch):
+    # one step past the edge is refused before the byte sieve is allocated
+    def no_sieve(*args):
+        raise AssertionError("the sieve was allocated")
+
+    monkeypatch.setattr(arith, "bytearray", no_sieve, raising=False)
+    for n in (PRIME_SIEVE_LIMIT + 1, 10**18):
+        with pytest.raises(CapacityError, match="guarded"):
+            primes_up_to(n)
+    # the edge itself reaches the sieve
+    with pytest.raises(AssertionError, match="allocated"):
+        primes_up_to(PRIME_SIEVE_LIMIT)

@@ -55,6 +55,19 @@ def test_capacity_exit_code(capsys, monkeypatch):
                                 "--r-source", source])
         assert code == want, source
 
+    # the loop over n stops at B = 10^6 and the prime sieve at a cutoff of 10^6:
+    # one step past each, and a bound of 10^9, are refused before any allocation
+    for argv in (["count", "--k", "1", "--bound", "1000000000"],
+                 ["count", "--k", "1", "--bound", "1000001"],
+                 ["predict", "--k", "1", "--prime-cutoff", "1000001"],
+                 ["compare", "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"],
+                 ["table", "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"],
+                 ["local-factors", "--k", "1", "--prime-cutoff", "1000001"]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert err.startswith("capacity guard: ") and "guarded" in err, (argv, err)
+
     # a bound whose arrays do not fit in memory is a capacity refusal too
     def out_of_memory(*args, **kwargs):
         raise MemoryError

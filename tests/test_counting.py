@@ -10,6 +10,7 @@ from semicubic import counting
 from semicubic.arith import CapacityError, DomainError, PrimeSet
 from semicubic.counting import (
     ORACLE_BOUND_LIMITS,
+    WALK_BOUND_LIMIT,
     CountRequest,
     RSource,
     count_report,
@@ -177,6 +178,33 @@ def test_exact_capacity_guard():
     # one step past the table's edge at k = 1, B = 518
     with pytest.raises(CapacityError):
         n_star(519, req(519, source=RSource.EXACT))
+
+
+def test_walk_capacity_guard(monkeypatch):
+    # one step past the edge is refused before the spf list, or anything else
+    # the loop over n holds, is allocated; the edge itself reaches the sieve
+    class Sieved(Exception):
+        pass
+
+    def no_sieve(n):
+        raise Sieved(n)
+
+    monkeypatch.setattr(counting, "smallest_prime_factors", no_sieve)
+    edge = WALK_BOUND_LIMIT
+    for source in RSource:
+        r = req(edge + 1, source=source)
+        with pytest.raises(CapacityError, match="guarded"):
+            n_mobius(edge + 1, r)
+        with pytest.raises(CapacityError, match="guarded"):
+            count_report(r, with_st=True)
+    with pytest.raises(CapacityError, match="guarded"):
+        s_sum(edge + 1, 10, req(10))
+    with pytest.raises(CapacityError, match="guarded"):
+        t_sum(edge + 1, req(edge + 1))
+    # floor(B) is what the loop runs to, so a fractional bound below edge + 1 passes
+    for bound in (edge, Fraction(2 * edge + 1, 2)):
+        with pytest.raises(Sieved):
+            n_mobius(bound, req(bound))
 
 
 # --- oracle -----------------------------------------------------------------
