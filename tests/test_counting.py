@@ -192,11 +192,8 @@ def test_walk_capacity_guard(monkeypatch):
     monkeypatch.setattr(counting, "smallest_prime_factors", no_sieve)
     edge = WALK_BOUND_LIMIT
     for source in RSource:
-        r = req(edge + 1, source=source)
         with pytest.raises(CapacityError, match="guarded"):
-            n_mobius(edge + 1, r)
-        with pytest.raises(CapacityError, match="guarded"):
-            count_report(r, with_st=True)
+            n_mobius(edge + 1, req(edge + 1, source=source))
     with pytest.raises(CapacityError, match="guarded"):
         s_sum(edge + 1, 10, req(10))
     with pytest.raises(CapacityError, match="guarded"):
