@@ -335,12 +335,29 @@ def _centre_factors(inp: EulerFactorInput) -> tuple:
 
 
 def local_factors(k: int, s_set: PrimeSet, prime_cutoff: int):
-    """Yield (p, in_S, gp, gp_special) at (1, 2k-1) for each prime up to the cutoff."""
+    """An iterator of (p, in_S, gp, gp_special) at (1, 2k-1) for each prime up to the cutoff.
+
+    Each row is computed when it is asked for, but every check runs in this
+    call, so a table written row by row is never cut short: k and (s, w),
+    the sieve's limit, and the float range.  The float powers of p grow
+    with p, so among the odd primes in the set, and among those outside
+    it, the largest overflows first; both are computed here.  p = 2, the
+    one prime with formulas of its own, is the first row.
+    """
     w = 2.0 * k - 1.0
     _check_point(k, 1.0, w)
-    for p in primes_up_to(prime_cutoff):
+    primes = primes_up_to(prime_cutoff)
+
+    def row(p: int) -> tuple:
         in_s = p in s_set
-        yield (p, in_s, *_centre_factors(_SievedInput(p=p, k=k, in_S=in_s, s=1.0, w=w)))
+        return (p, in_s, *_centre_factors(_SievedInput(p=p, k=k, in_S=in_s, s=1.0, w=w)))
+
+    last_in = max((p for p in s_set.primes if 2 < p <= prime_cutoff), default=None)
+    last_out = next((p for p in reversed(primes) if p > 2 and p not in s_set), None)
+    for p in (last_in, last_out):
+        if p is not None:
+            row(p)  # raises any OverflowError before the first row is read
+    return map(row, primes)
 
 
 def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:

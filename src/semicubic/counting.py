@@ -28,11 +28,13 @@ so any partition of the n-range reduces to a bit-identical total.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 from operator import add
 
@@ -63,6 +65,13 @@ ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 # 12 s and 96 MiB at B = 3 * 10^5; twice the limit would pass a budget of a
 # minute and 256 MiB.
 WALK_BOUND_LIMIT = 10**6
+
+# Smallest floor(B) whose loop over n is cut into blocks for forked children
+# (_walk); below it one block runs in this process.  On the same machine a
+# child that returns at once costs about 2 ms (fork, pipe, pickle, reap), and
+# two blocks took 1.02 times the time of one at k = 1, B = 1000, 0.71 at 1500,
+# 0.74 at 2000 and 0.57 at 2 * 10^4 (medians of 21 interleaved walks).
+_SHARD_MIN_N = 2000
 
 
 class RSource(str, Enum):
@@ -144,13 +153,13 @@ def _profile(factors, k, s_primes, hi_cap):
     return items, total
 
 
-def _profiles(spf: list, req: CountRequest, cap):
-    """Yield (n, items, total) with the model weights r*, for n = 1..nmax.
+def _profiles(spf: list, req: CountRequest, cap, start: int = 1, stop: int = 0):
+    """Yield (n, items, total) with the model weights r*, for start <= n < stop.
 
-    spf is smallest_prime_factors(nmax); cap is the cofactor cap, an int or
-    a function of n.
+    spf is smallest_prime_factors(nmax), and stop defaults to nmax + 1; cap
+    is the cofactor cap, an int or a function of n.
     """
-    for n in range(1, len(spf)):
+    for n in range(start, stop or len(spf)):
         hi = cap if isinstance(cap, int) else cap(n)
         yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi))
 
@@ -183,27 +192,131 @@ def _check_walk_bound(nmax: int) -> None:
         raise CapacityError(f"the loop over n <= {nmax} is guarded at B <= {WALK_BOUND_LIMIT}")
 
 
-def _walk(bound, req: CountRequest) -> tuple:
-    """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork safely.
 
-    Squarefree e with nonzero entries only.  Each cofactor adds its weight
-    at top(c); suffix sums give n_star(B/e) / 2.  Slot 0 and far (n > B/2)
-    take top(c) = 0, that is d > B^2, so S is the model total less them;
-    T is S less the model weight of the e = 1 window.
+    A forked child holds only the thread that forked, so a lock another
+    thread held stays locked in it: a process with threads walks alone.
     """
-    b = _as_fraction(bound)
-    if b < 1:
-        raise DomainError("bound must be >= 1")
+    threading = sys.modules.get("threading")  # never imported: no other thread
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blocks(nmax: int, parts: int) -> list:
+    """At most `parts` contiguous ranges [start, stop) covering n = 1..nmax, of equal cost.
+
+    The time per n is nearly flat within the near range (2n <= B) and within
+    the far range, and a near n, whose cofactors each take an isqrt, costs
+    about 3/2 of a far one: measured 1.3 to 1.6 at B = 2*10^4 to 3*10^5 on a
+    2-core x86 machine, although the two ranges generate about as many items.
+    """
+    half = nmax // 2
+    total = 3 * half + 2 * (nmax - half)
+    edges = {1, nmax + 1}
+    for i in range(1, parts):
+        t = total * i // parts
+        edges.add(1 + (t // 3 if t <= 3 * half else half + (t - 3 * half) // 2))
+    edges = sorted(edges)
+    return list(zip(edges, edges[1:]))
+
+
+def _child(task, write_fd: int, inherited: list) -> None:
+    """In a forked child: run task, pickle (ok, result or exception) to write_fd, _exit."""
+    status = 1
+    try:
+        # pickle and signal are imported where a walk in blocks needs them: at
+        # the top they would add about 2.5 ms to every start-up of the CLI
+        import pickle
+
+        for fd in inherited:  # the read ends of earlier siblings stay with the parent
+            os.close(fd)
+        try:
+            payload = (True, task())
+        except BaseException as exc:  # sent back, raised again in the parent
+            payload = (False, exc)
+        try:
+            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception that does not pickle
+            data = pickle.dumps((False, RuntimeError(repr(payload[1]))))
+        with open(write_fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(read_fd: int):
+    """The result a child sent through read_fd, or its exception, raised here."""
+    import pickle
+
+    with open(read_fd, "rb", closefd=False) as fh:
+        data = fh.read()
+    if not data:
+        raise CapacityError("a block of the loop over n was killed before it returned "
+                            "(out of memory?)")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _run_forked(tasks: list) -> list:
+    """[task() for task in tasks]: tasks[1:] each in a forked child, tasks[0] here.
+
+    A child leaves only through os._exit, after sending back its result or
+    its exception; the exception is raised here with its own type.  Every
+    child is reaped before this returns or raises; on failure the children
+    still running are killed first.
+    """
+    children = []  # (pid, read end)
+    done = False
+    try:
+        for task in tasks[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(task, write_fd, [read_fd] + [fd for _, fd in children])
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [tasks[0]()]
+        results += [_receive(fd) for _, fd in children]
+        done = True
+        return results
+    finally:
+        for pid, fd in children:
+            os.close(fd)  # first, so a child blocked on a full pipe gets EPIPE
+            if not done:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _walk_block(start: int, stop: int, spf: list, req: CountRequest, b: Fraction,
+                table) -> tuple:
+    """The loop over start <= n < stop: (diff, total, near, far).
+
+    Each cofactor adds its weight to diff at top(c) <= B/n, so diff needs
+    only the slots e <= B/start.  total is the model weight of every allowed
+    cofactor, near that of the e = 1 windows (the exact route only), and
+    far that of the cofactors of each far n (n > B/2) below its window.
+    """
     bn, bd = b.numerator, b.denominator
-    nmax = bn // bd
     bn2, bd2 = bn * bn, bd * bd
     cmax = (bn - 1) // bd
-    _check_walk_bound(nmax)
-    table = r4k_bruteforce(bn2 // bd2, req.k) if req.r_source == RSource.EXACT else None
-    diff = [0] * (nmax + 1)
+    diff = [0] * ((bn // bd) // start + 1)
     total = near = far = 0
-    spf = smallest_prime_factors(nmax)
-    for n, items, weight in _profiles(spf, req, cmax):
+    for n, items, weight in _profiles(spf, req, cmax, start, stop):
         total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
@@ -222,6 +335,45 @@ def _walk(bound, req: CountRequest) -> tuple:
             continue
         for c, w in items:
             diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
+    return diff, total, near, far
+
+
+def _walk(bound, req: CountRequest) -> tuple:
+    """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
+
+    Squarefree e with nonzero entries only.  Each cofactor adds its weight
+    at top(c); suffix sums give n_star(B/e) / 2.  Slot 0 and far (n > B/2)
+    take top(c) = 0, that is d > B^2, so S is the model total less them;
+    T is S less the model weight of the e = 1 window.
+
+    A far n generates every allowed cofactor c < B, although only those
+    in its e = 1 window (c >= n^3/B^2, about one in six at k = 1) enter
+    a count: T, the weight of the cofactors c >= B, is the total less the
+    weight of all of them.
+
+    From _SHARD_MIN_N on, the n-range is cut into contiguous blocks of
+    equal cost, one per usable CPU; this process walks the first and a
+    forked child each other, and the block results add up to the same
+    integers as one block.
+    """
+    b = _as_fraction(bound)
+    if b < 1:
+        raise DomainError("bound must be >= 1")
+    nmax = b.numerator // b.denominator
+    _check_walk_bound(nmax)
+    table = (r4k_bruteforce(b.numerator ** 2 // b.denominator ** 2, req.k)
+             if req.r_source == RSource.EXACT else None)
+    spf = smallest_prime_factors(nmax)  # built once; the children inherit it
+    parts = _usable_cpus() if nmax >= _SHARD_MIN_N else 1
+    results = _run_forked([partial(_walk_block, start, stop, spf, req, b, table)
+                           for start, stop in _blocks(nmax, parts)])
+    diff, total, near, far = results[0]
+    for part, p_total, p_near, p_far in results[1:]:
+        for e, v in enumerate(part):
+            diff[e] += v
+        total += p_total
+        near += p_near
+        far += p_far
     acc = 0
     for e in range(nmax, 0, -1):
         acc += diff[e]

@@ -257,3 +257,43 @@ def test_config_from_args_round_trip(capsys):
         assert run(config_from_args(build_parser().parse_args(argv))) == 0
         via_run = capsys.readouterr().out
         assert via_main == via_run and check(via_main), argv
+
+
+def test_artifacts_are_written_in_pieces(tmp_path, capsys, monkeypatch):
+    # the encoder's tokens or the rows are joined into pieces, and the pieces
+    # make up the text one json.dumps string or one join would give
+    pieces = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_JSON_TOKENS_PER_PIECE", 50)
+    monkeypatch.setattr(cli, "_CSV_ROWS_PER_PIECE", 50)
+    monkeypatch.setattr(cli, "_emit", lambda text, fh: (pieces.append(text), emit(text, fh)))
+    for argv in (["count", "--k", "1", "--bound", "300", "--with-st"],
+                 ["predict", "--k", "1", "--bounds", "10,100"]):
+        pieces.clear()
+        code, out = _run(capsys, argv)
+        assert code == 0 and len(pieces) > 1 and "".join(pieces) == out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    pieces.clear()
+    code, out = _run(capsys, ["local-factors", "--k", "1", "--prime-cutoff", "1000"])
+    assert code == 0 and "".join(pieces) == out
+    assert [len(piece.splitlines()) for piece in pieces] == [50, 50, 50, 19]  # 1 + 168 rows
+
+    # an int-only dict, the count's n_star_values, is not copied
+    rep = {"n_star_values": {e: 2 * e for e in range(1, 100)}, "ratio": 1 / 3}
+    rounded = cli._round_floats(rep)
+    assert rounded["n_star_values"] is rep["n_star_values"]
+    assert rounded["ratio"] == 0.333333333333333 and rep["ratio"] == 1 / 3
+
+
+def test_local_factors_overflow_writes_nothing(tmp_path, capsys):
+    # k = 8 overflows past p = 65521, after 6542 rows: every check runs
+    # before the first row, so nothing is written, to stdout or to a file
+    path = tmp_path / "lf.csv"
+    for argv in (["local-factors", "--k", "8", "--prime-cutoff", "100000"],
+                 ["local-factors", "--k", "8", "--prime-cutoff", "100000",
+                  "--exclude-primes", "99991", "--out", str(path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("invalid arguments: --k or a bound is too large")
+    assert not path.exists()

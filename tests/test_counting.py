@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from semicubic import counting
+from semicubic import cli, counting
 from semicubic.arith import CapacityError, DomainError, PrimeSet
 from semicubic.counting import (
     ORACLE_BOUND_LIMITS,
@@ -202,6 +205,138 @@ def test_walk_capacity_guard(monkeypatch):
     for bound in (edge, Fraction(2 * edge + 1, 2)):
         with pytest.raises(Sieved):
             n_mobius(bound, req(bound))
+
+
+# --- the walk in blocks -----------------------------------------------------
+
+@pytest.fixture
+def deadline():
+    """Fail a walk in blocks that does not finish within 60 s, instead of hanging."""
+    def expired(signum, frame):
+        raise TimeoutError("the walk in blocks did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)  # not inherited by forked children
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _shard(monkeypatch, blocks):
+    """Cut every walk, however small, into `blocks` blocks."""
+    monkeypatch.setattr(counting, "_SHARD_MIN_N", 1)
+    monkeypatch.setattr(counting, "_usable_cpus", lambda: blocks)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_walk_blocks_bit_identical(monkeypatch, deadline):
+    # every integer of the walk is the same for 1, 2 and 3 blocks
+    cases = [(k, source, PrimeSet.parse(s), bound)
+             for k in (1, 2) for source in RSource for s in ("", "2", "2,3", "5,7")
+             for bound in (40, Fraction(241, 4))]
+    runs = {}
+    for blocks in (1, 2, 3):
+        _shard(monkeypatch, blocks)
+        runs[blocks] = [counting._walk(bound, req(bound, k=k, s_set=s_set, source=source))
+                        for k, source, s_set, bound in cases]
+        _assert_no_children()
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+    # a near n (2n <= B) costs 3 units, a far n 2: 48, 52 and 50 units
+    assert counting._blocks(60, 3) == [(1, 17), (17, 36), (36, 61)]
+    assert counting._blocks(2, 3) == [(1, 2), (2, 3)]
+
+
+class ShardFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("error", [CapacityError, MemoryError, ShardFailed])
+def test_walk_block_error_reaches_the_parent(monkeypatch, deadline, error):
+    # a child's exception is raised again here with its own type, and no
+    # child outlives the walk
+    _shard(monkeypatch, 3)
+    block = counting._walk_block
+
+    def failing(start, *args):
+        if start > 1:
+            raise error("block failed")
+        return block(start, *args)
+
+    monkeypatch.setattr(counting, "_walk_block", failing)
+    with pytest.raises(error):
+        n_mobius(60, req(60))
+    _assert_no_children()
+    if error is not ShardFailed:  # still a capacity refusal, exit 3
+        assert cli.main(["count", "--k", "1", "--bound", "60"]) == 3
+        _assert_no_children()
+
+
+def test_walk_parent_failure_reaps_children(monkeypatch, deadline):
+    # the first block fails in this process: the children are killed and reaped
+    _shard(monkeypatch, 2)
+    block = counting._walk_block
+
+    def failing(start, *args):
+        if start == 1:
+            raise ShardFailed
+        return block(start, *args)
+
+    monkeypatch.setattr(counting, "_walk_block", failing)
+    with pytest.raises(ShardFailed):
+        n_mobius(60, req(60))
+    _assert_no_children()
+
+
+def test_walk_killed_block_is_a_capacity_refusal(monkeypatch, deadline):
+    # a child that ends without a result (the OOM killer's SIGKILL) is refused
+    _shard(monkeypatch, 2)
+    block = counting._walk_block
+
+    def killed(start, *args):
+        if start > 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return block(start, *args)
+
+    monkeypatch.setattr(counting, "_walk_block", killed)
+    with pytest.raises(CapacityError, match="killed"):
+        n_mobius(60, req(60))
+    _assert_no_children()
+
+
+def test_walk_with_threads_runs_alone(monkeypatch, deadline):
+    # fork is unsafe beside other threads: the walk keeps to this process
+    monkeypatch.setattr(counting, "_SHARD_MIN_N", 1)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait, args=(30,))
+    worker.start()
+    try:
+        assert counting._usable_cpus() == 1
+        assert n_mobius(60, req(60)) == n_oracle(60, 1, S0)
+    finally:
+        release.set()
+        worker.join(30)
+    assert not worker.is_alive()
+
+
+def test_walk_guard_refuses_before_forking(monkeypatch):
+    _shard(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(CapacityError, match="guarded"):
+        n_mobius(WALK_BOUND_LIMIT + 1, req(WALK_BOUND_LIMIT + 1))
 
 
 # --- oracle -----------------------------------------------------------------

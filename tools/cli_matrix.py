@@ -13,8 +13,9 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 55 s on a 2-core x86 machine, 40 s of them in one count
-at B = 10^6, the edge of the loop over n.
+Stdlib only; about 22 s on a 2-core x86 machine, 15 s of them in one count
+at B = 10^6, the edge of the loop over n, walked in two blocks (33 s and 25 s
+when the loop ran in one).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workloads import S_GRID  # noqa: E402  the four prime sets of the benchmark
+from workloads import S_GRID, with_s  # noqa: E402  the benchmark's prime sets
 
 # (k, --r-source) pairs: every source at k = 1, the model and the table at
 # k = 2, and auto (the table) at k = 3.
@@ -100,6 +101,14 @@ EXTRA = [
     ["predict", "--k", "2", "--prime-cutoff", "1000000", "--bounds", "3000,30000",
      "--exclude-primes", "5,7"],
     ["local-factors", "--k", "1", "--prime-cutoff", "100000", "--exclude-primes", "2,3"],
+    # the benchmark's count-k1 ops at the ends of its bound grid, for every set
+    *(with_s(["count", "--k", "1", "--bound", bound], s)
+      for bound in ("19800", "20200") for s in S_GRID),
+    *(with_s(["table", "--k", "1", "--bounds", "3000"], s) for s in S_GRID),
+    # the last loop over n in one block (floor(B) < 2000) and the first cut
+    # into blocks for forked children
+    ["count", "--k", "1", "--bound", "1999", "--with-st"],
+    ["count", "--k", "1", "--bound", "2000", "--with-st"],
     # the prime sieve's edge (a cutoff of 10^6) and one step past, then the
     # loop over n at its edge (B = 10^6, about 40 s) and one step past
     *(argv + [str(edge + step)]
