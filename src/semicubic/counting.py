@@ -19,22 +19,26 @@ less the cofactors below a cap: for T every c < B, all of them in the walk,
 and for S those with d > B^2, the walk's cofactors with top(c) = 0.
 
 All window comparisons are exact (integer cross-multiplication against
-rational bounds); no float enters any counting predicate.  The z-boundary
+rational bounds); a float only seeds an integer cube root that integers
+then correct, so no float decides a counting predicate.  The z-boundary
 is the half-open convention |z| < B in every route, so cross-route
-equality is exact.  Outer loops add up integer partial sums per n,
-so any partition of the n-range reduces to a bit-identical total.
+equality is exact.  On the model routes the n whose largest prime p is
+odd, outside the set and simple are not visited one at a time: top(c)
+does not increase with p, so their cofactors are summed over runs of
+primes against prefix sums of the weights of p (_walk_runs).  The exact
+table walks every n.  All sums are of integers, so any order of summation
+gives a bit-identical total.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import isqrt
 from operator import add
 
@@ -46,6 +50,7 @@ from .arith import (
     divisors_of_cube,
     factorize,
     mobius_sieve,
+    primes_up_to,
     smallest_prime_factors,
     vp,
 )
@@ -59,19 +64,14 @@ from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 # 2.5 s (k = 2), 1.9 s (k = 3) and 2.7 s (k = 4); k >= 5 is refused.
 ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 
-# Largest floor(B) a loop over n <= B accepts.  Its spf list, difference array
-# and Mobius list grow linearly in B: on the same machine one cold
-# `count --k 1 --bound 1000000` took 41 s and peaked at 245 MiB (VmHWM), and
-# 12 s and 96 MiB at B = 3 * 10^5; twice the limit would pass a budget of a
-# minute and 256 MiB.
+# Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
+# difference array and Mobius list grow linearly in B.  On the same machine
+# one cold `count --k 1 --bound 1000000`, summed by runs of the largest prime,
+# took 5.2 s and peaked at 93 MiB (VmHWM); 2.1 s and 47 MiB at B = 3 * 10^5,
+# and 6.0 s and 104 MiB at k = 2, B = 10^6.  t_sum and s_sum still visit every
+# n: t_sum took 29 s and 95 MiB at 10^6, so twice the limit would take them
+# past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
-
-# Smallest floor(B) whose loop over n is cut into blocks for forked children
-# (_walk); below it one block runs in this process.  On the same machine a
-# child that returns at once costs about 2 ms (fork, pipe, pickle, reap), and
-# two blocks took 1.02 times the time of one at k = 1, B = 1000, 0.71 at 1500,
-# 0.74 at 2000 and 0.57 at 2 * 10^4 (medians of 21 interleaved walks).
-_SHARD_MIN_N = 2000
 
 
 class RSource(str, Enum):
@@ -153,13 +153,13 @@ def _profile(factors, k, s_primes, hi_cap):
     return items, total
 
 
-def _profiles(spf: list, req: CountRequest, cap, start: int = 1, stop: int = 0):
-    """Yield (n, items, total) with the model weights r*, for start <= n < stop.
+def _profiles(spf: list, req: CountRequest, cap):
+    """Yield (n, items, total) with the model weights r*, for 1 <= n < len(spf).
 
-    spf is smallest_prime_factors(nmax), and stop defaults to nmax + 1; cap
-    is the cofactor cap, an int or a function of n.
+    spf is smallest_prime_factors(nmax); cap is the cofactor cap, an int or a
+    function of n.
     """
-    for n in range(start, stop or len(spf)):
+    for n in range(1, len(spf)):
         hi = cap if isinstance(cap, int) else cap(n)
         yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi))
 
@@ -192,131 +192,20 @@ def _check_walk_bound(nmax: int) -> None:
         raise CapacityError(f"the loop over n <= {nmax} is guarded at B <= {WALK_BOUND_LIMIT}")
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork safely.
+def _walk_block(spf: list, req: CountRequest, b: Fraction, table) -> tuple:
+    """The loop over n <= B, one n at a time: (diff, total, near, far).
 
-    A forked child holds only the thread that forked, so a lock another
-    thread held stays locked in it: a process with threads walks alone.
-    """
-    threading = sys.modules.get("threading")  # never imported: no other thread
-    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _blocks(nmax: int, parts: int) -> list:
-    """At most `parts` contiguous ranges [start, stop) covering n = 1..nmax, of equal cost.
-
-    The time per n is nearly flat within the near range (2n <= B) and within
-    the far range, and a near n, whose cofactors each take an isqrt, costs
-    about 3/2 of a far one: measured 1.3 to 1.6 at B = 2*10^4 to 3*10^5 on a
-    2-core x86 machine, although the two ranges generate about as many items.
-    """
-    half = nmax // 2
-    total = 3 * half + 2 * (nmax - half)
-    edges = {1, nmax + 1}
-    for i in range(1, parts):
-        t = total * i // parts
-        edges.add(1 + (t // 3 if t <= 3 * half else half + (t - 3 * half) // 2))
-    edges = sorted(edges)
-    return list(zip(edges, edges[1:]))
-
-
-def _child(task, write_fd: int, inherited: list) -> None:
-    """In a forked child: run task, pickle (ok, result or exception) to write_fd, _exit."""
-    status = 1
-    try:
-        # pickle and signal are imported where a walk in blocks needs them: at
-        # the top they would add about 2.5 ms to every start-up of the CLI
-        import pickle
-
-        for fd in inherited:  # the read ends of earlier siblings stay with the parent
-            os.close(fd)
-        try:
-            payload = (True, task())
-        except BaseException as exc:  # sent back, raised again in the parent
-            payload = (False, exc)
-        try:
-            data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
-        except Exception:  # an exception that does not pickle
-            data = pickle.dumps((False, RuntimeError(repr(payload[1]))))
-        with open(write_fd, "wb") as fh:
-            fh.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(read_fd: int):
-    """The result a child sent through read_fd, or its exception, raised here."""
-    import pickle
-
-    with open(read_fd, "rb", closefd=False) as fh:
-        data = fh.read()
-    if not data:
-        raise CapacityError("a block of the loop over n was killed before it returned "
-                            "(out of memory?)")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
-def _run_forked(tasks: list) -> list:
-    """[task() for task in tasks]: tasks[1:] each in a forked child, tasks[0] here.
-
-    A child leaves only through os._exit, after sending back its result or
-    its exception; the exception is raised here with its own type.  Every
-    child is reaped before this returns or raises; on failure the children
-    still running are killed first.
-    """
-    children = []  # (pid, read end)
-    done = False
-    try:
-        for task in tasks[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                _child(task, write_fd, [read_fd] + [fd for _, fd in children])
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results = [tasks[0]()]
-        results += [_receive(fd) for _, fd in children]
-        done = True
-        return results
-    finally:
-        for pid, fd in children:
-            os.close(fd)  # first, so a child blocked on a full pipe gets EPIPE
-            if not done:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _walk_block(start: int, stop: int, spf: list, req: CountRequest, b: Fraction,
-                table) -> tuple:
-    """The loop over start <= n < stop: (diff, total, near, far).
-
-    Each cofactor adds its weight to diff at top(c) <= B/n, so diff needs
-    only the slots e <= B/start.  total is the model weight of every allowed
-    cofactor, near that of the e = 1 windows (the exact route only), and
-    far that of the cofactors of each far n (n > B/2) below its window.
+    Each cofactor adds its weight to diff at top(c).  total is the model
+    weight of every allowed cofactor, near that of the e = 1 windows (the
+    exact route only), and far that of the cofactors of each far n (n > B/2)
+    below its window.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
     cmax = (bn - 1) // bd
-    diff = [0] * ((bn // bd) // start + 1)
+    diff = [0] * (bn // bd + 1)
     total = near = far = 0
-    for n, items, weight in _profiles(spf, req, cmax, start, stop):
+    for n, items, weight in _profiles(spf, req, cmax):
         total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
@@ -338,6 +227,129 @@ def _walk_block(start: int, stop: int, spf: list, req: CountRequest, b: Fraction
     return diff, total, near, far
 
 
+def _icbrt(x: int) -> int:
+    """floor(x^(1/3)) for an int x >= 0: a float seed, corrected in integers."""
+    r = int(x ** (1 / 3))
+    while r * r * r > x:
+        r -= 1
+    while (r + 1) ** 3 <= x:
+        r += 1
+    return r
+
+
+def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
+    """_walk_block's (diff, total, near, far) for the model weights, summed by runs of primes.
+
+    Write n = m p with p = P(n), the largest prime of n.  When p is odd,
+    outside the set and divides n once, the allowed cofactors of n are
+    c p^g, g in {0, 1, 3}, one for each allowed cofactor c of m, weighted
+    w_c W_g(p), with W_0 = r*(p^3), W_1 = r*(p^2) and W_3 = 1.  With
+    A = floor(bn^2 c / (m^3 bd^2)) and cc = cmax // c, the cofactor c p^g
+    lies below the cap exactly when p^g <= cc, and its top is
+
+        g = 0: min(isqrt(A // p^3), cc)
+        g = 1: min(isqrt(A), cc) // p
+        g = 3: min(isqrt(A), cc // p^3)
+
+    none of which increases with p.  So the primes in (P(m), nmax / m] fall
+    into runs of one top each; one integer root and one bisect end a run,
+    and it adds w_c times a difference of prefix sums of W_g to diff[top].
+    The m come from a depth-first walk over factorizations in increasing
+    primes, each node extending its parent's cofactor profile by one prime
+    power, and visiting only the m that have a run or a descendant.  The
+    other n (n = 1, and those whose largest prime is 2, in the set, or
+    squared) are nodes of the same walk, filed one at a time as _walk_block
+    files them.  Every cofactor with top 0 goes to slot 0, so far is 0; near
+    is 0 on every model route.
+    """
+    bn, bd = b.numerator, b.denominator
+    bn2, bd2 = bn * bn, bd * bd
+    nmax, cmax = bn // bd, (bn - 1) // bd
+    k, s_set = req.k, req.s_set
+    primes = primes_up_to(nmax)
+    odd = [p for p in primes if p > 2 and p not in s_set]  # the primes summed in runs
+    pre0, pre1 = [0], [0]  # prefix sums of W_0 and W_1 over odd; W_3 sums to the index
+    for p in odd:
+        pre0.append(pre0[-1] + r4k_star_prime_power(p, 3, k))
+        pre1.append(pre1[-1] + r4k_star_prime_power(p, 2, k))
+    lone = {2, *s_set}  # the primes q of a directly filed n = m q
+    diff = [0] * (nmax + 1)
+    total = 0
+    # (m, P(m), allowed cofactors of m up to cmax with weights, total weight, filed directly)
+    stack = [(1, 1, [(1, 1)] if cmax >= 1 else [], 1, True)]
+    while stack:
+        m, pm, items, weight, direct = stack.pop()
+        hi = nmax // m
+        m3bd2 = m * m * m * bd2
+        if direct:
+            total += weight
+            for c, w in items:
+                diff[min(isqrt(bn2 * c // m3bd2), cmax // c)] += w
+        i0 = bisect_right(odd, pm)
+        i1 = bisect_right(odd, hi, i0)
+        if i0 < i1:
+            total += weight * (pre0[i1] - pre0[i0] + pre1[i1] - pre1[i0] + i1 - i0)
+            for c, w in items:
+                a = bn2 * c // m3bd2
+                cc = cmax // c
+                ra = isqrt(a)
+                i = i0  # g = 0
+                while i < i1:
+                    p = odd[i]
+                    t = min(isqrt(a // (p * p * p)), cc)
+                    if not t:
+                        diff[0] += w * (pre0[i1] - pre0[i])
+                        break
+                    j = bisect_right(odd, _icbrt(a // (t * t)), i + 1, i1)
+                    diff[t] += w * (pre0[j] - pre0[i])
+                    i = j
+                lim = min(ra, cc)  # g = 1
+                end = bisect_right(odd, cc, i0, i1)
+                i = i0
+                while i < end:
+                    t = lim // odd[i]
+                    if not t:
+                        diff[0] += w * (pre1[end] - pre1[i])
+                        break
+                    j = bisect_right(odd, lim // t, i + 1, end)
+                    diff[t] += w * (pre1[j] - pre1[i])
+                    i = j
+                end = bisect_right(odd, _icbrt(cc), i0, i1)  # g = 3
+                i = i0
+                while i < end:
+                    p = odd[i]
+                    t = min(ra, cc // (p * p * p))
+                    if not t:
+                        diff[0] += w * (end - i)
+                        break
+                    j = bisect_right(odd, _icbrt(cc // t), i + 1, end)
+                    diff[t] += w * (j - i)
+                    i = j
+        # children m q^e, q > P(m): every power with e >= 2 or q in lone is
+        # filed directly; m q itself is visited only if m q times the next
+        # prime is at most nmax, the least it needs for a run or a child
+        kids = []
+        j = bisect_right(primes, pm)
+        while j < len(primes) and (q := primes[j]) * q <= hi:
+            alone = q in lone
+            # primes[j + 1] < 2q <= q^2 <= nmax (Bertrand), so it is in the list
+            if alone or q * primes[j + 1] <= hi:
+                kids.append((q, 1, alone))
+            e, x = 2, q * q
+            while x <= hi:
+                kids.append((q, e, True))
+                e, x = e + 1, x * q
+            j += 1
+        kids += [(q, 1, True) for q in lone if pm < q <= hi < q * q]
+        for q, e, alone in kids:
+            pws, psum = _prime_weights(q, e, k, q in s_set)
+            stack.append((m * q**e, q,
+                          [(cq, w * wq) for c, w in items for pq, wq in pws
+                           if (cq := c * pq) <= cmax],
+                          weight * psum, alone))
+    return diff, total, 0, 0
+
+
 def _walk(bound, req: CountRequest) -> tuple:
     """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
 
@@ -346,43 +358,31 @@ def _walk(bound, req: CountRequest) -> tuple:
     take top(c) = 0, that is d > B^2, so S is the model total less them;
     T is S less the model weight of the e = 1 window.
 
-    A far n generates every allowed cofactor c < B, although only those
-    in its e = 1 window (c >= n^3/B^2, about one in six at k = 1) enter
-    a count: T, the weight of the cofactors c >= B, is the total less the
-    weight of all of them.
-
-    From _SHARD_MIN_N on, the n-range is cut into contiguous blocks of
-    equal cost, one per usable CPU; this process walks the first and a
-    forked child each other, and the block results add up to the same
-    integers as one block.
+    The model sources sum the n with a simple odd largest prime outside the
+    set by runs of that prime (_walk_runs); the exact table, whose weights
+    are not multiplicative, walks every n (_walk_block).
     """
     b = _as_fraction(bound)
     if b < 1:
         raise DomainError("bound must be >= 1")
     nmax = b.numerator // b.denominator
     _check_walk_bound(nmax)
-    table = (r4k_bruteforce(b.numerator ** 2 // b.denominator ** 2, req.k)
-             if req.r_source == RSource.EXACT else None)
-    spf = smallest_prime_factors(nmax)  # built once; the children inherit it
-    parts = _usable_cpus() if nmax >= _SHARD_MIN_N else 1
-    results = _run_forked([partial(_walk_block, start, stop, spf, req, b, table)
-                           for start, stop in _blocks(nmax, parts)])
-    diff, total, near, far = results[0]
-    for part, p_total, p_near, p_far in results[1:]:
-        for e, v in enumerate(part):
-            diff[e] += v
-        total += p_total
-        near += p_near
-        far += p_far
+    if req.r_source == RSource.EXACT:
+        table = r4k_bruteforce(b.numerator ** 2 // b.denominator ** 2, req.k)
+        spf = smallest_prime_factors(nmax)
+        diff, total, near, far = _walk_block(spf, req, b, table)
+        mu = mobius_sieve(nmax, spf)  # the spf list the walk already holds
+    else:
+        diff, total, near, far = _walk_runs(req, b)
+        mu = mobius_sieve(nmax)
     acc = 0
     for e in range(nmax, 0, -1):
         acc += diff[e]
         diff[e] = acc
     s = total - diff[0] - far
-    t = s - (near if table is not None else diff[1])
+    t = s - (near if req.r_source == RSource.EXACT else diff[1])
     # jacobi: r4k_main_coeff(k) r*, 8 r* at k = 1 and 16 r* at k = 2, is r_4k
     scale = 2 * int(r4k_main_coeff(req.k)) if req.r_source == RSource.JACOBI else 2
-    mu = mobius_sieve(nmax, spf)  # the spf list the walk already holds
     by_d = {e: scale * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
     return by_d, sum(mu[e] * v for e, v in by_d.items()), s, t
 
@@ -493,7 +493,11 @@ def _semi_ok(x: int, dfac, s_set: PrimeSet) -> bool:
 def _oracle_bound(bound, k: int) -> int:
     if bound < 1 or int(bound) != bound:
         raise DomainError("oracle bound must be a positive integer")
-    if bound > (cap := ORACLE_BOUND_LIMITS.get(k, 0)):
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if k > (kmax := max(ORACLE_BOUND_LIMITS)):
+        raise CapacityError(f"oracle enumeration is refused for k >= {kmax + 1} (k={k})")
+    if bound > (cap := ORACLE_BOUND_LIMITS[k]):
         raise CapacityError(
             f"oracle enumeration for k={k} is guarded at bound <= {cap}")
     return int(bound)

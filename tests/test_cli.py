@@ -49,6 +49,10 @@ def test_capacity_exit_code(capsys, monkeypatch):
     code, _ = _run(capsys, ["count", "--k", "1", "--bound", "251",
                             "--method", "oracle"])
     assert code == 3
+    # the oracle refuses k >= 5 at any bound, and says so
+    code = main(["count", "--k", "5", "--bound", "10", "--method", "oracle"])
+    assert code == 3
+    assert "refused for k >= 5" in capsys.readouterr().err
     # k = 2 takes the model under auto; the brute-force r_8 table stops at B = 381
     for source, want in (("auto", 0), ("exact", 3)):
         code, _ = _run(capsys, ["count", "--k", "2", "--bound", "382",

@@ -1,16 +1,13 @@
 import hashlib
 import json
 import math
-import os
-import signal
-import threading
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from semicubic import cli, counting
-from semicubic.arith import CapacityError, DomainError, PrimeSet
+from semicubic import counting
+from semicubic.arith import CapacityError, DomainError, PrimeSet, smallest_prime_factors
 from semicubic.counting import (
     ORACLE_BOUND_LIMITS,
     WALK_BOUND_LIMIT,
@@ -184,8 +181,9 @@ def test_exact_capacity_guard():
 
 
 def test_walk_capacity_guard(monkeypatch):
-    # one step past the edge is refused before the spf list, or anything else
-    # the loop over n holds, is allocated; the edge itself reaches the sieve
+    # one step past the edge is refused before the prime or spf sieve, or
+    # anything else the loop over n holds, is allocated; the edge itself
+    # reaches the sieve of its route
     class Sieved(Exception):
         pass
 
@@ -193,6 +191,7 @@ def test_walk_capacity_guard(monkeypatch):
         raise Sieved(n)
 
     monkeypatch.setattr(counting, "smallest_prime_factors", no_sieve)
+    monkeypatch.setattr(counting, "primes_up_to", no_sieve)
     edge = WALK_BOUND_LIMIT
     for source in RSource:
         with pytest.raises(CapacityError, match="guarded"):
@@ -203,140 +202,47 @@ def test_walk_capacity_guard(monkeypatch):
         t_sum(edge + 1, req(edge + 1))
     # floor(B) is what the loop runs to, so a fractional bound below edge + 1 passes
     for bound in (edge, Fraction(2 * edge + 1, 2)):
-        with pytest.raises(Sieved):
-            n_mobius(bound, req(bound))
+        for source in (RSource.JACOBI, RSource.RSTAR):
+            with pytest.raises(Sieved):
+                n_mobius(bound, req(bound, source=source))
+    with pytest.raises(Sieved):
+        s_sum(edge, 10, req(10))
 
 
-# --- the walk in blocks -----------------------------------------------------
+# --- the walk by runs of the largest prime ----------------------------------
 
-@pytest.fixture
-def deadline():
-    """Fail a walk in blocks that does not finish within 60 s, instead of hanging."""
-    def expired(signum, frame):
-        raise TimeoutError("the walk in blocks did not finish within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(60)  # not inherited by forked children
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _shard(monkeypatch, blocks):
-    """Cut every walk, however small, into `blocks` blocks."""
-    monkeypatch.setattr(counting, "_SHARD_MIN_N", 1)
-    monkeypatch.setattr(counting, "_usable_cpus", lambda: blocks)
+def _per_n_walk(r):
+    """_walk_block over n = 1..floor(B): (slot 0 plus far, diff[1:], total)."""
+    b = r.bound
+    diff, total, _, far = counting._walk_block(
+        smallest_prime_factors(b.numerator // b.denominator), r, b, None)
+    return diff[0] + far, diff[1:], total
 
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def _runs_walk(r):
+    diff, total, near, far = counting._walk_runs(r, r.bound)
+    assert near == 0
+    return diff[0] + far, diff[1:], total
 
 
-def test_walk_blocks_bit_identical(monkeypatch, deadline):
-    # every integer of the walk is the same for 1, 2 and 3 blocks
-    cases = [(k, source, PrimeSet.parse(s), bound)
-             for k in (1, 2) for source in RSource for s in ("", "2", "2,3", "5,7")
-             for bound in (40, Fraction(241, 4))]
-    runs = {}
-    for blocks in (1, 2, 3):
-        _shard(monkeypatch, blocks)
-        runs[blocks] = [counting._walk(bound, req(bound, k=k, s_set=s_set, source=source))
-                        for k, source, s_set, bound in cases]
-        _assert_no_children()
-    assert runs[2] == runs[1]
-    assert runs[3] == runs[1]
-    # a near n (2n <= B) costs 3 units, a far n 2: 48, 52 and 50 units
-    assert counting._blocks(60, 3) == [(1, 17), (17, 36), (36, 61)]
-    assert counting._blocks(2, 3) == [(1, 2), (2, 3)]
+def test_walk_runs_match_the_per_n_walk():
+    # every slot of the difference array and the model total, bit for bit
+    bounds = (1, 2, 3, 4, 8, 9, 25, 27, 5, 31, 97, 211, Fraction(599, 2),
+              Fraction(10**6 + 1, 1000), Fraction(7, 2), Fraction(241, 4))
+    for k, source, s, bound in product((1, 2), (RSource.JACOBI, RSource.RSTAR),
+                                       ("", "2", "2,3", "5,7", "3,7"), bounds):
+        r = req(bound, k=k, s_set=PrimeSet.parse(s), source=source)
+        assert _runs_walk(r) == _per_n_walk(r), (k, source, s, bound)
 
 
-class ShardFailed(Exception):
-    pass
-
-
-@pytest.mark.parametrize("error", [CapacityError, MemoryError, ShardFailed])
-def test_walk_block_error_reaches_the_parent(monkeypatch, deadline, error):
-    # a child's exception is raised again here with its own type, and no
-    # child outlives the walk
-    _shard(monkeypatch, 3)
-    block = counting._walk_block
-
-    def failing(start, *args):
-        if start > 1:
-            raise error("block failed")
-        return block(start, *args)
-
-    monkeypatch.setattr(counting, "_walk_block", failing)
-    with pytest.raises(error):
-        n_mobius(60, req(60))
-    _assert_no_children()
-    if error is not ShardFailed:  # still a capacity refusal, exit 3
-        assert cli.main(["count", "--k", "1", "--bound", "60"]) == 3
-        _assert_no_children()
-
-
-def test_walk_parent_failure_reaps_children(monkeypatch, deadline):
-    # the first block fails in this process: the children are killed and reaped
-    _shard(monkeypatch, 2)
-    block = counting._walk_block
-
-    def failing(start, *args):
-        if start == 1:
-            raise ShardFailed
-        return block(start, *args)
-
-    monkeypatch.setattr(counting, "_walk_block", failing)
-    with pytest.raises(ShardFailed):
-        n_mobius(60, req(60))
-    _assert_no_children()
-
-
-def test_walk_killed_block_is_a_capacity_refusal(monkeypatch, deadline):
-    # a child that ends without a result (the OOM killer's SIGKILL) is refused
-    _shard(monkeypatch, 2)
-    block = counting._walk_block
-
-    def killed(start, *args):
-        if start > 1:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return block(start, *args)
-
-    monkeypatch.setattr(counting, "_walk_block", killed)
-    with pytest.raises(CapacityError, match="killed"):
-        n_mobius(60, req(60))
-    _assert_no_children()
-
-
-def test_walk_with_threads_runs_alone(monkeypatch, deadline):
-    # fork is unsafe beside other threads: the walk keeps to this process
-    monkeypatch.setattr(counting, "_SHARD_MIN_N", 1)
-
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    release = threading.Event()
-    worker = threading.Thread(target=release.wait, args=(30,))
-    worker.start()
-    try:
-        assert counting._usable_cpus() == 1
-        assert n_mobius(60, req(60)) == n_oracle(60, 1, S0)
-    finally:
-        release.set()
-        worker.join(30)
-    assert not worker.is_alive()
-
-
-def test_walk_guard_refuses_before_forking(monkeypatch):
-    _shard(monkeypatch, 2)
-
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    with pytest.raises(CapacityError, match="guarded"):
-        n_mobius(WALK_BOUND_LIMIT + 1, req(WALK_BOUND_LIMIT + 1))
+def test_walk_runs_large_cases():
+    # k = 2 with two primes in the set; rstar with a set that misses 2
+    for r in (req(10**5, k=2, s_set=S23), req(3 * 10**4, s_set=PrimeSet.of(5, 7),
+                                                  source=RSource.RSTAR)):
+        assert _runs_walk(r) == _per_n_walk(r), (r.k, r.bound)
 
 
 # --- oracle -----------------------------------------------------------------
@@ -349,9 +255,11 @@ def test_oracle_examples():
 
 def test_oracle_guard():
     # one step past each edge of ORACLE_BOUND_LIMITS, and k = 5 at any bound
-    for bound, k in ((251, 1), (201, 2), (151, 3), (151, 4), (1, 5)):
-        with pytest.raises(CapacityError):
+    for bound, k in ((251, 1), (201, 2), (151, 3), (151, 4)):
+        with pytest.raises(CapacityError, match="guarded at bound"):
             n_oracle(bound, k, S0)
+    with pytest.raises(CapacityError, match="refused for k >= 5"):
+        n_oracle(1, 5, S0)
     # a fractional bound reaches the oracle unchanged instead of being truncated
     with pytest.raises(DomainError):
         count_report(req(Fraction(7, 2)), with_oracle=True)
@@ -546,17 +454,16 @@ def test_count_report_round_trip():
 
 
 def test_count_report_walks_once(monkeypatch):
-    # the count, its Mobius sum, S and T come from one pass over n, one mu sieve
-    import semicubic.counting as counting
-
-    calls = {"_profiles": 0, "mobius_sieve": 0}
+    # the count, its Mobius sum, S and T come from one walk by runs and one
+    # mu sieve; a model route makes no pass over every n
+    calls = {"_walk_runs": 0, "mobius_sieve": 0, "_profiles": 0}
     for name in calls:
         def counted(*args, _f=getattr(counting, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(counting, name, counted)
     rep = count_report(req(40, s_set=S23), with_st=True)
-    assert calls == {"_profiles": 1, "mobius_sieve": 1}
+    assert calls == {"_walk_runs": 1, "mobius_sieve": 1, "_profiles": 0}
     assert rep["s_value"] is not None and rep["t_value"] is not None
 
 

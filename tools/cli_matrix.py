@@ -13,9 +13,9 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 22 s on a 2-core x86 machine, 15 s of them in one count
-at B = 10^6, the edge of the loop over n, walked in two blocks (33 s and 25 s
-when the loop ran in one).
+Stdlib only; about 20 s on a 2-core x86 machine, 5 s of them in one count at
+B = 10^6, the edge of the loop over n (36 s and 22 s in the same session when
+the model routes walked every n, in blocks over two forked processes).
 """
 
 from __future__ import annotations
@@ -105,10 +105,17 @@ EXTRA = [
     *(with_s(["count", "--k", "1", "--bound", bound], s)
       for bound in ("19800", "20200") for s in S_GRID),
     *(with_s(["table", "--k", "1", "--bounds", "3000"], s) for s in S_GRID),
-    # the last loop over n in one block (floor(B) < 2000) and the first cut
-    # into blocks for forked children
+    # two neighbouring bounds with S and T, the edge where the loop over n
+    # was once first cut into blocks
     ["count", "--k", "1", "--bound", "1999", "--with-st"],
     ["count", "--k", "1", "--bound", "2000", "--with-st"],
+    # the walk by runs of the largest prime: k = 2 for every set, rstar at
+    # k = 1, and the smallest bounds, around the first primes, squares and cubes
+    *(with_s(["count", "--k", "2", "--bound", "20000", "--with-st"], s) for s in S_GRID),
+    ["count", "--k", "1", "--bound", "30000", "--r-source", "rstar",
+     "--exclude-primes", "2,3", "--with-st"],
+    *(["count", "--k", "1", "--bound", bound, "--with-st"]
+      for bound in ("2", "3", "4", "8", "9", "25", "27")),
     # the prime sieve's edge (a cutoff of 10^6) and one step past, then the
     # loop over n at its edge (B = 10^6, about 40 s) and one step past
     *(argv + [str(edge + step)]
