@@ -8,6 +8,7 @@ explicit tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,9 +52,12 @@ def is_prime(n: int) -> bool:
 
 
 # Largest n primes_up_to sieves to.  On a 2-core x86 machine with Python 3.11,
-# one cold local-factors run, the heaviest command that sieves, took 1.6 s and
-# peaked at 48 MiB at a cutoff of 10^6, and 2.9 s and 75 MiB at 2 * 10^6, past
-# a budget of 2 s; predict took 0.9 and 1.9 s, under 25 MiB.
+# one cold local-factors run, the heaviest command that sieves, took 0.7-0.9 s
+# and peaked at 20 MiB (VmHWM) at a cutoff of 10^6, and 1.4-1.7 s and 23 MiB at
+# 2 * 10^6; predict took 0.35-0.47 s and 0.7-0.9 s.  So 2 * 10^6 would fit a
+# budget of 2 s, but the limit stays at the edge of the loop over n
+# (counting.WALK_BOUND_LIMIT), whose prefix sums and Mobius list come from
+# this sieve, until the two are repriced together.
 PRIME_SIEVE_LIMIT = 10**6
 
 
@@ -68,7 +72,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray((n - p * p) // p + 1)
-    return [i for i, v in enumerate(sieve) if v]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 # Largest member a PrimeSet accepts: is_prime's trial division covers it, and a
@@ -187,20 +191,19 @@ def mobius(n: int) -> int:
     return -1 if len(f.factors) % 2 else 1
 
 
-def mobius_sieve(n: int, spf: list | None = None) -> list[int]:
-    """mu(0..n) as a list, read off spf = smallest_prime_factors(n).
+def mobius_sieve(n: int) -> list[int]:
+    """mu(0..n) as a list, sieved from primes_up_to(n).
 
-    A caller that already holds that list passes it, so it is not built twice.
+    Each prime flips the sign at its multiples and zeroes the multiples of
+    its square; n is guarded at PRIME_SIEVE_LIMIT by the prime sieve.
     """
-    if spf is None:
-        spf = smallest_prime_factors(n)
-    mu = [0] * (n + 1)
-    if n >= 1:
-        mu[1] = 1
-    for i in range(2, n + 1):
-        p = spf[i]
-        q = i // p
-        mu[i] = 0 if spf[q] == p else -mu[q]
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    for p in primes_up_to(n):
+        mu[p::p] = [-v for v in mu[p::p]]
+        square = p * p
+        if square <= n:
+            mu[square::square] = [0] * ((n - square) // square + 1)
     return mu
 
 

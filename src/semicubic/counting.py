@@ -67,8 +67,8 @@ ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
 # difference array and Mobius list grow linearly in B.  On the same machine
 # one cold `count --k 1 --bound 1000000`, summed by runs of the largest prime,
-# took 5.2 s and peaked at 93 MiB (VmHWM); 2.1 s and 47 MiB at B = 3 * 10^5,
-# and 6.0 s and 104 MiB at k = 2, B = 10^6.  t_sum and s_sum still visit every
+# took 4.6-5.8 s and peaked at 89 MiB (VmHWM); 2.0 s and 47 MiB at
+# B = 3 * 10^5, and 6.9 s and 101 MiB at k = 2, B = 10^6.  t_sum and s_sum still visit every
 # n: t_sum took 29 s and 95 MiB at 10^6, so twice the limit would take them
 # past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
@@ -369,12 +369,10 @@ def _walk(bound, req: CountRequest) -> tuple:
     _check_walk_bound(nmax)
     if req.r_source == RSource.EXACT:
         table = r4k_bruteforce(b.numerator ** 2 // b.denominator ** 2, req.k)
-        spf = smallest_prime_factors(nmax)
-        diff, total, near, far = _walk_block(spf, req, b, table)
-        mu = mobius_sieve(nmax, spf)  # the spf list the walk already holds
+        diff, total, near, far = _walk_block(smallest_prime_factors(nmax), req, b, table)
     else:
         diff, total, near, far = _walk_runs(req, b)
-        mu = mobius_sieve(nmax)
+    mu = mobius_sieve(nmax)
     acc = 0
     for e in range(nmax, 0, -1):
         acc += diff[e]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -124,13 +125,26 @@ def test_gp_certified_p2_exact_rational():
             assert abs(got - float(exact)) < 1e-13, (k, in_S)
 
 
-def test_pole_guard():
+def test_pole_guard(monkeypatch):
     # unreachable from inside the holomorphy domain, but guarded anyway
     from semicubic.analytic import _denominator
 
     with pytest.raises(DomainError):
         _denominator(2.0, 1e-15)
     assert _denominator(2.0, 1.0) == 0.5
+
+    # every public entry reaches the guard once per point, before the first
+    # prime: gp and fp_closed through their EulerFactorInput
+    def pole(p, exponent):
+        raise DomainError("pole")
+
+    monkeypatch.setattr(analytic, "_denominator", pole)
+    with pytest.raises(DomainError, match="pole"):
+        _inp(3, 1, False, 2.0, 2.0)
+    with pytest.raises(DomainError, match="pole"):
+        euler_product(1, PrimeSet.empty(), 1000)
+    with pytest.raises(DomainError, match="pole"):
+        analytic.local_factors(1, PrimeSet.empty(), 1000)
 
 
 # --- tabulated specializations ----------------------------------------------
@@ -271,6 +285,43 @@ EULER_PINS = {
     (3, "5,7"): (1.0216384225828816, 1.1831918609429478e-07),
 }
 
+# sha256 over the repr lines of gp and fp_closed for p <= 1000, in and out of
+# the set, at the verify suite's three points (s, w) and the centre point
+# (1, 2k-1), recorded before the per-prime formula took plain arguments
+GP_PINS = {
+    (1, "gp"): "f6ca3691509b4122d368770f720df4d4c9576eec36cffd74e7587a25ffb164e2",
+    (1, "fp_closed"): "7b14c7a57ae9a1863559b68e2912b394b1b9734c5a638265e0890a7d1141e8ff",
+    (2, "gp"): "1920cc7273306b27482ff6b7406daf59661aafb0e813a1a6a7d8f47af2cc0bf0",
+    (2, "fp_closed"): "79bc8596dcce2f35965e396d9b99b2d678a3e97a90dce295937380c43a679e63",
+    (3, "gp"): "1602bbf4bfa988cf99e563165ad5b1b501739a03ebfd2afea32547e8e9a67731",
+    (3, "fp_closed"): "95f3552f6afebbf8786a4e8e1babffd0541a7c0261c72431f7d936d30b1371c7",
+}
+
+# repr of (value, tail_estimate) of euler_product(k, S, 10**6) for the
+# benchmark's predict configurations, recorded at the same commit
+EULER_PINS_1E6 = {
+    (1, "2"): (0.859645183524632, 2.1715916186779832e-07),
+    (2, "2,3"): (1.2041090245286654, 8.166018631102072e-09),
+}
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_gp_and_fp_closed_pins(k):
+    for name, f in (("gp", gp), ("fp_closed", fp_closed)):
+        h = hashlib.sha256()
+        for s, w in ((2.0, 2.0 * k), (1.5, 2.0 * k - 0.5), (3.0, 2.0 * k + 1),
+                     (1.0, 2.0 * k - 1)):
+            for p in primes_up_to(1000):
+                for in_S in (False, True):
+                    h.update((repr(f(_inp(p, k, in_S, s, w))) + "\n").encode())
+        assert h.hexdigest() == GP_PINS[k, name], (k, name)
+
+
+def test_euler_product_pins_at_harness_cutoff():
+    for (k, s), pin in EULER_PINS_1E6.items():
+        ep = euler_product(k, PrimeSet.parse(s), 10**6)
+        assert (repr(ep.value), repr(ep.tail_estimate)) == tuple(map(repr, pin)), (k, s)
+
 
 def test_sieved_primes_skip_is_prime(monkeypatch):
     sets = [PrimeSet.parse(s) for s in S_GRID]  # parsed while is_prime still works
@@ -286,15 +337,16 @@ def test_sieved_primes_skip_is_prime(monkeypatch):
         assert [p for p, *_ in rows] == primes_up_to(1000)
 
 
-def test_euler_product_visits_each_prime_through_gp(monkeypatch):
-    # the benchmark's analytic.primes_visited counts gp calls under euler_product
+def test_euler_product_visits_each_prime_through_local_factor(monkeypatch):
+    # each sieve prime, in order and once, goes through the one per-prime formula
     calls = []
+    local_factor = analytic._local_factor
 
-    def counted(inp):
-        calls.append(inp.p)
-        return gp(inp)
+    def counted(p, *args):
+        calls.append(p)
+        return local_factor(p, *args)
 
-    monkeypatch.setattr(analytic, "gp", counted)
+    monkeypatch.setattr(analytic, "_local_factor", counted)
     euler_product(1, PrimeSet.of(2, 3), 10**4)
     assert calls == primes_up_to(10**4)
 

@@ -13,9 +13,8 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 20 s on a 2-core x86 machine, 5 s of them in one count at
-B = 10^6, the edge of the loop over n (36 s and 22 s in the same session when
-the model routes walked every n, in blocks over two forked processes).
+Stdlib only; about 19 s on a 2-core x86 machine, 5 s of them in one count at
+B = 10^6, the edge of the loop over n.
 """
 
 from __future__ import annotations
@@ -101,6 +100,10 @@ EXTRA = [
     ["predict", "--k", "2", "--prime-cutoff", "1000000", "--bounds", "3000,30000",
      "--exclude-primes", "5,7"],
     ["local-factors", "--k", "1", "--prime-cutoff", "100000", "--exclude-primes", "2,3"],
+    # odd primes in the set at the benchmark's predict cutoff, and local-factors at k = 2
+    *(["predict", "--k", k, "--prime-cutoff", "1000000", "--exclude-primes", "3,5,7"]
+      for k in ("1", "2")),
+    ["local-factors", "--k", "2", "--prime-cutoff", "100000", "--exclude-primes", "2,3"],
     # the benchmark's count-k1 ops at the ends of its bound grid, for every set
     *(with_s(["count", "--k", "1", "--bound", bound], s)
       for bound in ("19800", "20200") for s in S_GRID),
