@@ -6,7 +6,7 @@
   inclusion-exclusion, sharing no code with the oracle's point loop.
 * s_sum / t_sum: the auxiliary double sums over the multiplicative model,
   feeding the main-term identities: separate passes, the references for the
-  S(B, B^2) and T(B) that count_report takes from the count's own walk.
+  S(B, B^2) and T(B) that count_report takes from the model walk.
 
 All three sums run over cofactors c = n^3/d.  With B = bn/bd, d lies in
 the window n^3 e/B < d <= B^2/e^2 of e exactly when e c bd < bn and
@@ -16,7 +16,8 @@ and one difference array over e gives every n_star(B/e).  Every weight is
 positive (r*(p^f) >= 1, and r_4k(d) >= 1 for d >= 1), so the nonzero e are
 those whose window holds a cofactor.  S and T are the multiplicative total
 less the cofactors below a cap: for T every c < B, all of them in the walk,
-and for S those with d > B^2, the walk's cofactors with top(c) = 0.
+and for S those with d > B^2, the walk's cofactors with top(c) = 0.  So
+every route takes S and T from the model walk.
 
 All window comparisons are exact (integer cross-multiplication against
 rational bounds); a float only seeds an integer cube root that integers
@@ -26,8 +27,8 @@ equality is exact.  On the model routes the n whose largest prime p is
 odd, outside the set and simple are not visited one at a time: top(c)
 does not increase with p, so their cofactors are summed over runs of
 primes against prefix sums of the weights of p (_walk_runs).  The exact
-table walks every n.  All sums are of integers, so any order of summation
-gives a bit-identical total.
+table walks every n for its windows.  All sums are of integers, so any
+order of summation gives a bit-identical total.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 # difference array and Mobius list grow linearly in B.  On the same machine
 # one cold `count --k 1 --bound 1000000`, summed by runs of the largest prime,
 # took 4.6-5.8 s and peaked at 89 MiB (VmHWM); 2.0 s and 47 MiB at
-# B = 3 * 10^5, and 6.9 s and 101 MiB at k = 2, B = 10^6.  t_sum and s_sum still visit every
-# n: t_sum took 29 s and 95 MiB at 10^6, so twice the limit would take them
-# past a budget of a minute.
+# B = 3 * 10^5, and 6.9 s and 101 MiB at k = 2, B = 10^6.  t_sum and s_sum
+# still visit every n: t_sum took 29 s and 95 MiB at 10^6, so twice the
+# limit would take them past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
 
 
@@ -153,17 +154,18 @@ def _profile(factors, k, s_primes, hi_cap):
     return items, total
 
 
-def _profiles(spf: list, req: CountRequest, cap):
-    """Yield (n, items, total) with the model weights r*, for 1 <= n < len(spf).
+def _profiles(nmax: int, req: CountRequest, cap):
+    """Yield (n, items, total) with the model weights r*, for 1 <= n <= nmax.
 
-    spf is smallest_prime_factors(nmax); cap is the cofactor cap, an int or a
-    function of n.
+    cap is the cofactor cap, an int or a function of n.
     """
-    for n in range(1, len(spf)):
+    spf = smallest_prime_factors(nmax)
+    for n in range(1, nmax + 1):
         hi = cap if isinstance(cap, int) else cap(n)
         yield (n, *_profile(_factor_from_spf(n, spf), req.k, req.s_set, hi))
 
 
+# no caller in src; perfbench/tracer.py's TRACED and its contract test name it
 def _window(items, lo: int) -> int:
     """Weight sum over cofactors c >= lo."""
     return sum(w for c, w in items if c >= lo)
@@ -192,39 +194,29 @@ def _check_walk_bound(nmax: int) -> None:
         raise CapacityError(f"the loop over n <= {nmax} is guarded at B <= {WALK_BOUND_LIMIT}")
 
 
-def _walk_block(spf: list, req: CountRequest, b: Fraction, table) -> tuple:
-    """The loop over n <= B, one n at a time: (diff, total, near, far).
+def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
+    """The loop over n <= B, one n at a time: (diff, total).
 
-    Each cofactor adds its weight to diff at top(c).  total is the model
-    weight of every allowed cofactor, near that of the e = 1 windows (the
-    exact route only), and far that of the cofactors of each far n (n > B/2)
-    below its window.
+    A cofactor c < lo (d > B^2) adds its weight to slot 0, any other to
+    top(c); total is the model weight of every allowed cofactor.  With a
+    table, only the cofactors in a window (c >= lo) are kept, weighed by
+    the table, so slot 0 stays 0.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
     cmax = (bn - 1) // bd
     diff = [0] * (bn // bd + 1)
-    total = near = far = 0
-    for n, items, weight in _profiles(spf, req, cmax):
+    total = 0
+    for n, items, weight in _profiles(bn // bd, req, cmax):
         total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
-        lo = -(-n3bd2 // bn2)  # c >= lo exactly when d = n^3/c <= B^2
+        lo = -(-n3bd2 // bn2)  # c >= lo: d = n^3/c <= B^2, and top(c) >= 1
         if table is not None:
-            # the table weighs d <= B^2, its range; slot 0 and T keep the model
-            near += _window(items, lo)
-            items = [(c, table[n3 // c] if c >= lo else w) for c, w in items]
-        if 2 * n * bd > bn:
-            # e < B/n < 2: only the e = 1 window, c >= lo, is left; far gets the rest
-            for c, w in items:
-                if c < lo:
-                    far += w
-                else:
-                    diff[1] += w
-            continue
+            items = [(c, table[n3 // c]) for c, _ in items if c >= lo]
         for c, w in items:
-            diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
-    return diff, total, near, far
+            diff[min(isqrt(bn2 * c // n3bd2), cmax // c) if c >= lo else 0] += w
+    return diff, total
 
 
 def _icbrt(x: int) -> int:
@@ -238,7 +230,7 @@ def _icbrt(x: int) -> int:
 
 
 def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
-    """_walk_block's (diff, total, near, far) for the model weights, summed by runs of primes.
+    """_walk_block's (diff, total) for the model weights, summed by runs of primes.
 
     Write n = m p with p = P(n), the largest prime of n.  When p is odd,
     outside the set and divides n once, the allowed cofactors of n are
@@ -259,8 +251,7 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     power, and visiting only the m that have a run or a descendant.  The
     other n (n = 1, and those whose largest prime is 2, in the set, or
     squared) are nodes of the same walk, filed one at a time as _walk_block
-    files them.  Every cofactor with top 0 goes to slot 0, so far is 0; near
-    is 0 on every model route.
+    files them.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
@@ -347,16 +338,17 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                           [(cq, w * wq) for c, w in items for pq, wq in pws
                            if (cq := c * pq) <= cmax],
                           weight * psum, alone))
-    return diff, total, 0, 0
+    return diff, total
 
 
 def _walk(bound, req: CountRequest) -> tuple:
     """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
 
     Squarefree e with nonzero entries only.  Each cofactor adds its weight
-    at top(c); suffix sums give n_star(B/e) / 2.  Slot 0 and far (n > B/2)
-    take top(c) = 0, that is d > B^2, so S is the model total less them;
-    T is S less the model weight of the e = 1 window.
+    at top(c); suffix sums give n_star(B/e) / 2.  S and T come from the
+    model walk on every route: slot 0 takes top(c) = 0, that is d > B^2,
+    so S is the model total less slot 0, and T is the total less every
+    cofactor below B, the whole difference array.
 
     The model sources sum the n with a simple odd largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
@@ -367,18 +359,18 @@ def _walk(bound, req: CountRequest) -> tuple:
         raise DomainError("bound must be >= 1")
     nmax = b.numerator // b.denominator
     _check_walk_bound(nmax)
+    model, total = _walk_runs(req, b)
+    s = total - model[0]
+    t = total - sum(model)
+    diff = model
     if req.r_source == RSource.EXACT:
         table = r4k_bruteforce(b.numerator ** 2 // b.denominator ** 2, req.k)
-        diff, total, near, far = _walk_block(smallest_prime_factors(nmax), req, b, table)
-    else:
-        diff, total, near, far = _walk_runs(req, b)
+        diff = _walk_block(req, b, table)[0]
     mu = mobius_sieve(nmax)
     acc = 0
     for e in range(nmax, 0, -1):
         acc += diff[e]
         diff[e] = acc
-    s = total - diff[0] - far
-    t = s - (near if req.r_source == RSource.EXACT else diff[1])
     # jacobi: r4k_main_coeff(k) r*, 8 r* at k = 1 and 16 r* at k = 2, is r_4k
     scale = 2 * int(r4k_main_coeff(req.k)) if req.r_source == RSource.JACOBI else 2
     by_d = {e: scale * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
@@ -399,7 +391,7 @@ def _cofactor_remainder(nmax: int, req: CountRequest, cap) -> int:
     """Model weight of the cofactors above cap, summed over n <= nmax."""
     _check_walk_bound(nmax)
     return sum(total - sum(w for _, w in items)
-               for _, items, total in _profiles(smallest_prime_factors(nmax), req, cap))
+               for _, items, total in _profiles(nmax, req, cap))
 
 
 def s_sum(x_bound, y_bound, req: CountRequest) -> int:
@@ -459,11 +451,6 @@ def _vector_counts(left: int, need: int) -> list:
             new[lo - old:] = map(add, new[lo - old:], twice[src:] if src else twice)
         row += new
     return row
-
-
-def _signed_count(rem: int, left: int) -> int:
-    """Number of integer vectors of length `left` with squared norm rem."""
-    return _vector_counts(left, rem)[rem]
 
 
 def _coprime_count(table: list, rem: int, g: int) -> int:

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from semicubic import counting
-from semicubic.arith import CapacityError, DomainError, PrimeSet, smallest_prime_factors
+from semicubic.arith import CapacityError, DomainError, PrimeSet
 from semicubic.counting import (
     ORACLE_BOUND_LIMITS,
     WALK_BOUND_LIMIT,
@@ -214,20 +214,6 @@ def test_walk_capacity_guard(monkeypatch):
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _per_n_walk(r):
-    """_walk_block over n = 1..floor(B): (slot 0 plus far, diff[1:], total)."""
-    b = r.bound
-    diff, total, _, far = counting._walk_block(
-        smallest_prime_factors(b.numerator // b.denominator), r, b, None)
-    return diff[0] + far, diff[1:], total
-
-
-def _runs_walk(r):
-    diff, total, near, far = counting._walk_runs(r, r.bound)
-    assert near == 0
-    return diff[0] + far, diff[1:], total
-
-
 def test_walk_runs_match_the_per_n_walk():
     # every slot of the difference array and the model total, bit for bit
     bounds = (1, 2, 3, 4, 8, 9, 25, 27, 5, 31, 97, 211, Fraction(599, 2),
@@ -235,14 +221,16 @@ def test_walk_runs_match_the_per_n_walk():
     for k, source, s, bound in product((1, 2), (RSource.JACOBI, RSource.RSTAR),
                                        ("", "2", "2,3", "5,7", "3,7"), bounds):
         r = req(bound, k=k, s_set=PrimeSet.parse(s), source=source)
-        assert _runs_walk(r) == _per_n_walk(r), (k, source, s, bound)
+        assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound), \
+            (k, source, s, bound)
 
 
 def test_walk_runs_large_cases():
     # k = 2 with two primes in the set; rstar with a set that misses 2
     for r in (req(10**5, k=2, s_set=S23), req(3 * 10**4, s_set=PrimeSet.of(5, 7),
                                                   source=RSource.RSTAR)):
-        assert _runs_walk(r) == _per_n_walk(r), (r.k, r.bound)
+        assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound), \
+            (r.k, r.bound)
 
 
 # --- oracle -----------------------------------------------------------------
@@ -455,16 +443,22 @@ def test_count_report_round_trip():
 
 def test_count_report_walks_once(monkeypatch):
     # the count, its Mobius sum, S and T come from one walk by runs and one
-    # mu sieve; a model route makes no pass over every n
-    calls = {"_walk_runs": 0, "mobius_sieve": 0, "_profiles": 0}
+    # mu sieve; a model route makes no pass over every n, and the exact
+    # route makes one, for the table's windows, and takes S and T from the runs
+    cases = [(req(40, s_set=S23), 0), (req(40, k=3, s_set=S23, source=RSource.EXACT), 1)]
+    st = [(s_sum(40, 1600, r), t_sum(40, r)) for r, _ in cases]
+    calls = dict.fromkeys(("_walk_runs", "_walk_block", "mobius_sieve", "_profiles"), 0)
     for name in calls:
         def counted(*args, _f=getattr(counting, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(counting, name, counted)
-    rep = count_report(req(40, s_set=S23), with_st=True)
-    assert calls == {"_walk_runs": 1, "mobius_sieve": 1, "_profiles": 0}
-    assert rep["s_value"] is not None and rep["t_value"] is not None
+    for (r, per_n), (sv, tv) in zip(cases, st):
+        calls.update(dict.fromkeys(calls, 0))
+        rep = count_report(r, with_st=True)
+        assert calls == {"_walk_runs": 1, "_walk_block": per_n, "mobius_sieve": 1,
+                         "_profiles": per_n}, r.r_source
+        assert (rep["s_value"], rep["t_value"]) == (sv, tv), r.r_source
 
 
 def test_count_report_mobius_recomputation():

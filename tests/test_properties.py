@@ -11,11 +11,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from semicubic.arith import PrimeSet, primes_up_to, smallest_prime_factors  # noqa: E402
+from semicubic.arith import PrimeSet, primes_up_to  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
     RSource,
-    _signed_count,
+    _vector_counts,
     _walk_block,
     _walk_runs,
     count_report,
@@ -65,7 +65,7 @@ def test_routes_agree_k2(bound, s_set):
 @given(m=st.integers(0, 60), j=st.integers(0, 8))
 def test_signed_count_in_any_order(m, j, literal_vector_counts):
     # random order: each draw may find its length's table shorter or longer than m
-    assert _signed_count(m, j) == literal_vector_counts[m, j]
+    assert _vector_counts(j, m)[m] == literal_vector_counts[m, j]
 
 
 BOUNDS_3000 = st.one_of(st.integers(1, 3000).map(Fraction),
@@ -78,7 +78,4 @@ BOUNDS_3000 = st.one_of(st.integers(1, 3000).map(Fraction),
 def test_walk_runs_match_the_per_n_walk(bound, s_set, k, source):
     # the sums by runs of the largest prime equal the walk over every n, slot by slot
     r = _req(bound, k, PrimeSet(frozenset(s_set)), source)
-    diff, total, _, far = _walk_block(smallest_prime_factors(int(bound)), r, bound, None)
-    runs, runs_total, near, runs_far = _walk_runs(r, bound)
-    assert near == 0
-    assert (runs[0] + runs_far, runs[1:], runs_total) == (diff[0] + far, diff[1:], total)
+    assert _walk_runs(r, bound) == _walk_block(r, bound)

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from semicubic.arith import CapacityError, DomainError
-from semicubic.counting import _signed_count
+from semicubic.counting import _vector_counts
 from semicubic.reps import (
     r4_jacobi,
     r4k_bruteforce,
@@ -53,13 +53,13 @@ def test_bruteforce_against_signed_count():
     cases = [(k, top) for k in range(1, 7) for top in (1, 2, 3)]
     cases += [(1, 200), (2, 200), (3, 200), (4, 40), (5, 40)]
     for k, top in cases:
-        assert list(r4k_bruteforce(top, k)) == [_signed_count(d, 4 * k)
+        assert list(r4k_bruteforce(top, k)) == [_vector_counts(4 * k, d)[d]
                                                 for d in range(top + 1)]
 
 
 def test_signed_count_against_literal_enumeration(literal_vector_counts):
     for (m, j), want in literal_vector_counts.items():
-        assert _signed_count(m, j) == want, (m, j)
+        assert _vector_counts(j, m)[m] == want, (m, j)
 
 
 def test_bruteforce_digest():

@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 19 s on a 2-core x86 machine, 5 s of them in one count at
+Stdlib only; about 25 s on a 2-core x86 machine, 6 s of them in one count at
 B = 10^6, the edge of the loop over n.
 """
 
@@ -95,6 +95,12 @@ EXTRA = [
     # the table's edges (B = 518, 381, 320 for k = 1, 2, 3) and one step past
     *(["count", "--k", k, "--bound", str(edge + step), "--r-source", "exact"]
       for k, edge in (("1", 518), ("2", 381), ("3", 320)) for step in (0, 1)),
+    # S and T on the table route at its edges, and k = 3 tables up to the edge
+    *(["count", "--k", k, "--bound", edge, "--r-source", "exact", "--with-st"] + s
+      for k, edge in (("1", "518"), ("2", "381"), ("3", "320"))
+      for s in ([], ["--exclude-primes", "2,3"])),
+    ["table", "--k", "3", "--bounds", "100,320"],
+    ["compare", "--k", "3", "--bounds", "100,320", "--exclude-primes", "5,7"],
     # the benchmark's constants ops
     ["predict", "--k", "1", "--prime-cutoff", "1000000", "--bounds", "1000,100000"],
     ["predict", "--k", "2", "--prime-cutoff", "1000000", "--bounds", "3000,30000",
@@ -120,7 +126,7 @@ EXTRA = [
     *(["count", "--k", "1", "--bound", bound, "--with-st"]
       for bound in ("2", "3", "4", "8", "9", "25", "27")),
     # the prime sieve's edge (a cutoff of 10^6) and one step past, then the
-    # loop over n at its edge (B = 10^6, about 40 s) and one step past
+    # loop over n at its edge (B = 10^6, about 6 s) and one step past
     *(argv + [str(edge + step)]
       for argv, edge in ((["local-factors", "--k", "1", "--prime-cutoff"], 10**6),
                          (["count", "--k", "1", "--bound"], 10**6))
