@@ -20,15 +20,14 @@ and for S those with d > B^2, the walk's cofactors with top(c) = 0.  So
 every route takes S and T from the model walk.
 
 All window comparisons are exact (integer cross-multiplication against
-rational bounds); a float only seeds an integer cube root that integers
-then correct, so no float decides a counting predicate.  The z-boundary
-is the half-open convention |z| < B in every route, so cross-route
-equality is exact.  On the model routes the n whose largest prime p is
-odd, outside the set and simple are not visited one at a time: top(c)
-does not increase with p, so their cofactors are summed over runs of
-primes against prefix sums of the weights of p (_walk_runs).  The exact
-table walks every n for its windows.  All sums are of integers, so any
-order of summation gives a bit-identical total.
+rational bounds, and bisection on integer prime cubes), so no float
+enters a count.  The z-boundary is the half-open convention |z| < B in
+every route, so cross-route equality is exact.  On the model routes the
+n whose largest prime p is outside the set and simple are not visited
+one at a time: top(c) does not increase with p, so their cofactors are
+summed over runs of primes against prefix sums of the weights of p
+(_walk_runs).  The exact table walks every n for its windows.  All sums
+are of integers, so any order of summation gives a bit-identical total.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
 # difference array and Mobius list grow linearly in B.  On the same machine
 # one cold `count --k 1 --bound 1000000`, summed by runs of the largest prime,
-# took 4.6-5.8 s and peaked at 89 MiB (VmHWM); 2.0 s and 47 MiB at
-# B = 3 * 10^5, and 6.9 s and 101 MiB at k = 2, B = 10^6.  t_sum and s_sum
+# took 5.1-5.6 s and peaked at 91 MiB (VmHWM); 1.7 s and 47 MiB at
+# B = 3 * 10^5, and 5.6 s and 102 MiB at k = 2, B = 10^6.  t_sum and s_sum
 # still visit every n: t_sum took 29 s and 95 MiB at 10^6, so twice the
 # limit would take them past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
@@ -219,20 +218,10 @@ def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
     return diff, total
 
 
-def _icbrt(x: int) -> int:
-    """floor(x^(1/3)) for an int x >= 0: a float seed, corrected in integers."""
-    r = int(x ** (1 / 3))
-    while r * r * r > x:
-        r -= 1
-    while (r + 1) ** 3 <= x:
-        r += 1
-    return r
-
-
 def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     """_walk_block's (diff, total) for the model weights, summed by runs of primes.
 
-    Write n = m p with p = P(n), the largest prime of n.  When p is odd,
+    Write n = m p with p = P(n), the largest prime of n.  When p is
     outside the set and divides n once, the allowed cofactors of n are
     c p^g, g in {0, 1, 3}, one for each allowed cofactor c of m, weighted
     w_c W_g(p), with W_0 = r*(p^3), W_1 = r*(p^2) and W_3 = 1.  With
@@ -244,26 +233,30 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
         g = 3: min(isqrt(A), cc // p^3)
 
     none of which increases with p.  So the primes in (P(m), nmax / m] fall
-    into runs of one top each; one integer root and one bisect end a run,
-    and it adds w_c times a difference of prefix sums of W_g to diff[top].
+    into runs of one top each.  One bisect ends a run: top >= t exactly
+    when p^3 <= A // t^2 (g = 0), p <= min(isqrt(A), cc) // t (g = 1) or
+    p^3 <= cc // t (g = 3), since x // q >= t exactly when q <= x // t for
+    positive integers.  A run adds w_c times a difference of prefix sums of
+    W_g to diff[top].
     The m come from a depth-first walk over factorizations in increasing
     primes, each node extending its parent's cofactor profile by one prime
     power, and visiting only the m that have a run or a descendant.  The
-    other n (n = 1, and those whose largest prime is 2, in the set, or
+    other n (n = 1, and those whose largest prime is in the set or
     squared) are nodes of the same walk, filed one at a time as _walk_block
     files them.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
     nmax, cmax = bn // bd, (bn - 1) // bd
-    k, s_set = req.k, req.s_set
+    k = req.k
     primes = primes_up_to(nmax)
-    odd = [p for p in primes if p > 2 and p not in s_set]  # the primes summed in runs
-    pre0, pre1 = [0], [0]  # prefix sums of W_0 and W_1 over odd; W_3 sums to the index
-    for p in odd:
+    lone = req.s_set.primes  # the primes q of a directly filed n = m q
+    runp = [p for p in primes if p not in lone]  # the primes summed in runs
+    cubes = [p * p * p for p in runp]
+    pre0, pre1 = [0], [0]  # prefix sums of W_0 and W_1 over runp; W_3 sums to the index
+    for p in runp:
         pre0.append(pre0[-1] + r4k_star_prime_power(p, 3, k))
         pre1.append(pre1[-1] + r4k_star_prime_power(p, 2, k))
-    lone = {2, *s_set}  # the primes q of a directly filed n = m q
     diff = [0] * (nmax + 1)
     total = 0
     # (m, P(m), allowed cofactors of m up to cmax with weights, total weight, filed directly)
@@ -276,8 +269,8 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
             total += weight
             for c, w in items:
                 diff[min(isqrt(bn2 * c // m3bd2), cmax // c)] += w
-        i0 = bisect_right(odd, pm)
-        i1 = bisect_right(odd, hi, i0)
+        i0 = bisect_right(runp, pm)
+        i1 = bisect_right(runp, hi, i0)
         if i0 < i1:
             total += weight * (pre0[i1] - pre0[i0] + pre1[i1] - pre1[i0] + i1 - i0)
             for c, w in items:
@@ -286,34 +279,32 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                 ra = isqrt(a)
                 i = i0  # g = 0
                 while i < i1:
-                    p = odd[i]
-                    t = min(isqrt(a // (p * p * p)), cc)
+                    t = min(isqrt(a // cubes[i]), cc)
                     if not t:
                         diff[0] += w * (pre0[i1] - pre0[i])
                         break
-                    j = bisect_right(odd, _icbrt(a // (t * t)), i + 1, i1)
+                    j = bisect_right(cubes, a // (t * t), i + 1, i1)
                     diff[t] += w * (pre0[j] - pre0[i])
                     i = j
                 lim = min(ra, cc)  # g = 1
-                end = bisect_right(odd, cc, i0, i1)
+                end = bisect_right(runp, cc, i0, i1)
                 i = i0
                 while i < end:
-                    t = lim // odd[i]
+                    t = lim // runp[i]
                     if not t:
                         diff[0] += w * (pre1[end] - pre1[i])
                         break
-                    j = bisect_right(odd, lim // t, i + 1, end)
+                    j = bisect_right(runp, lim // t, i + 1, end)
                     diff[t] += w * (pre1[j] - pre1[i])
                     i = j
-                end = bisect_right(odd, _icbrt(cc), i0, i1)  # g = 3
+                end = bisect_right(cubes, cc, i0, i1)  # g = 3
                 i = i0
                 while i < end:
-                    p = odd[i]
-                    t = min(ra, cc // (p * p * p))
+                    t = min(ra, cc // cubes[i])
                     if not t:
                         diff[0] += w * (end - i)
                         break
-                    j = bisect_right(odd, _icbrt(cc // t), i + 1, end)
+                    j = bisect_right(cubes, cc // t, i + 1, end)
                     diff[t] += w * (j - i)
                     i = j
         # children m q^e, q > P(m): every power with e >= 2 or q in lone is
@@ -333,7 +324,7 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
             j += 1
         kids += [(q, 1, True) for q in lone if pm < q <= hi < q * q]
         for q, e, alone in kids:
-            pws, psum = _prime_weights(q, e, k, q in s_set)
+            pws, psum = _prime_weights(q, e, k, q in lone)
             stack.append((m * q**e, q,
                           [(cq, w * wq) for c, w in items for pq, wq in pws
                            if (cq := c * pq) <= cmax],
@@ -350,7 +341,7 @@ def _walk(bound, req: CountRequest) -> tuple:
     so S is the model total less slot 0, and T is the total less every
     cofactor below B, the whole difference array.
 
-    The model sources sum the n with a simple odd largest prime outside the
+    The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
     are not multiplicative, walks every n (_walk_block).
     """

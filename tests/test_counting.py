@@ -226,9 +226,12 @@ def test_walk_runs_match_the_per_n_walk():
 
 
 def test_walk_runs_large_cases():
-    # k = 2 with two primes in the set; rstar with a set that misses 2
-    for r in (req(10**5, k=2, s_set=S23), req(3 * 10**4, s_set=PrimeSet.of(5, 7),
-                                                  source=RSource.RSTAR)):
+    # k = 2 with two primes in the set; rstar with a set that misses 2; then 2
+    # in the runs: k = 1 with no set, and the k = 2 weights of 2 with a set of 3
+    for r in (req(10**5, k=2, s_set=S23),
+              req(3 * 10**4, s_set=PrimeSet.of(5, 7), source=RSource.RSTAR),
+              req(10**5, s_set=S0),
+              req(3 * 10**4, k=2, s_set=PrimeSet.of(3), source=RSource.RSTAR)):
         assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound), \
             (r.k, r.bound)
 

@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 25 s on a 2-core x86 machine, 6 s of them in one count at
+Stdlib only; about 22 s on a 2-core x86 machine, 5 s of them in one count at
 B = 10^6, the edge of the loop over n.
 """
 
@@ -123,6 +123,10 @@ EXTRA = [
     *(with_s(["count", "--k", "2", "--bound", "20000", "--with-st"], s) for s in S_GRID),
     ["count", "--k", "1", "--bound", "30000", "--r-source", "rstar",
      "--exclude-primes", "2,3", "--with-st"],
+    # 2 in the runs: the k = 2 weights of 2, and rstar with a set that misses 2
+    ["count", "--k", "2", "--bound", "100000", "--exclude-primes", "3", "--with-st"],
+    ["count", "--k", "1", "--bound", "100000", "--exclude-primes", "5,7",
+     "--r-source", "rstar", "--with-st"],
     *(["count", "--k", "1", "--bound", bound, "--with-st"]
       for bound in ("2", "3", "4", "8", "9", "25", "27")),
     # the prime sieve's edge (a cutoff of 10^6) and one step past, then the
