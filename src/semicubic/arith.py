@@ -42,12 +42,9 @@ def _least_factor(n: int) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 17)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (values up to ~1e12)."""
-    # cleared when full: maxsize adds a link node per entry, +4 MiB at 78,498 primes
-    if is_prime.cache_info().currsize >= 1 << 17:
-        is_prime.cache_clear()
     return n >= 2 and _least_factor(n) == n
 
 
@@ -143,9 +140,6 @@ class Factorization:
         if prod != self.value:
             raise DomainError("factor list does not reconstruct the value")
 
-    def cube(self) -> "Factorization":
-        return Factorization(self.value ** 3, tuple((p, 3 * e) for p, e in self.factors))
-
 
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> Factorization:
@@ -202,8 +196,7 @@ def mobius_sieve(n: int) -> list[int]:
     for p in primes_up_to(n):
         mu[p::p] = [-v for v in mu[p::p]]
         square = p * p
-        if square <= n:
-            mu[square::square] = [0] * ((n - square) // square + 1)
+        mu[square::square] = [0] * (n // square)
     return mu
 
 
@@ -221,42 +214,32 @@ def smallest_prime_factors(n: int) -> list[int]:
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # exact for floats, strings
+    return Fraction(x)  # exact for ints, floats, strings
 
 
 def divisors_of_cube(n: int, lo, hi) -> list[Factorization]:
     """Divisors d of n^3 with lo < d <= hi, ascending, each factored.
 
     The window is half-open on the left.  Bounds may be int, Fraction or
-    float; comparisons are exact (no floating point).
+    float; each is floored once, exactly (no floating point), since for an
+    integer d, lo < d <= hi exactly when floor(lo) < d <= floor(hi).
     """
     if n < 1:
         raise DomainError("divisors_of_cube requires n >= 1")
-    lo = _as_fraction(lo)
-    hi = _as_fraction(hi)
-    if hi < lo:
-        return []
-    cube = factorize(n).cube()
-    top = hi.numerator // hi.denominator
+    lo = math.floor(_as_fraction(lo))
+    hi = math.floor(_as_fraction(hi))
     divs = [(1, ())]
-    for p, e in cube.factors:
+    for p, e in factorize(n).factors:
         grown = []
         for d, fs in divs:
             grown.append((d, fs))
-            for f in range(1, e + 1):
+            for f in range(1, 3 * e + 1):
                 d *= p
-                if d > top:  # partial products only grow
+                if d > hi:  # partial products only grow
                     break
                 grown.append((d, fs + ((p, f),)))
         divs = grown
-    out = [
-        Factorization(d, fs)
-        for d, fs in sorted(divs)
-        if lo < d <= hi
-    ]
-    return out
+    return [Factorization(d, fs) for d, fs in sorted(divs) if lo < d <= hi]
 
 
 @lru_cache(maxsize=None)

@@ -20,14 +20,15 @@ and for S those with d > B^2, the walk's cofactors with top(c) = 0.  So
 every route takes S and T from the model walk.
 
 All window comparisons are exact (integer cross-multiplication against
-rational bounds, and bisection on integer prime cubes), so no float
-enters a count.  The z-boundary is the half-open convention |z| < B in
-every route, so cross-route equality is exact.  On the model routes the
-n whose largest prime p is outside the set and simple are not visited
-one at a time: top(c) does not increase with p, so their cofactors are
-summed over runs of primes against prefix sums of the weights of p
-(_walk_runs).  The exact table walks every n for its windows.  All sums
-are of integers, so any order of summation gives a bit-identical total.
+rational bounds, bisection on integer prime cubes, and in the oracle
+integer floors of x^3/B), so no float enters a count.  The z-boundary is
+the half-open convention |z| < B in every route, so cross-route equality
+is exact.  On the model routes the n whose largest prime p is outside
+the set and simple are not visited one at a time: top(c) does not
+increase with p, so their cofactors are summed over runs of primes
+against prefix sums of the weights of p (_walk_runs).  The exact table
+walks every n for its windows.  All sums are of integers, so any order
+of summation gives a bit-identical total.
 """
 
 from __future__ import annotations
@@ -196,10 +197,10 @@ def _check_walk_bound(nmax: int) -> None:
 def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
     """The loop over n <= B, one n at a time: (diff, total).
 
-    A cofactor c < lo (d > B^2) adds its weight to slot 0, any other to
-    top(c); total is the model weight of every allowed cofactor.  With a
-    table, only the cofactors in a window (c >= lo) are kept, weighed by
-    the table, so slot 0 stays 0.
+    Each cofactor adds its weight to top(c), which is 0 exactly when
+    c < lo (d > B^2); total is the model weight of every allowed cofactor.
+    With a table, only the cofactors in a window (c >= lo) are kept,
+    weighed by the table, so slot 0 stays 0.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
@@ -210,11 +211,11 @@ def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
         total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
-        lo = -(-n3bd2 // bn2)  # c >= lo: d = n^3/c <= B^2, and top(c) >= 1
         if table is not None:
+            lo = -(-n3bd2 // bn2)  # c >= lo: d = n^3/c <= B^2, and top(c) >= 1
             items = [(c, table[n3 // c]) for c, _ in items if c >= lo]
         for c, w in items:
-            diff[min(isqrt(bn2 * c // n3bd2), cmax // c) if c >= lo else 0] += w
+            diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
     return diff, total
 
 
@@ -237,7 +238,8 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     when p^3 <= A // t^2 (g = 0), p <= min(isqrt(A), cc) // t (g = 1) or
     p^3 <= cc // t (g = 3), since x // q >= t exactly when q <= x // t for
     positive integers.  A run adds w_c times a difference of prefix sums of
-    W_g to diff[top].
+    W_g to diff[top].  The last run of each g has top 0 and ends at the
+    range end, as no later prime can raise the top.
     The m come from a depth-first walk over factorizations in increasing
     primes, each node extending its parent's cofactor profile by one prime
     power, and visiting only the m that have a run or a descendant.  The
@@ -280,10 +282,7 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                 i = i0  # g = 0
                 while i < i1:
                     t = min(isqrt(a // cubes[i]), cc)
-                    if not t:
-                        diff[0] += w * (pre0[i1] - pre0[i])
-                        break
-                    j = bisect_right(cubes, a // (t * t), i + 1, i1)
+                    j = bisect_right(cubes, a // (t * t), i + 1, i1) if t else i1
                     diff[t] += w * (pre0[j] - pre0[i])
                     i = j
                 lim = min(ra, cc)  # g = 1
@@ -291,20 +290,14 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                 i = i0
                 while i < end:
                     t = lim // runp[i]
-                    if not t:
-                        diff[0] += w * (pre1[end] - pre1[i])
-                        break
-                    j = bisect_right(runp, lim // t, i + 1, end)
+                    j = bisect_right(runp, lim // t, i + 1, end) if t else end
                     diff[t] += w * (pre1[j] - pre1[i])
                     i = j
                 end = bisect_right(cubes, cc, i0, i1)  # g = 3
                 i = i0
                 while i < end:
                     t = min(ra, cc // cubes[i])
-                    if not t:
-                        diff[0] += w * (end - i)
-                        break
-                    j = bisect_right(cubes, cc // t, i + 1, end)
+                    j = bisect_right(cubes, cc // t, i + 1, end) if t else end
                     diff[t] += w * (j - i)
                     i = j
         # children m q^e, q > P(m): every power with e >= 2 or q in lone is
@@ -486,7 +479,8 @@ def _classes(bound: int, strict_z: bool):
     """
     for x in range(1, bound + 1):
         x3 = x * x * x
-        lo = Fraction(x3, bound) if strict_z else Fraction(x3 - 1, bound)
+        # d > x^3/B (|z| < B) or d >= x^3/B (|z| <= B), in integers
+        lo = (x3 if strict_z else x3 - 1) // bound
         for dfac in divisors_of_cube(x, lo, bound * bound):
             z = x3 // dfac.value
             yield x, dfac, z, math.gcd(x, z)

@@ -130,14 +130,9 @@ def r4k_star_prime_power(p: int, l: int, k: int) -> int:
                 f"prime-power value at 2^{l}, k={k} is not integral: {val}"
             )
         return int(val)
-    # geometric sum (1 - p^((l+1)(2k-1))) / (1 - p^(2k-1))
+    # the geometric sum 1 + z + ... + z^l, z = p^(2k-1), an exact division
     z = p ** (2 * k - 1)
-    total = 1
-    zpow = 1
-    for _ in range(l):
-        zpow *= z
-        total += zpow
-    return total
+    return (z ** (l + 1) - 1) // (z - 1)
 
 
 def r4k_star(d: int, k: int) -> int:

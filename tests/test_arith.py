@@ -127,8 +127,10 @@ def test_divisors_of_cube_against_brute_force():
     for n in range(1, 201):
         cube = n**3
         all_divs = _brute_divisors(cube)
+        # float bounds and a window with hi < lo are floored like the others
         for lo, hi in ((0, cube), (Fraction(cube, 7), cube), (1, Fraction(cube, 2)),
-                       (Fraction(3, 2), n * n)):
+                       (Fraction(3, 2), n * n), (cube / 7, cube - 0.5),
+                       (2.5, n * n + 0.5), (n * n, n)):
             got = divisors_of_cube(n, lo, hi)
             want = [d for d in all_divs if lo < d <= hi]
             assert [f.value for f in got] == want

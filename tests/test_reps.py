@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from semicubic.arith import CapacityError, DomainError
+from semicubic.arith import CapacityError, DomainError, primes_up_to
 from semicubic.counting import _vector_counts
 from semicubic.reps import (
     r4_jacobi,
@@ -101,6 +101,11 @@ def test_rstar_examples():
 def test_rstar_prime_power_values():
     # odd prime: geometric sum; p = 2: the two-term form, integral
     assert r4k_star_prime_power(3, 2, 1) == 1 + 3 + 9
+    for p in primes_up_to(97)[1:]:
+        for k in range(1, 5):
+            z = p ** (2 * k - 1)
+            for l in range(7):
+                assert r4k_star_prime_power(p, l, k) == sum(z**i for i in range(l + 1))
     assert r4k_star_prime_power(2, 1, 1) == 3
     assert r4k_star_prime_power(2, 5, 1) == 3
     assert r4k_star_prime_power(2, 1, 2) == 7

@@ -13,8 +13,9 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 22 s on a 2-core x86 machine, 5 s of them in one count at
-B = 10^6, the edge of the loop over n.
+Stdlib only; about 25 s on a 2-core x86 machine, 5 s of them in one count at
+B = 10^6, the edge of the loop over n, and 2 s in the k = 1 oracle at its
+guard's edge, B = 250.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ EXTRA = [
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
     ["predict", "--k", "7", "--prime-cutoff", "1000000"],
     ["local-factors", "--k", "8", "--prime-cutoff", "100000"],
-    # the oracle at k = 1, B = 200 (inside its guard), the table's capacity
-    # guard (exit 3), and the model past it (exit 0)
+    # the oracle at k = 1, B = 200 and at its guard's edge B = 250 (its widest
+    # integer windows), the table's capacity guard (exit 3), and the model
+    # past it (exit 0)
     ["count", "--k", "1", "--bound", "200", "--method", "oracle"],
+    ["count", "--k", "1", "--bound", "250", "--method", "both",
+     "--exclude-primes", "2,3", "--with-st"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "exact"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "auto"],
     # the table's edges (B = 518, 381, 320 for k = 1, 2, 3) and one step past
