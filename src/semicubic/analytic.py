@@ -288,15 +288,18 @@ def _gp_special(p: int, k: int, in_S: bool) -> float:
 
 
 def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
-    """Product of local factors at (1, 2k-1) over primes up to the cutoff.
+    """Product of local factors at (1, 2k-1) over primes up to the cutoff and the set.
 
     Sequential multiplication over sorted primes, so the value is
-    bit-stable.  The tail estimate is C / (cutoff log cutoff) * 1.5 with
-    C fitted from the observed |log gp| p^2 decay.  k, (s, w) and the pole
-    guard are checked once, before the first prime; each sieve prime then
-    goes through _local_factor as it stands, with no primality re-check and
-    no input object.  At a cutoff of 10^6 (78,498 primes) one cold
-    `predict` takes about 0.35-0.47 s on a 2-core x86 machine.
+    bit-stable.  A prime of the set above the cutoff enters as
+    gp(p, in the set) / gp(p, outside it), so the tail covers the primes
+    above the cutoff outside the set.  The tail estimate is
+    C / (cutoff log cutoff) * 1.5 with C the largest |log gp| p^2 over the
+    primes 10 < p <= cutoff outside the set (in the set it is about p).
+    k, (s, w) and the pole guard are checked once, before the first prime;
+    each sieve prime then goes through _local_factor as it stands, with no
+    primality re-check and no input object.  At a cutoff of 10^6 (78,498
+    primes) one cold `predict` takes about 0.35-0.47 s on a 2-core x86 machine.
     """
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be at least 100")
@@ -305,11 +308,16 @@ def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductRes
     value = 1.0
     c_fit = 0.0
     for p in primes_up_to(prime_cutoff):
-        pre, fp = _local_factor(p, k, p in s_set, 1.0, w)
+        in_s = p in s_set
+        pre, fp = _local_factor(p, k, in_s, 1.0, w)
         g = pre * fp
         value *= g
-        if p > 10:
+        if p > 10 and not in_s:
             c_fit = max(c_fit, abs(math.log(g)) * p * p)
+    for p in sorted(q for q in s_set.primes if q > prime_cutoff):
+        pre_in, fp_in = _local_factor(p, k, True, 1.0, w)
+        pre_out, fp_out = _local_factor(p, k, False, 1.0, w)
+        value *= (pre_in * fp_in) / (pre_out * fp_out)
     if value <= 0:
         raise ArithmeticError("Euler product is not positive")
     tail = 1.5 * c_fit / (prime_cutoff * math.log(prime_cutoff))

@@ -1,7 +1,9 @@
 """The three counting routes.
 
 * n_oracle: direct enumeration of primitive solutions, the ground truth
-  at small bounds.
+  at small bounds.  It weighs its (x, d, z) classes by the r_4k table the
+  exact walk reads, under that table's guard, and shares nothing else with
+  the walk: no windows, no top(c), no runs, no Mobius step over e.
 * n_star / n_mobius: the divisor-window double sum and its Mobius
   inclusion-exclusion, sharing no code with the oracle's point loop.
 * s_sum / t_sum: the auxiliary double sums over the multiplicative model,
@@ -41,7 +43,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import add
 
 from .arith import (
     CapacityError,
@@ -57,13 +58,6 @@ from .arith import (
 )
 from .geometry import SurfacePoint
 from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
-
-# Exhaustive-enumeration guards for the oracle, keyed by k: the largest
-# multiple of 50 at which one cold-cache n_oracle call took at most 1.5 s
-# (three quarters of a 2 s budget) and peaked under 36 MiB, on a 2-core x86
-# machine with Python 3.11.  The next multiple of 50 took 1.8 s (k = 1),
-# 2.5 s (k = 2), 1.9 s (k = 3) and 2.7 s (k = 4); k >= 5 is refused.
-ORACLE_BOUND_LIMITS = {1: 250, 2: 200, 3: 150, 4: 150}
 
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
 # difference array and Mobius list grow linearly in B.  On the same machine
@@ -108,6 +102,21 @@ class CountRequest:
                          else self.r_source.value),
             "z_boundary": "half_open",  # |z| < B in every route, by convention
         }
+
+
+# k -> (r_4k(0), ..., r_4k(L)), the longest table built for k.  The name is
+# older than the table: perfbench/tracer.py reads it, and its contract test
+# asserts it, so it stays.
+_signed_cache: dict = {}
+
+
+def _r4k_table(limit: int, k: int) -> tuple:
+    """r_4k(0..L), L >= limit, for the exact walk and the oracle: one table per
+    k, the longest built, rebuilt by r4k_bruteforce (and its guard) for a larger limit."""
+    table = _signed_cache.get(k)
+    if table is None or len(table) <= limit:
+        table = _signed_cache[k] = r4k_bruteforce(limit, k)
+    return table
 
 
 def _factor_from_spf(n: int, spf: list) -> list:
@@ -348,7 +357,7 @@ def _walk(bound, req: CountRequest) -> tuple:
     t = total - sum(model)
     diff = model
     if req.r_source == RSource.EXACT:
-        table = r4k_bruteforce(b.numerator ** 2 // b.denominator ** 2, req.k)
+        table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
         diff = _walk_block(req, b, table)[0]
     mu = mobius_sieve(nmax)
     acc = 0
@@ -405,36 +414,7 @@ def t_sum(bound, req: CountRequest) -> int:
 # ---------------------------------------------------------------------------
 # Direct enumeration (the oracle)
 
-_signed_cache: dict = {}  # length j >= 1 -> [r_j(0), ..., r_j(L_j)], L_j falling in j
 _coprime_cache: dict = {}  # g -> [(q, mu(q)) for the squarefree q | g]
-
-
-def _vector_counts(left: int, need: int) -> list:
-    """[r(0), ..., r(L)] for some L >= need, r(m) the vectors in Z^left of squared norm m.
-
-    One table per length j <= left, built one coordinate at a time by
-    r_j(m) = r_{j-1}(m) + 2 sum_{t >= 1} r_{j-1}(m - t^2).  A short table is
-    extended, never rebuilt: each (m, t) term is added once, so a rising
-    run of bounds costs what the last one alone does, and no table is
-    longer than the largest need it met.
-    """
-    row = _signed_cache.get(left)
-    if row is not None and len(row) > need:
-        return row
-    row = [1] + [0] * need  # r_0
-    for j in range(1, left + 1):
-        prev, row = row, _signed_cache.setdefault(j, [])
-        old = len(row)
-        if old > need:
-            continue
-        twice = [2 * v for v in prev[:need + 1]]
-        new = prev[old:need + 1]
-        for t in range(1, isqrt(need) + 1):
-            lo = max(old, t * t)
-            src = lo - t * t  # 0 on a cold build, where twice needs no copy
-            new[lo - old:] = map(add, new[lo - old:], twice[src:] if src else twice)
-        row += new
-    return row
 
 
 def _coprime_count(table: list, rem: int, g: int) -> int:
@@ -464,11 +444,6 @@ def _oracle_bound(bound, k: int) -> int:
         raise DomainError("oracle bound must be a positive integer")
     if k < 1:
         raise DomainError("k must be >= 1")
-    if k > (kmax := max(ORACLE_BOUND_LIMITS)):
-        raise CapacityError(f"oracle enumeration is refused for k >= {kmax + 1} (k={k})")
-    if bound > (cap := ORACLE_BOUND_LIMITS[k]):
-        raise CapacityError(
-            f"oracle enumeration for k={k} is guarded at bound <= {cap}")
     return int(bound)
 
 
@@ -489,13 +464,13 @@ def _classes(bound: int, strict_z: bool):
 def n_oracle(bound: int, k: int, s_set: PrimeSet) -> int:
     """Count primitive solutions with |x| <= B, h <= B^2, |z| < B directly.
 
-    For each (x, d, z) class the y-vectors with squared norm d are counted
-    exhaustively, coprime to gcd(x, z) by inclusion-exclusion; the
+    For each (x, d, z) class the y-vectors with squared norm d are read off
+    the r_4k table, those coprime to gcd(x, z) by inclusion-exclusion; the
     semi-integral condition depends only on (x, z) and is checked once
     per class.  The result is doubled for the sign of x.
     """
     b = _oracle_bound(bound, k)
-    table = _vector_counts(4 * k, b * b)
+    table = _r4k_table(b * b, k)
     return 2 * sum(_coprime_count(table, dfac.value, g)
                    for x, dfac, _, g in _classes(b, True) if _semi_ok(x, dfac, s_set))
 
@@ -542,9 +517,14 @@ def point_classes(bound: int, k: int = 1) -> list:
 
     Members are counted, not built; every geometric predicate depends on a
     point only through (x, h, z), so the first point stands for its class.
+    The cost is the search for each first point (_iter_vectors), which the
+    table's guard does not price: on a 2-core x86 machine one cold call took
+    2.0 s at (k, B) = (1, 250), 18 s at (1, 518), the table's edge, 31 s at
+    (3, 150) and 95 s at (2, 200), and over 120 s at the k >= 2 edges.  Its
+    one caller, `verify --suite mpoints`, asks for B = 40.
     """
     b = _oracle_bound(bound, k)
-    table = _vector_counts(4 * k, b * b)
+    table = _r4k_table(b * b, k)
     return [(next(_class_points(k, x, dfac, z, g)), n)
             for x, dfac, z, g in _classes(b, False)
             if (n := _coprime_count(table, dfac.value, g))]

@@ -15,8 +15,8 @@ norm d:
 
 Counting weighs divisors by the model: 8 * rstar_4 is exactly r_4 and
 16 * rstar_8 exactly r_8, so the divisor-sum form r4_jacobi is kept only
-as the test reference for the first identity, and the table serves only
-k >= 3 and the checks that need an independent route.
+as the test reference for the first identity.  The table weighs the exact
+route (k >= 3, and the independent checks) and the oracle's classes.
 """
 
 from __future__ import annotations
@@ -27,11 +27,13 @@ from fractions import Fraction
 
 from .arith import CapacityError, DomainError, bernoulli, factorize
 
-# Guard for table construction: the digits the powering holds, (limit + 1) *
-# _slot_digits(limit, k), may not exceed this.  On a 2-core x86 machine with
-# Python 3.11, one cold call at this size took a median 0.8, 1.1 and 1.4 s for
-# k = 1, 2, 3 (the count edges B = 518, 381, 320) and at most 1.9 s for k <= 6,
-# within a budget of 2 s, and peaked under 40 MiB.
+# Guard for table construction, and so for the exact route and the oracle:
+# the digits the powering holds, (limit + 1) * _slot_digits(limit, k), may
+# not exceed this; the count edges are B = 518, 381, 320, 278, 252 and 232
+# for k = 1..6.  On a 2-core x86 machine with Python 3.11 one cold n_oracle
+# call at the edge, table included, took 0.85-0.92, 1.09-1.15, 1.41-1.59,
+# 1.13-1.37, 1.18-1.89 and 1.41-1.90 s for k = 1..6 (three runs each),
+# within a budget of 2 s, and peaked under 40 MiB (VmHWM).
 R4K_TABLE_BUDGET = 3_500_000
 
 

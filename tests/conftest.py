@@ -41,3 +41,25 @@ def literal_vector_counts():
         halves.append(counts)
     return {(m, j): sum(halves[(j + 1) // 2][i] * halves[j // 2][m - i] for i in range(m + 1))
             for j in range(9) for m in range(top + 1)}
+
+
+def _coordinate_counts(j, top):
+    """[r_j(0), ..., r_j(top)], r_j(m) the vectors in Z^j of squared norm m.
+
+    Built cold, one coordinate at a time, by
+    r_i(m) = r_{i-1}(m) + 2 sum_{t >= 1} r_{i-1}(m - t^2): no theta power
+    and no packed digits, so it is a reference for reps.r4k_bruteforce.
+    """
+    row = [1] + [0] * top
+    for _ in range(j):
+        prev, row = row, row[:]
+        for t in range(1, math.isqrt(top) + 1):
+            for m in range(t * t, top + 1):
+                row[m] += 2 * prev[m - t * t]
+    return row
+
+
+@pytest.fixture(scope="session")
+def coordinate_counts():
+    """The coordinate-by-coordinate vector counts, as a function (j, top)."""
+    return _coordinate_counts

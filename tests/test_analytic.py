@@ -224,6 +224,26 @@ def test_euler_product_properties():
     assert euler_product(1, PrimeSet.empty(), 2000).value == ep.value
 
 
+def test_euler_product_primes_of_s_above_the_cutoff():
+    # 101 enters at cutoff 100 as its in-set factor over its outside one, so
+    # G at 100 lies within its tail of G at 200, where 101 is a sieve prime
+    s101 = PrimeSet.of(101)
+    for k in (1, 2):
+        at100, at200 = (euler_product(k, s101, c) for c in (100, 200))
+        assert abs(at100.value / at200.value - 1) <= at100.tail_estimate, k
+        ratio = (gp(_inp(101, k, True, 1.0, 2.0 * k - 1))
+                 / gp(_inp(101, k, False, 1.0, 2.0 * k - 1)))
+        assert at100.value == euler_product(k, PrimeSet.empty(), 100).value * ratio, k
+
+
+def test_euler_product_tail_is_fitted_outside_s():
+    # an odd prime of S has |log gp| of about 1/p, not p^-2: it stays out of the fit
+    for k in (1, 2):
+        with_101, without = (euler_product(k, s, 200).tail_estimate
+                             for s in (PrimeSet.of(101), PrimeSet.empty()))
+        assert without / 2 <= with_101 <= 2 * without, k
+
+
 def test_leading_constant_prefactors():
     for k, s_set in ((1, PrimeSet.empty()), (2, PrimeSet.empty())):
         lead = leading_constant(k, s_set, 1000)

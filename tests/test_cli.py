@@ -46,13 +46,16 @@ def test_count_timings_flag(capsys):
 
 
 def test_capacity_exit_code(capsys, monkeypatch):
-    code, _ = _run(capsys, ["count", "--k", "1", "--bound", "251",
-                            "--method", "oracle"])
+    # the oracle's guard is its r_4 table's: one step past B = 518
+    code = main(["count", "--k", "1", "--bound", "519", "--method", "oracle"])
+    err = capsys.readouterr().err
     assert code == 3
-    # the oracle refuses k >= 5 at any bound, and says so
-    code = main(["count", "--k", "5", "--bound", "10", "--method", "oracle"])
-    assert code == 3
-    assert "refused for k >= 5" in capsys.readouterr().err
+    assert err.startswith("capacity guard: ") and len(err.strip().splitlines()) == 1, err
+    # k >= 5, once refused, runs at a small bound
+    code, out = _run(capsys, ["count", "--k", "5", "--bound", "10", "--method", "oracle"])
+    blob = json.loads(out)
+    assert code == 0
+    assert blob["n_oracle"] == blob["n_mobius"] > 0
     # k = 2 takes the model under auto; the brute-force r_8 table stops at B = 381
     for source, want in (("auto", 0), ("exact", 3)):
         code, _ = _run(capsys, ["count", "--k", "2", "--bound", "382",
@@ -107,6 +110,8 @@ BAD_BOUNDS = [
     # k too large for the float local factors: they overflow within a few primes
     ["predict", "--k", "20", "--prime-cutoff", "200"],
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
+    # a prime of the set above the cutoff enters the Euler product, and overflows
+    ["predict", "--k", "7", "--prime-cutoff", "100", "--exclude-primes", "1000003"],
     # not a bound: no prime lies below the cutoff
     ["local-factors", "--prime-cutoff", "0"],
     ["local-factors", "--prime-cutoff", "-5"],

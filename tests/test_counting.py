@@ -9,7 +9,6 @@ import pytest
 from semicubic import counting
 from semicubic.arith import CapacityError, DomainError, PrimeSet
 from semicubic.counting import (
-    ORACLE_BOUND_LIMITS,
     WALK_BOUND_LIMIT,
     CountRequest,
     RSource,
@@ -244,16 +243,20 @@ def test_oracle_examples():
     assert n_oracle(10, 1, S2) >= n_oracle(10, 1, S0)
 
 
+# the last bound whose r_4k table, B^2 + 1 entries, fits R4K_TABLE_BUDGET, per k
+TABLE_EDGES = {1: 518, 2: 381, 3: 320, 4: 278, 5: 252, 6: 232}
+
+
 def test_oracle_guard():
-    # one step past each edge of ORACLE_BOUND_LIMITS, and k = 5 at any bound
-    for bound, k in ((251, 1), (201, 2), (151, 3), (151, 4)):
-        with pytest.raises(CapacityError, match="guarded at bound"):
-            n_oracle(bound, k, S0)
-    with pytest.raises(CapacityError, match="refused for k >= 5"):
-        n_oracle(1, 5, S0)
+    # one step past each edge of the table the oracle reads
+    for k, edge in TABLE_EDGES.items():
+        with pytest.raises(CapacityError, match="exceeds the budget"):
+            n_oracle(edge + 1, k, S0)
     # a fractional bound reaches the oracle unchanged instead of being truncated
     with pytest.raises(DomainError):
         count_report(req(Fraction(7, 2)), with_oracle=True)
+    with pytest.raises(DomainError):
+        n_oracle(5, 0, S0)
 
 
 def test_oracle_against_point_enumeration():
@@ -325,35 +328,39 @@ def test_point_order_pins():
 
 
 def test_oracle_at_guard_edges(monkeypatch):
-    # cold caches; oracle = Mobius at every edge, the model for k <= 2 and the
-    # brute-force table above; then one table per length j, as long as the
-    # largest edge that reads it asks for (B^2 + 1 entries) and no longer
+    # cold caches; oracle = Mobius at the k = 1..4 table edges, the model for
+    # k <= 2 and the table above; then one table per k, B^2 + 1 entries long.
+    # The k = 5 and 6 edges (about 2 s each) are rows of tools/cli_matrix.py.
     monkeypatch.setattr(counting, "_signed_cache", {})
     monkeypatch.setattr(counting, "_coprime_cache", {})
-    for k, edge in ORACLE_BOUND_LIMITS.items():
+    edges = {k: TABLE_EDGES[k] for k in range(1, 5)}
+    for k, edge in edges.items():
         source = RSource.JACOBI if k <= 2 else RSource.EXACT
         for s_set in (S0, S23):
             assert n_oracle(edge, k, s_set) == n_mobius(edge, req(edge, k, s_set, source)), \
                 (k, str(s_set))
-    tables = counting._signed_cache
-    assert sorted(tables) == list(range(1, 4 * max(ORACLE_BOUND_LIMITS) + 1))
-    for j, table in tables.items():
-        assert len(table) == 1 + max(edge * edge for k, edge in ORACLE_BOUND_LIMITS.items()
-                                     if 4 * k >= j), j
+    assert {k: len(table) for k, table in counting._signed_cache.items()} == \
+        {k: edge * edge + 1 for k, edge in edges.items()}
 
 
-def test_oracle_tables_extend_in_place(monkeypatch):
-    monkeypatch.setattr(counting, "_signed_cache", {})
-    cold = {j: list(counting._vector_counts(j, 400)) for j in range(1, 9)}
+def test_oracle_past_k4():
+    # k = 5 and 6, once refused, against the table route
+    for k in (5, 6):
+        for s_set in (S0, S23):
+            assert n_oracle(20, k, s_set) == n_mobius(20, req(20, k, s_set, RSource.EXACT)), \
+                (k, str(s_set))
+
+
+def test_r4k_table_keeps_the_longest(monkeypatch):
+    # a shorter limit reads the longest table; a longer one rebuilds it
     monkeypatch.setattr(counting, "_signed_cache", {})
     lengths = []
-    for bound, k in ((12, 1), (13, 1), (5, 2), (15, 1), (20, 1), (12, 2)):
-        n_oracle(bound, k, S0)
-        lengths.append(len(counting._signed_cache[4 * k]))
-    # each table grows to the largest B^2 it met, and equals a cold build
-    assert lengths == [145, 170, 26, 226, 401, 145]
-    for j, table in counting._signed_cache.items():
-        assert table == cold[j][:len(table)], j
+    for limit in (144, 25, 400, 169):
+        table = counting._r4k_table(limit, 1)
+        assert table[:limit + 1] == r4k_bruteforce(limit, 1)
+        lengths.append(len(table))
+    assert lengths == [145, 145, 401, 401]
+    assert list(counting._signed_cache) == [1]
 
 
 def test_oracle_k2_small():

@@ -15,7 +15,6 @@ from semicubic.arith import PrimeSet, primes_up_to  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
     RSource,
-    _vector_counts,
     _walk_block,
     _walk_runs,
     count_report,
@@ -59,13 +58,6 @@ def test_routes_agree_k1(bound, s_set):
 @given(bound=st.integers(1, 12), s_set=PRIME_SETS)
 def test_routes_agree_k2(bound, s_set):
     _assert_routes_agree(bound, 2, s_set)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(m=st.integers(0, 60), j=st.integers(0, 8))
-def test_signed_count_in_any_order(m, j, literal_vector_counts):
-    # random order: each draw may find its length's table shorter or longer than m
-    assert _vector_counts(j, m)[m] == literal_vector_counts[m, j]
 
 
 BOUNDS_3000 = st.one_of(st.integers(1, 3000).map(Fraction),

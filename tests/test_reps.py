@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from semicubic.arith import CapacityError, DomainError, primes_up_to
-from semicubic.counting import _vector_counts
 from semicubic.reps import (
     r4_jacobi,
     r4k_bruteforce,
@@ -47,19 +46,19 @@ def test_bruteforce_against_nested_enumeration():
         assert t2[d] == _count_vectors(d, 8)
 
 
-def test_bruteforce_against_signed_count():
-    # the oracle's exhaustive count; 4k = 12 and 20 take the multiply step
-    # of binary powering, 4, 8 and 16 square only
+def test_bruteforce_against_signed_count(coordinate_counts):
+    # the coordinate-by-coordinate count; 4k = 12 and 20 take the multiply
+    # step of binary powering, 4, 8 and 16 square only
     cases = [(k, top) for k in range(1, 7) for top in (1, 2, 3)]
     cases += [(1, 200), (2, 200), (3, 200), (4, 40), (5, 40)]
     for k, top in cases:
-        assert list(r4k_bruteforce(top, k)) == [_vector_counts(4 * k, d)[d]
-                                                for d in range(top + 1)]
+        assert list(r4k_bruteforce(top, k)) == coordinate_counts(4 * k, top), (k, top)
 
 
-def test_signed_count_against_literal_enumeration(literal_vector_counts):
+def test_signed_count_against_literal_enumeration(coordinate_counts, literal_vector_counts):
+    # each length built cold at every top, so no build reads a longer one
     for (m, j), want in literal_vector_counts.items():
-        assert _vector_counts(j, m)[m] == want, (m, j)
+        assert coordinate_counts(j, m)[m] == want, (m, j)
 
 
 def test_bruteforce_digest():

@@ -13,9 +13,11 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 25 s on a 2-core x86 machine, 5 s of them in one count at
-B = 10^6, the edge of the loop over n, and 2 s in the k = 1 oracle at its
-guard's edge, B = 250.
+Stdlib only; about 18 s on a 2-core x86 machine, 5.6 s of them in one count
+at B = 10^6, the edge of the loop over n, and 1.5 s in the k = 5 count and
+oracle at the edge of their r_20 table, B = 252.  The r_4k tables are kept
+from command to command and rebuilt only for a command that needs a longer
+one.
 """
 
 from __future__ import annotations
@@ -88,14 +90,26 @@ EXTRA = [
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
     ["predict", "--k", "7", "--prime-cutoff", "1000000"],
     ["local-factors", "--k", "8", "--prime-cutoff", "100000"],
-    # the oracle at k = 1, B = 200 and at its guard's edge B = 250 (its widest
-    # integer windows), the table's capacity guard (exit 3), and the model
-    # past it (exit 0)
+    # the oracle at k = 1, B = 200 and at B = 250, the table's capacity guard
+    # (exit 3), and the model past it (exit 0)
     ["count", "--k", "1", "--bound", "200", "--method", "oracle"],
     ["count", "--k", "1", "--bound", "250", "--method", "both",
      "--exclude-primes", "2,3", "--with-st"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "exact"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "auto"],
+    # the oracle reads the r_4k table: at its edges for k = 1 (B = 518) and
+    # k = 5 (B = 252), one step past (exit 3), and at k = 5 with S and T
+    ["count", "--k", "1", "--bound", "518", "--method", "both",
+     "--exclude-primes", "2,3", "--with-st"],
+    ["count", "--k", "5", "--bound", "252", "--method", "both"],
+    ["count", "--k", "1", "--bound", "519", "--method", "oracle"],
+    ["count", "--k", "5", "--bound", "20", "--method", "both", "--with-st"],
+    # a prime of the set above the prime cutoff enters the Euler product, and
+    # one that overflows the float factors exits 2
+    ["predict", "--k", "1", "--prime-cutoff", "100", "--exclude-primes", "101",
+     "--bounds", "1000"],
+    ["compare", "--k", "1", "--bounds", "20,40", "--exclude-primes", "10007"],
+    ["predict", "--k", "7", "--prime-cutoff", "100", "--exclude-primes", "1000003"],
     # the table's edges (B = 518, 381, 320 for k = 1, 2, 3) and one step past
     *(["count", "--k", k, "--bound", str(edge + step), "--r-source", "exact"]
       for k, edge in (("1", 518), ("2", 381), ("3", 320)) for step in (0, 1)),
