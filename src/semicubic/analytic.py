@@ -27,12 +27,22 @@ correction term is the only difference: the three zeta denominators are
 
 which is -1/2 for odd k and +1/2 for even k, with (A, B) the exact
 _p2_coefficients(k).
+
+At the centre point (s, w) = (1, 2k-1) an odd prime's factor needs no
+power of p: with u = 1/p, x = u, y = u^(2k-1) and z = u^-(2k-1), every
+monomial is a power of u, so gp - 1 = N(u) / D(u) with integer
+polynomials N and D (_centre_coefficients), evaluated by Horner
+(_centre_h).  euler_product sums log1p of these with math.fsum, and
+local_factors prints 1 plus them.  p = 2, gp, fp_closed, gp_special and
+centre_factors keep the closed forms above.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import DomainError, PrimeSet, bernoulli, is_prime, primes_up_to, zeta_real
 from .reps import _p2_coefficients
@@ -75,40 +85,40 @@ class EulerProductResult:
     tail_estimate: float
 
 
+# The monomials sign * x^a y^b z^c, as (sign, a, b, c), of the numerator
+# 1 + f_poly outside the set (f_poly's 23, in the order summed) and of the
+# nine-term numerator of odd primes in the set.  Every one has b >= c.
+_F_TERMS = (
+    (1, 2, 1, 1), (-1, 2, 3, 3), (-1, 3, 4, 4), (1, 1, 2, 1), (1, 1, 3, 2),
+    (1, 2, 1, 0), (-1, 2, 3, 2), (-1, 2, 5, 4), (-1, 3, 4, 3), (1, 1, 3, 1),
+    (-1, 2, 3, 1), (-1, 2, 5, 3), (1, 3, 5, 3), (-1, 2, 3, 0), (-1, 2, 5, 2),
+    (-1, 3, 4, 1), (1, 3, 5, 2), (1, 3, 6, 3), (1, 4, 7, 4), (-1, 2, 5, 1),
+    (-1, 3, 4, 0), (1, 4, 7, 3), (1, 4, 8, 4),
+)
+_IN_S_TERMS = (
+    (1, 0, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1), (1, 1, 2, 0), (1, 1, 2, 1),
+    (1, 1, 2, 2), (1, 1, 3, 1), (1, 1, 3, 2), (1, 2, 4, 2),
+)
+
+
+def _monomial_sum(terms, x, y, z):
+    """The sum of sign * x^a y^b z^c over terms, left to right; each power is taken once."""
+    xs = (1, x, x**2, x**3, x**4)
+    ys = (1, y, y**2, y**3, y**4, y**5, y**6, y**7, y**8)
+    zs = (1, z, z**2, z**3, z**4)
+    total = 0
+    for sign, a, b, c in terms:
+        total += sign * xs[a] * ys[b] * zs[c]
+    return total
+
+
 def f_poly(x: float, y: float, z: float) -> float:
     """The 23-term numerator polynomial for odd primes outside the set.
 
     All coefficients are +-1; every term carries a factor xy, and the
-    values at (1,1,1) sum to -1.  Each power is taken once.
+    values at (1,1,1) sum to -1.  Its monomials are _F_TERMS.
     """
-    x2, x3, x4 = x**2, x**3, x**4
-    y2, y3, y4, y5, y6, y7, y8 = y**2, y**3, y**4, y**5, y**6, y**7, y**8
-    z2, z3, z4 = z**2, z**3, z**4
-    return (
-        x * x * y * z
-        - x2 * y3 * z3
-        - x3 * y4 * z4
-        + x * y2 * z
-        + x * y3 * z2
-        + x2 * y
-        - x2 * y3 * z2
-        - x2 * y5 * z4
-        - x3 * y4 * z3
-        + x * y3 * z
-        - x2 * y3 * z
-        - x2 * y5 * z3
-        + x3 * y5 * z3
-        - x2 * y3
-        - x2 * y5 * z2
-        - x3 * y4 * z
-        + x3 * y5 * z2
-        + x3 * y6 * z3
-        + x4 * y7 * z4
-        - x2 * y5 * z
-        - x3 * y4
-        + x4 * y7 * z3
-        + x4 * y8 * z4
-    )
+    return _monomial_sum(_F_TERMS, x, y, z)
 
 
 def fp_series(inp: EulerFactorInput, a_max: int = 60) -> float:
@@ -184,17 +194,7 @@ def _local_factor(p: int, k: int, in_s: bool, s: float, w: float) -> tuple:
     pre = d_x * d_xy2z2 * d_xy3z3
     if p != 2:
         if in_s:
-            num = (
-                1
-                + x * y
-                + x * y * z
-                + x * y**2
-                + x * y**2 * z
-                + x * y**2 * z**2
-                + x * y**3 * z
-                + x * y**3 * z**2
-                + x**2 * y**4 * z**2
-            )
+            num = _monomial_sum(_IN_S_TERMS, x, y, z)
             return pre, num / (d_x * d_xy3 * d_xy3z3)
         d_xy2 = 1.0 - p ** -(s + 2 * w)
         return pre, (1.0 + f_poly(x, y, z)) / (d_x * d_xy3 * d_xy2 * d_xy3z3 * d_xy2z2)
@@ -287,34 +287,90 @@ def _gp_special(p: int, k: int, in_S: bool) -> float:
     )
 
 
+@lru_cache(maxsize=64)
+def _centre_coefficients(k: int, in_s: bool) -> tuple:
+    """Pairs (N_i, D_i), highest degree first: g_p - 1 = N(u) / D(u) at (1, 2k-1), u = 1/p.
+
+    For odd p.  At the centre x = u, y = u^m and z = u^-m with m = 2k - 1,
+    so x^a y^b z^c = u^(a + m(b - c)), a polynomial in u since b >= c in
+    every monomial.  Outside the set gp = (1 + f_poly) / D with
+    D = (1 - u^(4k-1)) (1 - u^(6k-2)); in it gp = (1 - u) num / D with
+    D = 1 - u^(6k-2) and num the nine-term numerator.  N is that numerator
+    less D.  The coefficients are exact integers, held as floats.
+    """
+    m = 2 * k - 1
+    if in_s:
+        den = [(0, 1), (6 * k - 2, -1)]
+        num = [(a + m * (b - c) + shift, sign * f)
+               for sign, a, b, c in _IN_S_TERMS for shift, f in ((0, 1), (1, -1))]
+    else:
+        den = [(0, 1), (4 * k - 1, -1), (6 * k - 2, -1), (10 * k - 3, 1)]
+        num = [(0, 1)] + [(a + m * (b - c), sign) for sign, a, b, c in _F_TERMS]
+    coefficients = [[0, 0] for _ in range(1 + max(e for e, _ in num + den))]
+    for e, c in num:
+        coefficients[e][0] += c
+    for e, c in den:
+        coefficients[e][0] -= c
+        coefficients[e][1] += c
+    return tuple((float(n), float(d)) for n, d in reversed(coefficients))
+
+
+def _centre_h(p: int, coefficients: tuple) -> float:
+    """g_p - 1 at (1, 2k-1) for an odd prime p, by Horner in u = 1/p on
+    _centre_coefficients(k, in_s)."""
+    u = 1.0 / p
+    n = d = 0.0
+    for a, b in coefficients:
+        n = n * u + a
+        d = d * u + b
+    return n / d
+
+
 def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
     """Product of local factors at (1, 2k-1) over primes up to the cutoff and the set.
 
-    Sequential multiplication over sorted primes, so the value is
-    bit-stable.  A prime of the set above the cutoff enters as
+    exp of the math.fsum of log gp over the sieve primes: p = 2 through
+    _local_factor, each odd prime as log1p of its _centre_h, so the sum is
+    correctly rounded whatever the order of the primes and G is within a
+    few units in the last place of the product of these factors.  A prime
+    of the set above the cutoff is then multiplied in as
     gp(p, in the set) / gp(p, outside it), so the tail covers the primes
     above the cutoff outside the set.  The tail estimate is
     C / (cutoff log cutoff) * 1.5 with C the largest |log gp| p^2 over the
     primes 10 < p <= cutoff outside the set (in the set it is about p).
-    k, (s, w) and the pole guard are checked once, before the first prime;
-    each sieve prime then goes through _local_factor as it stands, with no
-    primality re-check and no input object.  At a cutoff of 10^6 (78,498
-    primes) one cold `predict` takes about 0.35-0.47 s on a 2-core x86 machine.
+    k, (s, w), the pole guard and the float range at p = 2 are checked
+    before the first odd prime, which is sieved without a primality
+    re-check and reaches no input object.  At a cutoff of 10^6 (78,498
+    primes) one cold `predict` takes about 0.16-0.29 s at k = 1 and 2 on a
+    2-core x86 machine.
     """
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be at least 100")
     w = 2.0 * k - 1.0
     _check_point(k, 1.0, w)
-    value = 1.0
+    pre, fp = _local_factor(2, k, 2 in s_set, 1.0, w)
+    primes = primes_up_to(prime_cutoff)
+    outside, inside = (_centre_coefficients(k, in_s) for in_s in (False, True))
+    s_primes = s_set.primes
     c_fit = 0.0
-    for p in primes_up_to(prime_cutoff):
-        in_s = p in s_set
-        pre, fp = _local_factor(p, k, in_s, 1.0, w)
-        g = pre * fp
-        value *= g
-        if p > 10 and not in_s:
-            c_fit = max(c_fit, abs(math.log(g)) * p * p)
-    for p in sorted(q for q in s_set.primes if q > prime_cutoff):
+
+    def logs():
+        nonlocal c_fit
+        yield math.log(pre * fp)
+        for p in itertools.islice(primes, 1, None):
+            if p in s_primes:
+                yield math.log1p(_centre_h(p, inside))
+                continue
+            log_g = math.log1p(_centre_h(p, outside))
+            if p > 10 and (fit := abs(log_g) * p * p) > c_fit:
+                c_fit = fit
+            yield log_g
+
+    try:
+        value = math.exp(math.fsum(logs()))
+    except ValueError:  # the log of a factor <= 0
+        raise ArithmeticError("Euler product is not positive") from None
+    for p in sorted(q for q in s_primes if q > prime_cutoff):
         pre_in, fp_in = _local_factor(p, k, True, 1.0, w)
         pre_out, fp_out = _local_factor(p, k, False, 1.0, w)
         value *= (pre_in * fp_in) / (pre_out * fp_out)
@@ -352,29 +408,36 @@ def local_factors(k: int, s_set: PrimeSet, prime_cutoff: int):
 
     Each row is computed when it is asked for, but every check runs in this
     call, so a table written row by row is never cut short: k and (s, w),
-    the sieve's limit, and the float range.  The float powers of p grow
-    with p, so among the odd primes in the set, and among those outside
-    it, the largest overflows first; both are computed here.  p = 2, the
-    one prime with formulas of its own, is the first row.  Rows come from
-    _local_factor, as in euler_product.  At a cutoff of 10^6 one cold
-    `local-factors` takes about 0.7-0.9 s and peaks at 20 MiB on a
-    2-core x86 machine.
+    the sieve's limit, and the float range.  gp is _local_factor's at
+    p = 2, the one prime with formulas of its own, and 1 + _centre_h at the
+    odd primes, as in euler_product; neither raises a power of an odd p
+    above 1.  The float powers of gp_special grow with p, so among the odd
+    primes in the set, and among those outside it, the largest overflows
+    first; both are computed here, after the row of p = 2.  At a cutoff of
+    10^6 one cold `local-factors` takes about 0.45-0.7 s and peaks at
+    20 MiB on a 2-core x86 machine.
     """
     w = 2.0 * k - 1.0
     _check_point(k, 1.0, w)
     primes = primes_up_to(prime_cutoff)
-
-    def row(p: int) -> tuple:
-        in_s = p in s_set
-        pre, fp = _local_factor(p, k, in_s, 1.0, w)
-        return p, in_s, pre * fp, _gp_special(p, k, in_s)
-
+    first = []
+    if primes:
+        in_2 = 2 in s_set
+        pre, fp = _local_factor(2, k, in_2, 1.0, w)
+        first.append((2, in_2, pre * fp, _gp_special(2, k, in_2)))
     last_in = max((p for p in s_set.primes if 2 < p <= prime_cutoff), default=None)
     last_out = next((p for p in reversed(primes) if p > 2 and p not in s_set), None)
     for p in (last_in, last_out):
         if p is not None:
-            row(p)  # raises any OverflowError before the first row is read
-    return map(row, primes)
+            _gp_special(p, k, p in s_set)  # raises any OverflowError before the first row
+    outside, inside = (_centre_coefficients(k, in_s) for in_s in (False, True))
+
+    def row(p: int) -> tuple:
+        in_s = p in s_set
+        g = 1.0 + _centre_h(p, inside if in_s else outside)
+        return p, in_s, g, _gp_special(p, k, in_s)
+
+    return itertools.chain(first, map(row, itertools.islice(primes, 1, None)))
 
 
 def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:

@@ -49,9 +49,9 @@ def is_prime(n: int) -> bool:
 
 
 # Largest n primes_up_to sieves to.  On a 2-core x86 machine with Python 3.11,
-# one cold local-factors run, the heaviest command that sieves, took 0.7-0.9 s
-# and peaked at 20 MiB (VmHWM) at a cutoff of 10^6, and 1.4-1.7 s and 23 MiB at
-# 2 * 10^6; predict took 0.35-0.47 s and 0.7-0.9 s.  So 2 * 10^6 would fit a
+# one cold local-factors run, the heaviest command that sieves, took 0.45-0.7 s
+# and peaked at 20 MiB (VmHWM) at a cutoff of 10^6, and 0.85 s at 2 * 10^6;
+# predict took 0.16-0.29 s and 0.24-0.34 s.  So 2 * 10^6 would fit a
 # budget of 2 s, but the limit stays at the edge of the loop over n
 # (counting.WALK_BOUND_LIMIT), whose prefix sums and Mobius list come from
 # this sieve, until the two are repriced together.

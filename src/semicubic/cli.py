@@ -8,7 +8,8 @@ byte-identical reruns.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error
 (including a --k or bound too large for the float arithmetic), 3 capacity
-guard (including a bound too large for memory).
+guard (including a bound too large for memory and a count too long to
+print).
 """
 
 from __future__ import annotations
@@ -110,12 +111,28 @@ def _request(args, b) -> CountRequest:
                         r_source=args.r_source)
 
 
+def _check_printable(ints) -> None:
+    """Refuse, before any output is opened, an integer longer than str() prints.
+
+    Python refuses to convert an int of more than sys.get_int_max_str_digits()
+    digits (4300 by default) to text.  The digit count is bounded from the
+    bit length, at most one digit over.
+    """
+    limit = sys.get_int_max_str_digits()
+    digits = max(map(int.bit_length, ints), default=0) * 30103 // 100000 + 1
+    if limit and digits > limit:
+        raise CapacityError(f"a count of about {digits} digits exceeds the "
+                            f"{limit}-digit limit for printing an integer")
+
+
 def _cmd_count(args) -> int:
     rep = count_report(_request(args, args.bound),
                        with_oracle=args.method in ("oracle", "both"),
                        with_st=args.with_st)
     if not args.timings:
         del rep["timings"]
+    _check_printable([*rep["n_star_values"].values(),
+                      *(v for v in rep.values() if type(v) is int)])
     _emit_json(rep, args.out)
     return 0
 

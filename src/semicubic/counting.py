@@ -68,6 +68,14 @@ from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 # limit would take them past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
 
+# Largest k a count accepts.  The model weights r*(p^l) are integers of
+# about (2k - 1) l log2(p) bits, and the walk forms each by an exact
+# division, so its cost grows about as k^2.  On the same machine one cold
+# `count --k K --bound 3` took 0.11 s at K = 10^4, 0.19 s at 2 * 10^4,
+# 0.69 s at 5 * 10^4, 2.3 s at 10^5 and over 60 s at 10^6 (at --bound 2,
+# 0.11-0.15 s for each of them); `count --k 10000 --bound 20` took 2.5 s.
+COUNT_K_LIMIT = 10**4
+
 
 class RSource(str, Enum):
     EXACT = "exact_bruteforce"
@@ -86,6 +94,8 @@ class CountRequest:
         object.__setattr__(self, "bound", _as_fraction(self.bound))
         if self.k < 1:
             raise DomainError("k must be >= 1")
+        if self.k > COUNT_K_LIMIT:
+            raise CapacityError(f"counts are guarded at k <= {COUNT_K_LIMIT}")
         if self.bound < 1:
             raise DomainError("bound must be >= 1")
         if self.r_source == RSource.JACOBI and self.k > 2:

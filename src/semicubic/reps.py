@@ -44,13 +44,20 @@ def _slot_digits(limit: int, k: int) -> int:
     r_{4k}(d) is at most (2 isqrt(limit) + 1)^(4k), as every |y_i| <= sqrt(d),
     and at most (8k + 1)^limit: that many walks of `limit` steps, each moving
     one coordinate by +-1 or none, reach every y with
-    sum |y_i| <= sum y_i^2 = d <= limit.
+    sum |y_i| <= sum y_i^2 = d <= limit.  w comes from the bit length of the
+    smaller bound, and only that one is raised: the two are compared by
+    their bit lengths, n log2(a) for a^n, and both are raised only when
+    these lie within a bit of each other, where float rounding could pick
+    the wrong one.
     """
-    cube = (2 * math.isqrt(limit) + 1) ** (4 * k)
-    # (8k + 1)^m > 2^m > cube once m is cube's bit length, so capping the
-    # exponent there keeps the min and never raises a power of millions of bits
-    bound = min(cube, (8 * k + 1) ** min(limit, cube.bit_length()))
-    return bound.bit_length() * 30103 // 100000 + 1  # 30103e-5 > log10(2)
+    side, steps = 2 * math.isqrt(limit) + 1, 8 * k + 1
+    cube_bits, walk_bits = 4 * k * math.log2(side), limit * math.log2(steps)
+    bounds = []
+    if cube_bits < walk_bits + 1:
+        bounds.append(side ** (4 * k))
+    if walk_bits < cube_bits + 1:
+        bounds.append(steps ** limit)
+    return min(bounds).bit_length() * 30103 // 100000 + 1  # 30103e-5 > log10(2)
 
 
 def r4k_bruteforce(limit: int, k: int) -> tuple:
@@ -125,13 +132,10 @@ def r4k_star_prime_power(p: int, l: int, k: int) -> int:
     if l == 0:
         return 1
     if p == 2:
-        a, b = _p2_coefficients(k)
-        val = a * 2 ** (l * (2 * k - 1)) + b
-        if val.denominator != 1:
-            raise AssertionError(
-                f"prime-power value at 2^{l}, k={k} is not integral: {val}"
-            )
-        return int(val)
+        # A 2^(lm) + B with (A, B) = _p2_coefficients(k) and m = 2k - 1, in
+        # integers: 2^(lm) + (-1)^k (1 + 2^m + ... + 2^((l-1)m) - 2)
+        m = 2 * k - 1
+        return (1 << l * m) + (-1) ** k * (sum(1 << i * m for i in range(l)) - 2)
     # the geometric sum 1 + z + ... + z^l, z = p^(2k-1), an exact division
     z = p ** (2 * k - 1)
     return (z ** (l + 1) - 1) // (z - 1)

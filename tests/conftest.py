@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from semicubic import analytic  # noqa: E402
+from semicubic.arith import primes_up_to  # noqa: E402
 from semicubic.counting import point_classes  # noqa: E402
 
 
@@ -63,3 +66,38 @@ def _coordinate_counts(j, top):
 def coordinate_counts():
     """The coordinate-by-coordinate vector counts, as a function (j, top)."""
     return _coordinate_counts
+
+
+def _centre_factor_exact(p, k, in_s):
+    """1 + h(1/p), gp at (1, 2k-1) for an odd prime p, from the centre
+    coefficients in exact rationals: both polynomials times p^degree."""
+    n = d = 0
+    for a, b in reversed(analytic._centre_coefficients(k, in_s)):  # lowest degree last
+        n, d = n * p + int(a), d * p + int(b)
+    return Fraction(d + n, d)
+
+
+@pytest.fixture(scope="session")
+def centre_factor_exact():
+    """gp at odd primes in exact rationals, as a function (p, k, in_s)."""
+    return _centre_factor_exact
+
+
+@pytest.fixture(scope="session")
+def mp_euler_product():
+    """A function (k, s_set, cutoff): the product of the local factors at
+    (1, 2k-1) over the primes up to the cutoff, taken in 30-digit mpmath
+    arithmetic, p = 2 from _local_factor and the odd primes exact.  Skips
+    without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def product_of_factors(k, s_set, cutoff):
+        pre, fp = analytic._local_factor(2, k, 2 in s_set, 1.0, 2.0 * k - 1)
+        with mpmath.workdps(30):
+            g = mpmath.mpf(pre * fp)
+            for p in primes_up_to(cutoff)[1:]:
+                f = _centre_factor_exact(p, k, p in s_set)
+                g = g * f.numerator / f.denominator
+            return g
+
+    return product_of_factors

@@ -58,6 +58,31 @@ def test_f_poly_identity_exact():
         assert lhs == rhs, (x, y, z)
 
 
+def test_centre_polynomials_are_the_closed_form(centre_factor_exact):
+    # at x = 1/p, y = p^-(2k-1), z = p^(2k-1): three zeta denominators times
+    # the closed Euler factor, exactly
+    for k in range(1, 7):
+        for p in (3, 5, 7, 11, 101, 65537):
+            x, y, z = Fraction(1, p), Fraction(1, p ** (2 * k - 1)), Fraction(p ** (2 * k - 1))
+            pre = (1 - x) * (1 - x * (y*z)**2) * (1 - x * (y*z)**3)
+            nine = (1 + x*y + x*y*z + x*y**2 + x*y**2*z + x*y**2*z**2
+                    + x*y**3*z + x*y**3*z**2 + x**2*y**4*z**2)
+            in_s = pre * nine / ((1 - x) * (1 - x*y**3) * (1 - x*y**3*z**3))
+            out = pre * (1 + f_poly(x, y, z)) / (
+                (1 - x) * (1 - x*y**3) * (1 - x*y**2) * (1 - x*y**3*z**3)
+                * (1 - x*y**2*z**2))
+            assert centre_factor_exact(p, k, True) == in_s, (k, p)
+            assert centre_factor_exact(p, k, False) == out, (k, p)
+
+
+def test_euler_product_against_a_30_digit_product(mp_euler_product):
+    # G is exp of an fsum of logs: within 1e-15 of the product of its factors
+    for k in (1, 2, 3):
+        for s_set in (PrimeSet.empty(), PrimeSet.of(2, 3)):
+            got = euler_product(k, s_set, 10**5).value
+            assert abs(got / mp_euler_product(k, s_set, 10**5) - 1) <= 1e-15, (k, str(s_set))
+
+
 # --- series vs closed forms --------------------------------------------------
 
 def test_series_first_term():
@@ -288,21 +313,21 @@ def test_constants_report_fields():
 # the four prime sets of the benchmark grid (perfbench/workloads.py, S_GRID)
 S_GRID = ("", "2", "2,3", "5,7")
 
-# repr of (value, tail_estimate) of euler_product(k, S, 10**5), recorded while
-# every prime still passed through is_prime: skipping the check moves no bit
+# repr of (value, tail_estimate) of euler_product(k, S, 10**5); each value lies
+# within 1e-16 relative of a 35-digit product of the same factors
 EULER_PINS = {
-    (1, ""): (0.7061360777613679, 2.6057699619782518e-06),
-    (1, "2"): (0.8596439207529817, 2.6057699619782518e-06),
-    (1, "2,3"): (1.0062001565765977, 2.6057699619782518e-06),
-    (1, "5,7"): (0.9010534739535115, 2.6057699619782518e-06),
-    (2, ""): (0.9185392720822545, 9.799222357322483e-08),
-    (2, "2"): (1.0412646034356554, 9.799222357322483e-08),
-    (2, "2,3"): (1.2041090245364143, 9.799222357322483e-08),
-    (2, "5,7"): (1.1471322049983228, 9.799222357322483e-08),
-    (3, ""): (0.8186779911899061, 1.1831918609429478e-07),
-    (3, "2"): (0.9377436216906964, 1.1831918609429478e-07),
-    (3, "2,3"): (1.0822849018051972, 1.1831918609429478e-07),
-    (3, "5,7"): (1.0216384225828816, 1.1831918609429478e-07),
+    (1, ""): (0.7061360777613925, 2.6057668908982654e-06),
+    (1, "2"): (0.8596439207529993, 2.6057668908982654e-06),
+    (1, "2,3"): (1.0062001565766328, 2.6057668908982654e-06),
+    (1, "5,7"): (0.9010534739535268, 2.6057668908982654e-06),
+    (2, ""): (0.9185392720822466, 9.79922235732259e-08),
+    (2, "2"): (1.0412646034356212, 9.79922235732259e-08),
+    (2, "2,3"): (1.2041090245363777, 9.79922235732259e-08),
+    (2, "5,7"): (1.1471322049983004, 9.79922235732259e-08),
+    (3, ""): (0.818677991189888, 1.1831918609429199e-07),
+    (3, "2"): (0.9377436216906674, 1.1831918609429199e-07),
+    (3, "2,3"): (1.0822849018051648, 1.1831918609429199e-07),
+    (3, "5,7"): (1.0216384225829, 1.1831918609429199e-07),
 }
 
 # sha256 over the repr lines of gp and fp_closed for p <= 1000, in and out of
@@ -318,10 +343,10 @@ GP_PINS = {
 }
 
 # repr of (value, tail_estimate) of euler_product(k, S, 10**6) for the
-# benchmark's predict configurations, recorded at the same commit
+# benchmark's predict configurations; within 1e-16 of the same product
 EULER_PINS_1E6 = {
-    (1, "2"): (0.859645183524632, 2.1715916186779832e-07),
-    (2, "2,3"): (1.2041090245286654, 8.166018631102072e-09),
+    (1, "2"): (0.8596451835249761, 2.1714724095119166e-07),
+    (2, "2,3"): (1.204109024531413, 8.166018631102161e-09),
 }
 
 
@@ -357,18 +382,19 @@ def test_sieved_primes_skip_is_prime(monkeypatch):
         assert [p for p, *_ in rows] == primes_up_to(1000)
 
 
-def test_euler_product_visits_each_prime_through_local_factor(monkeypatch):
-    # each sieve prime, in order and once, goes through the one per-prime formula
+def test_euler_product_visits_each_prime_once_in_order(monkeypatch):
+    # p = 2 goes through _local_factor, each odd sieve prime, in order and
+    # once, through the centre polynomials
     calls = []
-    local_factor = analytic._local_factor
+    for name in ("_local_factor", "_centre_h"):
+        def counted(p, *args, name=name, f=getattr(analytic, name)):
+            calls.append((name, p))
+            return f(p, *args)
 
-    def counted(p, *args):
-        calls.append(p)
-        return local_factor(p, *args)
-
-    monkeypatch.setattr(analytic, "_local_factor", counted)
+        monkeypatch.setattr(analytic, name, counted)
     euler_product(1, PrimeSet.of(2, 3), 10**4)
-    assert calls == primes_up_to(10**4)
+    primes = primes_up_to(10**4)
+    assert calls == [("_local_factor", 2)] + [("_centre_h", p) for p in primes[1:]]
 
 
 def test_public_inputs_still_reject_composites():

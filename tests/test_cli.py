@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from semicubic import cli
+from semicubic import analytic, cli
+from semicubic.arith import PrimeSet
 from semicubic.cli import build_parser, config_from_args, main, run
 from semicubic.counting import RSource
 
@@ -45,7 +46,7 @@ def test_count_timings_flag(capsys):
     assert "timings" in json.loads(out)
 
 
-def test_capacity_exit_code(capsys, monkeypatch):
+def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
     # the oracle's guard is its r_4 table's: one step past B = 518
     code = main(["count", "--k", "1", "--bound", "519", "--method", "oracle"])
     err = capsys.readouterr().err
@@ -62,10 +63,13 @@ def test_capacity_exit_code(capsys, monkeypatch):
                                 "--r-source", source])
         assert code == want, source
 
-    # the loop over n stops at B = 10^6 and the prime sieve at a cutoff of 10^6:
-    # one step past each, and a bound of 10^9, are refused before any allocation
+    # the loop over n stops at B = 10^6, the prime sieve at a cutoff of 10^6
+    # and counts at k = 10^4: one step past each, a bound of 10^9 and k = 10^6
+    # are refused before any allocation
     for argv in (["count", "--k", "1", "--bound", "1000000000"],
                  ["count", "--k", "1", "--bound", "1000001"],
+                 ["count", "--k", "10001", "--bound", "2"],
+                 ["count", "--k", "1000000", "--bound", "3"],
                  ["predict", "--k", "1", "--prime-cutoff", "1000001"],
                  ["compare", "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"],
                  ["table", "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"],
@@ -74,6 +78,14 @@ def test_capacity_exit_code(capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 3, argv
         assert err.startswith("capacity guard: ") and "guarded" in err, (argv, err)
+
+    # a count too long for str() is refused before the output is opened
+    path = tmp_path / "count.json"
+    code = main(["count", "--k", "1000", "--bound", "50", "--r-source", "rstar",
+                 "--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3 and not path.exists()
+    assert err.startswith("capacity guard: ") and len(err.strip().splitlines()) == 1, err
 
     # a bound whose arrays do not fit in memory is a capacity refusal too
     def out_of_memory(*args, **kwargs):
@@ -107,9 +119,10 @@ BAD_BOUNDS = [
     ["count", "--bound", "0"],
     # not a bound: the scaled model is exact only for k <= 2
     ["count", "--k", "3", "--bound", "5", "--r-source", "jacobi"],
-    # k too large for the float local factors: they overflow within a few primes
-    ["predict", "--k", "20", "--prime-cutoff", "200"],
+    # k too large for the float powers of gp_special, and of p = 2 at k = 10^6
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
+    ["predict", "--k", "1000000"],
+    ["local-factors", "--k", "1000000"],
     # a prime of the set above the cutoff enters the Euler product, and overflows
     ["predict", "--k", "7", "--prime-cutoff", "100", "--exclude-primes", "1000003"],
     # not a bound: no prime lies below the cutoff
@@ -134,6 +147,26 @@ def test_usage_exit_codes(capsys):
     code, out = _run(capsys, ["predict", "--prime-cutoff", "200", "--bounds", "1"])
     assert code == 0
     assert json.loads(out)["predictions"][0]["n_main"] == 0
+
+
+def test_large_k_is_refused_before_the_centre_polynomials(capsys, monkeypatch):
+    # p = 2 overflows from k = 129 on, before any coefficient list of about 10k
+    def refuse(k, in_s):
+        raise AssertionError(f"centre coefficients built for k = {k}")
+
+    monkeypatch.setattr(analytic, "_centre_coefficients", refuse)
+    for argv in (["predict", "--k", "1000000"], ["local-factors", "--k", "1000000"],
+                 ["predict", "--k", "129", "--prime-cutoff", "100"]):
+        _assert_usage_error(capsys, argv)
+
+
+def test_predict_past_the_float_range_of_the_general_form(capsys, mp_euler_product):
+    # the odd primes raise no power of p above 1, so k = 20 runs, and its G
+    # is the product of the same factors to the 15 digits printed
+    code, out = _run(capsys, ["predict", "--k", "20", "--prime-cutoff", "200"])
+    assert code == 0
+    g = json.loads(out)["euler_product"]
+    assert abs(g / mp_euler_product(20, PrimeSet.empty(), 200) - 1) <= 1e-14
 
 
 def test_bad_prime_set_is_usage_error(capsys):

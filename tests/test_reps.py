@@ -7,6 +7,8 @@ import pytest
 
 from semicubic.arith import CapacityError, DomainError, primes_up_to
 from semicubic.reps import (
+    _p2_coefficients,
+    _slot_digits,
     r4_jacobi,
     r4k_bruteforce,
     r4k_main_coeff,
@@ -78,6 +80,16 @@ def test_bruteforce_capacity_guard():
         r4k_bruteforce(0, 1)
 
 
+def test_slot_digits_raises_only_the_smaller_bound():
+    # the width of the smaller bound with both raised, on a grid across the
+    # limits where the smaller one changes sides
+    for limit in (*range(1, 120), 1000, 4096, 10**4, 268324):
+        for k in (*range(1, 25), 100, 1000):
+            cube = (2 * math.isqrt(limit) + 1) ** (4 * k)
+            bound = min(cube, (8 * k + 1) ** min(limit, cube.bit_length()))
+            assert _slot_digits(limit, k) == bound.bit_length() * 30103 // 100000 + 1, (limit, k)
+
+
 def test_jacobi_examples():
     assert r4_jacobi(1) == 8
     assert r4_jacobi(2) == 24
@@ -109,6 +121,10 @@ def test_rstar_prime_power_values():
     assert r4k_star_prime_power(2, 5, 1) == 3
     assert r4k_star_prime_power(2, 1, 2) == 7
     assert r4k_star_prime_power(2, 2, 2) == 71
+    for k in range(1, 41):  # the two-term form in exact rationals
+        a, b = _p2_coefficients(k)
+        for l in range(1, 9):
+            assert r4k_star_prime_power(2, l, k) == a * 2 ** (l * (2 * k - 1)) + b, (k, l)
 
 
 def test_rstar_integrality_at_two():

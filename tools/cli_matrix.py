@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 18 s on a 2-core x86 machine, 5.6 s of them in one count
+Stdlib only; about 15-18 s on a 2-core x86 machine, 5.6 s of them in one count
 at B = 10^6, the edge of the loop over n, and 1.5 s in the k = 5 count and
 oracle at the edge of their r_20 table, B = 252.  The r_4k tables are kept
 from command to command and rebuilt only for a command that needs a longer
@@ -85,11 +85,20 @@ EXTRA = [
     ["count", "--k", "1", "--bound", "5", "--r-source", "other"],
     ["local-factors", "--prime-cutoff", "0"],
     ["local-factors", "--prime-cutoff", "-5"],
-    # large k: the float local factors overflow
+    # large k: gp_special's float powers overflow (exit 2), the Euler
+    # product's odd primes do not; predict's edges are p = 2 (k = 129) and,
+    # with 2 in the set, the prefactor (k = 130)
     ["predict", "--k", "20", "--prime-cutoff", "200"],
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
     ["predict", "--k", "7", "--prime-cutoff", "1000000"],
     ["local-factors", "--k", "8", "--prime-cutoff", "100000"],
+    *(["predict", "--k", k, "--prime-cutoff", "100"] + s
+      for k, s in (("128", []), ("129", []), ("129", ["--exclude-primes", "2"]),
+                   ("130", ["--exclude-primes", "2"]))),
+    # counts stop at k = 10^4 (exit 3), and so does a count too long to print
+    ["count", "--k", "10000", "--bound", "3"],
+    ["count", "--k", "10001", "--bound", "2"],
+    ["count", "--k", "1000", "--bound", "50", "--r-source", "rstar"],
     # the oracle at k = 1, B = 200 and at B = 250, the table's capacity guard
     # (exit 3), and the model past it (exit 0)
     ["count", "--k", "1", "--bound", "200", "--method", "oracle"],
