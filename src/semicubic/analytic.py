@@ -32,9 +32,9 @@ At the centre point (s, w) = (1, 2k-1) an odd prime's factor needs no
 power of p: with u = 1/p, x = u, y = u^(2k-1) and z = u^-(2k-1), every
 monomial is a power of u, so gp - 1 = N(u) / D(u) with integer
 polynomials N and D (_centre_coefficients), evaluated by Horner
-(_centre_h).  euler_product sums log1p of these with math.fsum, and
-local_factors prints 1 plus them.  p = 2, gp, fp_closed, gp_special and
-centre_factors keep the closed forms above.
+(_centre_h) for every odd prime in euler_product and local_factors, a
+prime of the set above the cutoff included.  p = 2, gp, fp_closed,
+gp_special and centre_factors keep the closed forms above.
 """
 
 from __future__ import annotations
@@ -326,38 +326,48 @@ def _centre_h(p: int, coefficients: tuple) -> float:
     return n / d
 
 
-def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
-    """Product of local factors at (1, 2k-1) over primes up to the cutoff and the set.
+def _centre_sweep(k: int, s_set: PrimeSet, prime_cutoff: int) -> tuple:
+    """(g_2, odd, outside, inside) at (1, 2k-1), for euler_product and local_factors.
 
-    exp of the math.fsum of log gp over the sieve primes: p = 2 through
-    _local_factor, each odd prime as log1p of its _centre_h, so the sum is
-    correctly rounded whatever the order of the primes and G is within a
-    few units in the last place of the product of these factors.  A prime
-    of the set above the cutoff is then multiplied in as
-    gp(p, in the set) / gp(p, outside it), so the tail covers the primes
-    above the cutoff outside the set.  The tail estimate is
-    C / (cutoff log cutoff) * 1.5 with C the largest |log gp| p^2 over the
-    primes 10 < p <= cutoff outside the set (in the set it is about p).
-    k, (s, w), the pole guard and the float range at p = 2 are checked
-    before the first odd prime, which is sieved without a primality
-    re-check and reaches no input object.  At a cutoff of 10^6 (78,498
-    primes) one cold `predict` takes about 0.16-0.29 s at k = 1 and 2 on a
-    2-core x86 machine.
+    k and the point are checked, and g_2 = gp(2) comes from _local_factor
+    before anything else is built, so a k past its float range is refused
+    before the coefficient lists of about 10k entries; odd holds the sieved
+    odd primes up to the cutoff, outside and inside their coefficients.
     """
-    if prime_cutoff < 100:
-        raise DomainError("prime cutoff must be at least 100")
     w = 2.0 * k - 1.0
     _check_point(k, 1.0, w)
     pre, fp = _local_factor(2, k, 2 in s_set, 1.0, w)
     primes = primes_up_to(prime_cutoff)
-    outside, inside = (_centre_coefficients(k, in_s) for in_s in (False, True))
+    if not primes:
+        raise DomainError(f"prime cutoff {prime_cutoff} must be >= 2")
+    return pre * fp, primes[1:], _centre_coefficients(k, False), _centre_coefficients(k, True)
+
+
+def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
+    """Product of local factors at (1, 2k-1) over primes up to the cutoff and the set.
+
+    exp of the math.fsum of log gp: p = 2 from _centre_sweep, each odd
+    prime up to the cutoff as log1p of its _centre_h, and each prime of the
+    set above it as log gp(p, in the set) - log gp(p, outside it), both
+    from _centre_h, so the tail covers the primes above the cutoff outside
+    the set.  The sum is correctly rounded whatever the order of the
+    primes, and G is within a few units in the last place of the product
+    of these factors.  The tail estimate is C / (cutoff log cutoff) * 1.5
+    with C the largest |log gp| p^2 over the primes 10 < p <= cutoff
+    outside the set (in the set it is about p).  At a cutoff of 10^6
+    (78,498 primes) one cold `predict` takes about 0.16-0.29 s at k = 1
+    and 2 on a 2-core x86 machine.
+    """
+    if prime_cutoff < 100:
+        raise DomainError("prime cutoff must be at least 100")
+    g2, odd, outside, inside = _centre_sweep(k, s_set, prime_cutoff)
     s_primes = s_set.primes
     c_fit = 0.0
 
     def logs():
         nonlocal c_fit
-        yield math.log(pre * fp)
-        for p in itertools.islice(primes, 1, None):
+        yield math.log(g2)
+        for p in odd:
             if p in s_primes:
                 yield math.log1p(_centre_h(p, inside))
                 continue
@@ -365,17 +375,15 @@ def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductRes
             if p > 10 and (fit := abs(log_g) * p * p) > c_fit:
                 c_fit = fit
             yield log_g
+        for p in s_primes:
+            if p > prime_cutoff:
+                yield math.log1p(_centre_h(p, inside))
+                yield -math.log1p(_centre_h(p, outside))
 
     try:
         value = math.exp(math.fsum(logs()))
     except ValueError:  # the log of a factor <= 0
         raise ArithmeticError("Euler product is not positive") from None
-    for p in sorted(q for q in s_primes if q > prime_cutoff):
-        pre_in, fp_in = _local_factor(p, k, True, 1.0, w)
-        pre_out, fp_out = _local_factor(p, k, False, 1.0, w)
-        value *= (pre_in * fp_in) / (pre_out * fp_out)
-    if value <= 0:
-        raise ArithmeticError("Euler product is not positive")
     tail = 1.5 * c_fit / (prime_cutoff * math.log(prime_cutoff))
     return EulerProductResult(value=value, prime_cutoff=prime_cutoff, tail_estimate=tail)
 
@@ -407,37 +415,28 @@ def local_factors(k: int, s_set: PrimeSet, prime_cutoff: int):
     """An iterator of (p, in_S, gp, gp_special) at (1, 2k-1) for each prime up to the cutoff.
 
     Each row is computed when it is asked for, but every check runs in this
-    call, so a table written row by row is never cut short: k and (s, w),
-    the sieve's limit, and the float range.  gp is _local_factor's at
-    p = 2, the one prime with formulas of its own, and 1 + _centre_h at the
-    odd primes, as in euler_product; neither raises a power of an odd p
-    above 1.  The float powers of gp_special grow with p, so among the odd
-    primes in the set, and among those outside it, the largest overflows
-    first; both are computed here, after the row of p = 2.  At a cutoff of
-    10^6 one cold `local-factors` takes about 0.45-0.7 s and peaks at
-    20 MiB on a 2-core x86 machine.
+    call, so a table written row by row is never cut short: _centre_sweep's,
+    and the float range of gp_special, whose powers grow with p, so among
+    the odd primes in the set, and among those outside it, the largest
+    overflows first.  gp is _centre_sweep's at p = 2 and 1 + _centre_h at
+    the odd primes, as in euler_product.  At a cutoff of 10^6 one cold
+    `local-factors` takes about 0.45-0.7 s and peaks at 20 MiB on a 2-core
+    x86 machine.
     """
-    w = 2.0 * k - 1.0
-    _check_point(k, 1.0, w)
-    primes = primes_up_to(prime_cutoff)
-    first = []
-    if primes:
-        in_2 = 2 in s_set
-        pre, fp = _local_factor(2, k, in_2, 1.0, w)
-        first.append((2, in_2, pre * fp, _gp_special(2, k, in_2)))
-    last_in = max((p for p in s_set.primes if 2 < p <= prime_cutoff), default=None)
-    last_out = next((p for p in reversed(primes) if p > 2 and p not in s_set), None)
-    for p in (last_in, last_out):
-        if p is not None:
-            _gp_special(p, k, p in s_set)  # raises any OverflowError before the first row
-    outside, inside = (_centre_coefficients(k, in_s) for in_s in (False, True))
+    g2, odd, outside, inside = _centre_sweep(k, s_set, prime_cutoff)
+    s_primes = s_set.primes
+    last_in = max((p for p in s_primes if 2 < p <= prime_cutoff), default=None)
+    last_out = next((p for p in reversed(odd) if p not in s_primes), None)
+    for p in filter(None, (last_in, last_out)):
+        _gp_special(p, k, p in s_primes)  # raises any OverflowError before the first row
 
     def row(p: int) -> tuple:
-        in_s = p in s_set
+        in_s = p in s_primes
         g = 1.0 + _centre_h(p, inside if in_s else outside)
         return p, in_s, g, _gp_special(p, k, in_s)
 
-    return itertools.chain(first, map(row, itertools.islice(primes, 1, None)))
+    in_2 = 2 in s_primes
+    return itertools.chain([(2, in_2, g2, _gp_special(2, k, in_2))], map(row, odd))
 
 
 def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:

@@ -362,13 +362,13 @@ def _walk(bound, req: CountRequest) -> tuple:
         raise DomainError("bound must be >= 1")
     nmax = b.numerator // b.denominator
     _check_walk_bound(nmax)
+    exact = req.r_source == RSource.EXACT
+    if exact:  # its table guard refuses before the model walk runs
+        table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
     model, total = _walk_runs(req, b)
     s = total - model[0]
     t = total - sum(model)
-    diff = model
-    if req.r_source == RSource.EXACT:
-        table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
-        diff = _walk_block(req, b, table)[0]
+    diff = _walk_block(req, b, table)[0] if exact else model
     mu = mobius_sieve(nmax)
     acc = 0
     for e in range(nmax, 0, -1):

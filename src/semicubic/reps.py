@@ -37,6 +37,13 @@ from .arith import CapacityError, DomainError, bernoulli, factorize
 R4K_TABLE_BUDGET = 3_500_000
 
 
+def _bounds(limit: int, k: int) -> tuple:
+    """(side, steps, cube_bits, walk_bits): the bounds side^(4k) and
+    steps^limit of _slot_digits and their bit lengths n log2(a), as floats."""
+    side, steps = 2 * math.isqrt(limit) + 1, 8 * k + 1
+    return side, steps, 4 * k * math.log2(side), limit * math.log2(steps)
+
+
 def _slot_digits(limit: int, k: int) -> int:
     """Digits w with 10^w > r_j(d) for every j <= 4k and d <= limit.
 
@@ -50,8 +57,7 @@ def _slot_digits(limit: int, k: int) -> int:
     these lie within a bit of each other, where float rounding could pick
     the wrong one.
     """
-    side, steps = 2 * math.isqrt(limit) + 1, 8 * k + 1
-    cube_bits, walk_bits = 4 * k * math.log2(side), limit * math.log2(steps)
+    side, steps, cube_bits, walk_bits = _bounds(limit, k)
     bounds = []
     if cube_bits < walk_bits + 1:
         bounds.append(side ** (4 * k))
@@ -76,8 +82,14 @@ def r4k_bruteforce(limit: int, k: int) -> tuple:
     """
     if limit < 1 or k < 1:
         raise DomainError("limit and k must be >= 1")
-    width = _slot_digits(limit, k)
-    size = (limit + 1) * width
+    # below the packed size: the smaller bound has more bits than its
+    # n log2(a) less one, for float rounding, and each bit takes 0.30103 digits
+    # of the width.  A table past the budget even so is refused before a bound
+    # is raised, which takes seconds at 10^6 digits.
+    size = (limit + 1) * (min(_bounds(limit, k)[2:]) - 1) * 0.30103
+    if size <= R4K_TABLE_BUDGET:
+        width = _slot_digits(limit, k)
+        size = (limit + 1) * width
     if size > R4K_TABLE_BUDGET:
         raise CapacityError(f"representation table r_{4 * k}(0..{limit}) exceeds "
                             f"the budget of {R4K_TABLE_BUDGET} packed digits")

@@ -87,16 +87,19 @@ def centre_factor_exact():
 def mp_euler_product():
     """A function (k, s_set, cutoff): the product of the local factors at
     (1, 2k-1) over the primes up to the cutoff, taken in 30-digit mpmath
-    arithmetic, p = 2 from _local_factor and the odd primes exact.  Skips
-    without mpmath."""
+    arithmetic, p = 2 from _local_factor and the odd primes exact, each
+    prime of the set above the cutoff as its exact factor in the set over
+    its factor outside it.  Skips without mpmath."""
     mpmath = pytest.importorskip("mpmath")
 
     def product_of_factors(k, s_set, cutoff):
         pre, fp = analytic._local_factor(2, k, 2 in s_set, 1.0, 2.0 * k - 1)
+        factors = [_centre_factor_exact(p, k, p in s_set) for p in primes_up_to(cutoff)[1:]]
+        factors += [_centre_factor_exact(p, k, True) / _centre_factor_exact(p, k, False)
+                    for p in s_set.primes if p > cutoff]
         with mpmath.workdps(30):
             g = mpmath.mpf(pre * fp)
-            for p in primes_up_to(cutoff)[1:]:
-                f = _centre_factor_exact(p, k, p in s_set)
+            for f in factors:
                 g = g * f.numerator / f.denominator
             return g
 

@@ -249,16 +249,14 @@ def test_euler_product_properties():
     assert euler_product(1, PrimeSet.empty(), 2000).value == ep.value
 
 
-def test_euler_product_primes_of_s_above_the_cutoff():
+def test_euler_product_primes_of_s_above_the_cutoff(mp_euler_product):
     # 101 enters at cutoff 100 as its in-set factor over its outside one, so
     # G at 100 lies within its tail of G at 200, where 101 is a sieve prime
     s101 = PrimeSet.of(101)
     for k in (1, 2):
         at100, at200 = (euler_product(k, s101, c) for c in (100, 200))
         assert abs(at100.value / at200.value - 1) <= at100.tail_estimate, k
-        ratio = (gp(_inp(101, k, True, 1.0, 2.0 * k - 1))
-                 / gp(_inp(101, k, False, 1.0, 2.0 * k - 1)))
-        assert at100.value == euler_product(k, PrimeSet.empty(), 100).value * ratio, k
+        assert abs(at100.value / mp_euler_product(k, s101, 100) - 1) <= 1e-15, k
 
 
 def test_euler_product_tail_is_fitted_outside_s():
@@ -384,7 +382,7 @@ def test_sieved_primes_skip_is_prime(monkeypatch):
 
 def test_euler_product_visits_each_prime_once_in_order(monkeypatch):
     # p = 2 goes through _local_factor, each odd sieve prime, in order and
-    # once, through the centre polynomials
+    # once, through the centre polynomials; local_factors makes the same calls
     calls = []
     for name in ("_local_factor", "_centre_h"):
         def counted(p, *args, name=name, f=getattr(analytic, name)):
@@ -394,7 +392,16 @@ def test_euler_product_visits_each_prime_once_in_order(monkeypatch):
         monkeypatch.setattr(analytic, name, counted)
     euler_product(1, PrimeSet.of(2, 3), 10**4)
     primes = primes_up_to(10**4)
-    assert calls == [("_local_factor", 2)] + [("_centre_h", p) for p in primes[1:]]
+    expected = [("_local_factor", 2)] + [("_centre_h", p) for p in primes[1:]]
+    assert calls == expected
+    calls.clear()
+    list(analytic.local_factors(1, PrimeSet.of(2, 3), 10**4))
+    assert calls == expected
+    # a prime of the set above the cutoff reaches the centre polynomials
+    # twice, in the set and outside it, and never the general closed form
+    calls.clear()
+    euler_product(7, PrimeSet.of(3, 1000003), 10**4)
+    assert calls == expected + [("_centre_h", 1000003)] * 2
 
 
 def test_public_inputs_still_reject_composites():

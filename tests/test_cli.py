@@ -123,8 +123,6 @@ BAD_BOUNDS = [
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
     ["predict", "--k", "1000000"],
     ["local-factors", "--k", "1000000"],
-    # a prime of the set above the cutoff enters the Euler product, and overflows
-    ["predict", "--k", "7", "--prime-cutoff", "100", "--exclude-primes", "1000003"],
     # not a bound: no prime lies below the cutoff
     ["local-factors", "--prime-cutoff", "0"],
     ["local-factors", "--prime-cutoff", "-5"],
@@ -167,6 +165,17 @@ def test_predict_past_the_float_range_of_the_general_form(capsys, mp_euler_produ
     assert code == 0
     g = json.loads(out)["euler_product"]
     assert abs(g / mp_euler_product(20, PrimeSet.empty(), 200) - 1) <= 1e-14
+
+
+def test_predict_with_a_prime_of_the_set_above_the_cutoff(capsys, mp_euler_product):
+    # such a prime enters G through the centre polynomials, which raise no
+    # power of p above 1, so it stays in the float range at any k predict takes
+    for k, p in ((7, 1000003), (20, 999999999989)):
+        code, out = _run(capsys, ["predict", "--k", str(k), "--prime-cutoff", "100",
+                                  "--exclude-primes", str(p)])
+        assert code == 0, (k, p)
+        g = json.loads(out)["euler_product"]
+        assert abs(g / mp_euler_product(k, PrimeSet.of(p), 100) - 1) <= 1e-15, (k, p)
 
 
 def test_bad_prime_set_is_usage_error(capsys):

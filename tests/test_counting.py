@@ -351,6 +351,17 @@ def test_oracle_past_k4():
                 (k, str(s_set))
 
 
+def test_exact_table_guard_runs_before_the_model_walk(monkeypatch):
+    # an over-budget exact request is refused without walking the model
+    def refuse(*args):
+        raise AssertionError("the model walk ran before the table guard")
+
+    monkeypatch.setattr(counting, "_walk_runs", refuse)
+    for k, bound in ((1, 519), (10**4, 100)):
+        with pytest.raises(CapacityError, match="exceeds the budget"):
+            n_mobius(bound, req(bound, k, source=RSource.EXACT))
+
+
 def test_r4k_table_keeps_the_longest(monkeypatch):
     # a shorter limit reads the longest table; a longer one rebuilds it
     monkeypatch.setattr(counting, "_signed_cache", {})

@@ -80,6 +80,18 @@ def test_bruteforce_capacity_guard():
         r4k_bruteforce(0, 1)
 
 
+def test_bruteforce_refuses_before_raising_a_bound(monkeypatch):
+    # the bit lengths alone put r_(4 10^6)(0..10^6) past the budget
+    from semicubic import reps
+
+    def refuse(limit, k):
+        raise AssertionError(f"a bound raised for ({limit}, {k})")
+
+    monkeypatch.setattr(reps, "_slot_digits", refuse)
+    with pytest.raises(CapacityError):
+        r4k_bruteforce(10**6, 10**6)
+
+
 def test_slot_digits_raises_only_the_smaller_bound():
     # the width of the smaller bound with both raised, on a grid across the
     # limits where the smaller one changes sides

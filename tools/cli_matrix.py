@@ -13,7 +13,7 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 15-18 s on a 2-core x86 machine, 5.6 s of them in one count
+Stdlib only; about 13-16 s on a 2-core x86 machine, 5.6 s of them in one count
 at B = 10^6, the edge of the loop over n, and 1.5 s in the k = 5 count and
 oracle at the edge of their r_20 table, B = 252.  The r_4k tables are kept
 from command to command and rebuilt only for a command that needs a longer
@@ -95,8 +95,10 @@ EXTRA = [
     *(["predict", "--k", k, "--prime-cutoff", "100"] + s
       for k, s in (("128", []), ("129", []), ("129", ["--exclude-primes", "2"]),
                    ("130", ["--exclude-primes", "2"]))),
-    # counts stop at k = 10^4 (exit 3), and so does a count too long to print
+    # counts stop at k = 10^4 (exit 3), and so does a count too long to print;
+    # at B = 100 the exact route's table is refused before the model walk runs
     ["count", "--k", "10000", "--bound", "3"],
+    ["count", "--k", "10000", "--bound", "100"],
     ["count", "--k", "10001", "--bound", "2"],
     ["count", "--k", "1000", "--bound", "50", "--r-source", "rstar"],
     # the oracle at k = 1, B = 200 and at B = 250, the table's capacity guard
@@ -113,12 +115,15 @@ EXTRA = [
     ["count", "--k", "5", "--bound", "252", "--method", "both"],
     ["count", "--k", "1", "--bound", "519", "--method", "oracle"],
     ["count", "--k", "5", "--bound", "20", "--method", "both", "--with-st"],
-    # a prime of the set above the prime cutoff enters the Euler product, and
-    # one that overflows the float factors exits 2
+    # a prime of the set above the prime cutoff enters the Euler product
+    # through the centre polynomials, in the float range at every k predict
+    # takes, up to the largest prime a set holds and k = 129 with 2 in the set
     ["predict", "--k", "1", "--prime-cutoff", "100", "--exclude-primes", "101",
      "--bounds", "1000"],
     ["compare", "--k", "1", "--bounds", "20,40", "--exclude-primes", "10007"],
     ["predict", "--k", "7", "--prime-cutoff", "100", "--exclude-primes", "1000003"],
+    ["predict", "--k", "20", "--prime-cutoff", "100", "--exclude-primes", "999999999989"],
+    ["predict", "--k", "129", "--prime-cutoff", "100", "--exclude-primes", "2,101"],
     # the table's edges (B = 518, 381, 320 for k = 1, 2, 3) and one step past
     *(["count", "--k", k, "--bound", str(edge + step), "--r-source", "exact"]
       for k, edge in (("1", 518), ("2", 381), ("3", 320)) for step in (0, 1)),
