@@ -6,6 +6,7 @@ from .analytic import (
     EulerFactorInput,
     EulerProductResult,
     constants_report,
+    euler_constant,
     euler_product,
     f_poly,
     fp_closed,

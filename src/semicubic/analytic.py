@@ -35,16 +35,33 @@ polynomials N and D (_centre_coefficients), evaluated by Horner
 (_centre_h) for every odd prime in euler_product and local_factors, a
 prime of the set above the cutoff included.  p = 2, gp, fp_closed,
 gp_special and centre_factors keep the closed forms above.
+
+The constant G that every prediction rests on is euler_constant: the
+factors of the primes up to 100 (and of the set's primes above 100) one
+by one, and the primes above 100 outside the set through the exact
+expansion log gp = sum_m c_m p^-m, summed over the primes as
+sum_m c_m T(m) with T(m) = sum_{p > 100} p^-m, with a certified bound on
+the relative error of the G printed.  euler_product, the direct product up
+to a prime cutoff, is its reference.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import DomainError, PrimeSet, bernoulli, is_prime, primes_up_to, zeta_real
+from .arith import (
+    DomainError,
+    PrimeSet,
+    bernoulli,
+    check_sieve_limit,
+    is_prime,
+    primes_up_to,
+    zeta_real,
+)
 from .reps import _p2_coefficients
 
 SERIES_TERM_FLOOR = 1e-22  # a-terms below this cannot move any tested digit
@@ -343,49 +360,235 @@ def _centre_sweep(k: int, s_set: PrimeSet, prime_cutoff: int) -> tuple:
     return pre * fp, primes[1:], _centre_coefficients(k, False), _centre_coefficients(k, True)
 
 
-def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
-    """Product of local factors at (1, 2k-1) over primes up to the cutoff and the set.
+def _centre_logs(k: int, s_set: PrimeSet, prime_cutoff: int, fit: list):
+    """An iterator of the logs of G's factors at (1, 2k-1), for euler_product
+    and euler_constant; _centre_sweep's checks run in this call.
 
-    exp of the math.fsum of log gp: p = 2 from _centre_sweep, each odd
-    prime up to the cutoff as log1p of its _centre_h, and each prime of the
-    set above it as log gp(p, in the set) - log gp(p, outside it), both
-    from _centre_h, so the tail covers the primes above the cutoff outside
-    the set.  The sum is correctly rounded whatever the order of the
-    primes, and G is within a few units in the last place of the product
-    of these factors.  The tail estimate is C / (cutoff log cutoff) * 1.5
-    with C the largest |log gp| p^2 over the primes 10 < p <= cutoff
-    outside the set (in the set it is about p).  At a cutoff of 10^6
-    (78,498 primes) one cold `predict` takes about 0.16-0.29 s at k = 1
-    and 2 on a 2-core x86 machine.
+    p = 2 from _centre_sweep, each odd prime up to the cutoff as log1p of
+    its _centre_h, and each prime of the set above the cutoff as
+    log gp(p, in the set) - log gp(p, outside it), both from _centre_h.
+    Once the odd primes are done, fit[0] holds the largest |log gp| p^2
+    over the primes 10 < p <= cutoff outside the set.
     """
-    if prime_cutoff < 100:
-        raise DomainError("prime cutoff must be at least 100")
     g2, odd, outside, inside = _centre_sweep(k, s_set, prime_cutoff)
     s_primes = s_set.primes
-    c_fit = 0.0
 
     def logs():
-        nonlocal c_fit
         yield math.log(g2)
+        c_fit = 0.0
         for p in odd:
             if p in s_primes:
                 yield math.log1p(_centre_h(p, inside))
                 continue
             log_g = math.log1p(_centre_h(p, outside))
-            if p > 10 and (fit := abs(log_g) * p * p) > c_fit:
-                c_fit = fit
+            if p > 10 and (f := abs(log_g) * p * p) > c_fit:
+                c_fit = f
             yield log_g
+        fit[0] = c_fit
         for p in s_primes:
             if p > prime_cutoff:
                 yield math.log1p(_centre_h(p, inside))
                 yield -math.log1p(_centre_h(p, outside))
 
+    return logs()
+
+
+def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
+    """Product of local factors at (1, 2k-1) over primes up to the cutoff and the set.
+
+    exp of the math.fsum of _centre_logs, so the tail covers the primes
+    above the cutoff outside the set.  The sum is correctly rounded whatever
+    the order of the primes, and G is within a few units in the last place
+    of the product of these factors.  The tail estimate is
+    C / (cutoff log cutoff) * 1.5 with C the largest |log gp| p^2 over the
+    primes 10 < p <= cutoff outside the set (in the set it is about p): a
+    fit, not a bound.  This is the direct product that euler_constant's
+    series replaces in every prediction; it stays as their reference.  At
+    a cutoff of 10^6 (78,498 primes) one cold call takes about 0.16-0.29 s
+    at k = 1 and 2 on a 2-core x86 machine.
+    """
+    if prime_cutoff < 100:
+        raise DomainError("prime cutoff must be at least 100")
+    fit = [0.0]
+    logs = _centre_logs(k, s_set, prime_cutoff, fit)
     try:
-        value = math.exp(math.fsum(logs()))
+        value = math.exp(math.fsum(logs))
     except ValueError:  # the log of a factor <= 0
         raise ArithmeticError("Euler product is not positive") from None
-    tail = 1.5 * c_fit / (prime_cutoff * math.log(prime_cutoff))
+    tail = 1.5 * fit[0] / (prime_cutoff * math.log(prime_cutoff))
     return EulerProductResult(value=value, prime_cutoff=prime_cutoff, tail_estimate=tail)
+
+
+# euler_constant multiplies the primes up to _HEAD_CUTOFF one by one and
+# takes the rest as sum_{m=2}^{_TAIL_TERMS} c_m T(m), T(m) = sum_{p > 100}
+# p^-m, with zeta_100(m) in fixed point with _FIXED_BITS fractional bits.
+_HEAD_CUTOFF = 100
+_TAIL_TERMS = 20
+_FIXED_BITS = 128
+_U = 2.0**-53  # the unit roundoff of a float
+# The relative error of g_2 from _local_factor at (1, 2k-1): at most 2^-52
+# at every k it reaches, both sides of the set, against exact rationals (the
+# tests check each k); twice that is allowed here.
+_P2_ERROR = 2.0**-51
+
+
+def _horner_bound(coefficients: tuple) -> tuple:
+    """(K, v) with |log1p(_centre_h(p, coefficients)) - log gp| <= K (3/p)^v
+    for every odd prime p, before log1p's own rounding.
+
+    Horner at u = fl(1/p) leaves the degree-i coefficient of N and of D
+    times (1 + t), |t| <= (3i + 1) 2^-53 (i roundings of u, 2i + 1 of the
+    steps), and N has no term below u^v, so for u <= 1/3 the sums over
+    i >= v of c_i u^i are at most (3u)^v times their values at 1/3.  With
+    D >= d_lo and |h| <= (3u)^v n_hi / d_lo there, the error of h = N/D
+    and of log1p(h), over gp >= g_lo, follows to first order; the bounds
+    are taken 2% wide.  Terms past 3^-679 underflow to 0 and are dropped.
+    """
+    n = [abs(a) for a, _ in reversed(coefficients)]
+    d = [abs(b) for _, b in reversed(coefficients)]
+    v = next(i for i, a in enumerate(n) if a)
+    third = [3.0**-i for i in range(len(n))]
+    n_hi = math.fsum(map(operator.mul, n, third))
+    n_err = math.fsum((3 * i + 1) * a * w for i, (a, w) in enumerate(zip(n, third)))
+    d_err = math.fsum((3 * i + 1) * b * w for i, (b, w) in enumerate(zip(d, third)))
+    d_lo = 2.0 - math.fsum(map(operator.mul, d, third))  # d[0] = 1
+    h_hi = n_hi / d_lo
+    g_lo = 1.0 - h_hi  # at least 0.39 at every k predict reaches (the tests check each)
+    return 1.02 * _U * ((n_err + h_hi * d_err) / d_lo + h_hi) / g_lo, v
+
+
+def _log_series(poly: list, terms: int) -> list:
+    """[b_0, ..., b_terms] with u P'(u) / P(u) = sum b_m u^m, for integer
+    coefficients poly (lowest degree first, poly[0] = 1): log P = sum b_m u^m / m.
+    """
+    a = (poly + [0] * terms)[: terms + 1]
+    b = [0]
+    for m in range(1, terms + 1):
+        b.append(m * a[m] - sum(a[i] * b[m - i] for i in range(1, m)))
+    return b
+
+
+@lru_cache(maxsize=64)
+def _centre_expansion(k: int) -> tuple:
+    """(c, truncation, outside, inside) for euler_constant at k.
+
+    c[m] is the coefficient of u^m in log gp = log(1 + N/D) outside the set
+    (_centre_coefficients(k, False)), m = 0.._TAIL_TERMS, exact integers
+    over m; c[0] = c[1] = 0.  truncation bounds sum_{m > _TAIL_TERMS}
+    |c_m| T(m): by Cauchy's bound the roots of a polynomial 1 + a_1 u + ...
+    of degree n lie outside 1/R, R = 1 + max |a_i|, so the u^m coefficient
+    of its log is at most n R^m / m, and T(m) <= 101^-m (1 + 101/(m-1)).
+    outside and inside are _horner_bound's pairs.
+    """
+    coefficients = _centre_coefficients(k, False)
+    den = [int(b) for _, b in reversed(coefficients)]
+    num = [int(a) + b for (a, _), b in zip(reversed(coefficients), den)]
+    terms = _TAIL_TERMS
+    c = [(x - y) / m if m else 0.0
+         for m, (x, y) in enumerate(zip(_log_series(num, terms), _log_series(den, terms)))]
+    degree = len(den) - 1
+    q = max(1 + max(map(abs, poly[1:])) for poly in (num, den)) / (_HEAD_CUTOFF + 1)
+    truncation = (2 * degree * q ** (terms + 1) / (1 - q)
+                  * (1 + (_HEAD_CUTOFF + 1) / terms) / (terms + 1))
+    return (tuple(c), truncation, _horner_bound(coefficients),
+            _horner_bound(_centre_coefficients(k, True)))
+
+
+@lru_cache(maxsize=1)
+def _prime_zeta_tail() -> tuple:
+    """(T, err): T[m] = sum_{p > 100} p^-m and a bound on its error, m = 2.._TAIL_TERMS.
+
+    Independent of k and the set, so built once per process.  From the top
+    down, T(m) = log zeta_100(m) - sum_{r >= 2} T(rm)/r, the Moebius
+    inversion of log zeta_100(s) = sum_r T(rs)/r; the r with rm > 20 are
+    bounded, not summed.  zeta_100(m) = zeta(m) prod_{p <= 100} (1 - p^-m)
+    is taken in fixed point: zeta(m) by Euler-Maclaurin as zeta_real takes
+    it (N = 16, 8 corrections, the remainder below the first omitted one),
+    each floor within one unit of 2^-128.  Only zeta_100(m) - 1, about
+    101^-m, is rounded to a float.  Taken as log zeta(m) + sum log1p(-p^-m)
+    in floats, log zeta_100(m) would carry an error near 2^-53 at every m,
+    which the largest c_m multiply (it moved G by 1e-6 with m up to 60).
+    log1p is taken within two units in the last place.
+    """
+    terms, n, corrections = _TAIL_TERMS, 16, 8
+    one = 1 << _FIXED_BITS
+    small = primes_up_to(_HEAD_CUTOFF)
+    # what the inversion leaves out at any m: sum_{j > 20} T(j), with
+    # T(j) <= sum_{i >= 101} i^-j <= 101^-j (1 + 101/(j - 1))
+    beyond = 2 * (_HEAD_CUTOFF + 1) ** -(terms + 1) * (1 + (_HEAD_CUTOFF + 1) / terms)
+    floors = (n - 1 + 2 + corrections + len(small)) / one  # one unit per floor
+    # B_2j / (2j)! as (numerator, denominator), j = 1..corrections + 1
+    weights = [(b.numerator, b.denominator * math.factorial(2 * j))
+               for j in range(1, corrections + 2) for b in [bernoulli(2 * j)]]
+    t = [0.0] * (terms + 1)
+    err = [0.0] * (terms + 1)
+    for m in range(terms, 1, -1):
+        z = sum(one // i**m for i in range(1, n)) + one // ((m - 1) * n ** (m - 1))
+        z += one // (2 * n**m)
+        for j, (num, den) in enumerate(weights, 1):
+            # B_2j/(2j)! m(m+1)...(m+2j-2) n^(1-m-2j)
+            num *= math.prod(range(m, m + 2 * j - 1))
+            den *= n ** (m + 2 * j - 1)
+            if j > corrections:  # the first omitted one bounds the remainder
+                remainder = abs(num) / den
+            else:
+                z += num * one // den
+        for p in small:
+            z -= z // p**m
+        rough = (z - one) / one
+        higher = [-t[r * m] / r for r in range(2, terms // m + 1)]
+        log_rough = math.log1p(rough)
+        t[m] = math.fsum([log_rough, *higher])
+        err[m] = (1.01 * (remainder + floors + _U * abs(rough)) + 4 * _U * abs(log_rough)
+                  + beyond + _U * abs(t[m])
+                  + math.fsum((err[r * m] + _U * abs(t[r * m])) / r
+                              for r in range(2, terms // m + 1)))
+    return tuple(t), tuple(err)
+
+
+def euler_constant(k: int, s_set: PrimeSet) -> EulerProductResult:
+    """G_S(1, 2k-1) over every prime, with a certified relative error bound.
+
+    log G = sum_{p <= 100} log gp + sum_{m=2}^{20} c_m T(m) (Cohen 1998;
+    Ettahri-Ramare-Surel 2021): the head is _centre_logs at a cutoff of
+    100, as euler_product takes it, so a prime of the set above 100 enters
+    as log gp(in the set) - log gp(outside it); every other prime above 100
+    is outside the set, and its log gp = sum_m c_m p^-m is summed over the
+    primes through T(m) (_centre_expansion, _prime_zeta_tail).  G is exp
+    of one math.fsum of both parts.
+
+    tail_estimate is a bound on |G_printed / G - 1| for the G printed to 15
+    significant digits: the head's rounding (_horner_bound, _P2_ERROR, two
+    units in the last place per log), the tail's (T's error times |c_m|,
+    and the truncation at m = 20), the fsum and the exp, and half a unit in
+    the 15th digit: 1.6e-15 to 7.5e-15 on the benchmark's eight (k, set)
+    pairs.  prime_cutoff is 100.
+    """
+    logs = _centre_logs(k, s_set, _HEAD_CUTOFF, [0.0])  # k and p = 2 checked first
+    c, truncation, outside, inside = _centre_expansion(k)
+    t, t_err = _prime_zeta_tail()
+    try:
+        head = list(logs)
+    except ValueError:  # the log of a factor <= 0
+        raise ArithmeticError("Euler product is not positive") from None
+    tail = [c[m] * t[m] for m in range(2, _TAIL_TERMS + 1)]
+    log_g = math.fsum(head + tail)
+    value = math.exp(log_g)
+
+    head_err = 1.01 * _P2_ERROR + 4 * _U * math.fsum(map(abs, head))
+    for p in primes_up_to(_HEAD_CUTOFF)[1:]:
+        scale, v = inside if p in s_set.primes else outside
+        head_err += scale * (3 / p) ** v
+    for p in s_set.primes:
+        if p > _HEAD_CUTOFF:
+            head_err += sum(scale * (3 / p) ** v for scale, v in (outside, inside))
+    tail_err = truncation + math.fsum(abs(c[m]) * (t_err[m] + 4 * _U * abs(t[m]))
+                                      for m in range(2, _TAIL_TERMS + 1))
+    computed = 1.01 * (head_err + tail_err + _U * abs(log_g)) + 4 * _U  # and exp's
+    exponent = int(f"{value:.14e}".partition("e")[2])
+    printed = 0.5 * 10.0 ** (exponent - 14) / value
+    bound = computed + printed * (1 + computed)
+    return EulerProductResult(value=value, prime_cutoff=_HEAD_CUTOFF, tail_estimate=bound)
 
 
 def _prefactor(k: int) -> float:
@@ -454,8 +657,17 @@ def predict(bound: float, k: int, s_set: PrimeSet, prime_cutoff: int) -> dict:
 def constants_report(
     k: int, s_set: PrimeSet, prime_cutoff: int, bounds=()
 ) -> dict:
-    """Everything the prediction rests on, with truncation metadata."""
-    ep = euler_product(k, s_set, prime_cutoff)
+    """Everything the prediction rests on, with G's certified error bound.
+
+    G and euler_product_tail_estimate come from euler_constant, whatever
+    the prime cutoff.  The cutoff is still refused below 100 (DomainError)
+    and above PRIME_SIEVE_LIMIT (CapacityError, checked without sieving),
+    as when G was the product up to it, and it is echoed.
+    """
+    if prime_cutoff < 100:
+        raise DomainError("prime cutoff must be at least 100")
+    ep = euler_constant(k, s_set)
+    check_sieve_limit(prime_cutoff)
     z = zeta_real(4 * k - 1)
     pre = _prefactor(k)
     lead = pre * ep.value / z

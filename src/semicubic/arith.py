@@ -58,10 +58,15 @@ def is_prime(n: int) -> bool:
 PRIME_SIEVE_LIMIT = 10**6
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a byte sieve; n is guarded at PRIME_SIEVE_LIMIT."""
+def check_sieve_limit(n: int) -> None:
+    """Raise CapacityError if primes_up_to(n) would pass PRIME_SIEVE_LIMIT."""
     if n > PRIME_SIEVE_LIMIT:
         raise CapacityError(f"prime sieve up to {n} is guarded at n <= {PRIME_SIEVE_LIMIT}")
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n by a byte sieve; n is guarded at PRIME_SIEVE_LIMIT."""
+    check_sieve_limit(n)
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -242,23 +247,27 @@ def divisors_of_cube(n: int, lo, hi) -> list[Factorization]:
     return [Factorization(d, fs) for d, fs in sorted(divs) if lo < d <= hi]
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_upto(m: int) -> tuple:
-    """B_0..B_m as Fractions, convention B_1 = -1/2."""
-    bs = [Fraction(1)]
-    for r in range(1, m + 1):
-        s = Fraction(0)
-        for j in range(r):
-            s += math.comb(r + 1, j) * bs[j]
-        bs.append(-s / (r + 1))
-    return tuple(bs)
+# B_0, B_1, B_2, ... as Fractions, convention B_1 = -1/2, grown by bernoulli.
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli(m: int) -> Fraction:
-    """Exact B_m for even m >= 2 (B_2 = 1/6, B_4 = -1/30)."""
+    """Exact B_m for even m >= 2 (B_2 = 1/6, B_4 = -1/30).
+
+    From sum_{j <= r} C(r+1, j) B_j = 0, over one table shared by every
+    call; the odd B_j past B_1 are 0 and skipped.
+    """
     if m < 2 or m % 2:
         raise DomainError("bernoulli requires even m >= 2")
-    return _bernoulli_upto(m)[m]
+    bs = _BERNOULLI
+    while len(bs) <= m:
+        r = len(bs)
+        if r % 2:
+            bs.append(Fraction(0))
+            continue
+        s = (r + 1) * bs[1] + sum(math.comb(r + 1, j) * bs[j] for j in range(0, r, 2))
+        bs.append(-s / (r + 1))
+    return bs[m]
 
 
 def zeta_real(s: float, tol: float = 1e-12) -> float:

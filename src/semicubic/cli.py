@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import CapacityError, DomainError, PrimeSet, primes_up_to, vp
+from .arith import PRIME_SIEVE_LIMIT, CapacityError, DomainError, PrimeSet, primes_up_to, vp
 from .analytic import (
     EulerFactorInput,
     centre_factors,
@@ -311,7 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, bounds=False, bound=False, r_source=False, prime_cutoff=None):
+    # predict, compare and table take G over every prime, whatever the cutoff
+    constants_cutoff = (f"checked (at least 100, at most {PRIME_SIEVE_LIMIT}) and "
+                        "echoed; G does not depend on it: G is taken over every "
+                        "prime, and euler_product_tail_estimate is a certified bound "
+                        "on the relative error of the printed G")
+
+    def common(sp, bounds=False, bound=False, r_source=False, prime_cutoff=None,
+               cutoff_help=None):
         sp.add_argument("--k", type=int, default=1)
         sp.add_argument("--exclude-primes", default="",
                         help="comma-separated primes; empty for none")
@@ -330,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--r-source", choices=["auto", "exact", "jacobi", "rstar"],
                             default="auto")
         if prime_cutoff:
-            sp.add_argument("--prime-cutoff", type=int, default=prime_cutoff)
+            sp.add_argument("--prime-cutoff", type=int, default=prime_cutoff,
+                            help=cutoff_help)
 
     sp = sub.add_parser("count", help="run the counting routes at one bound")
     common(sp, bound=True, r_source=True)
@@ -338,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--timings", action="store_true")
 
     sp = sub.add_parser("predict", help="constants and main-term predictions")
-    common(sp, bounds=True, prime_cutoff=100000)
+    common(sp, bounds=True, prime_cutoff=100000, cutoff_help=constants_cutoff)
 
     sp = sub.add_parser("compare", help="counts against the predicted main term")
-    common(sp, bounds=True, r_source=True, prime_cutoff=10000)
+    common(sp, bounds=True, r_source=True, prime_cutoff=10000, cutoff_help=constants_cutoff)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("local-factors", help="CSV of local factors per prime")
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="all")
 
     sp = sub.add_parser("table", help="CSV sweep for external plotting")
-    common(sp, bounds=True, r_source=True, prime_cutoff=10000)
+    common(sp, bounds=True, r_source=True, prime_cutoff=10000, cutoff_help=constants_cutoff)
 
     return ap
 

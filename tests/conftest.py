@@ -104,3 +104,55 @@ def mp_euler_product():
             return g
 
     return product_of_factors
+
+
+def _log_coefficients_exact(k, terms):
+    """c_0..c_terms of log gp = log(1 + N/D) at (1, 2k-1) for an odd prime
+    outside the set, in exact rationals: log(D + N) - log(D), each by
+    P' = (log P)' P, coefficient by coefficient."""
+    coefficients = list(reversed(analytic._centre_coefficients(k, False)))  # lowest first
+    den = [int(b) for _, b in coefficients] + [0] * terms
+    num = [int(a) + int(b) for a, b in coefficients] + [0] * terms
+
+    def log_of(poly):
+        logs = [Fraction(0)] * (terms + 1)
+        for m in range(1, terms + 1):
+            logs[m] = (m * poly[m] - sum(j * logs[j] * poly[m - j] for j in range(1, m))) / Fraction(m)
+        return logs
+
+    return [a - b for a, b in zip(log_of(num), log_of(den))]
+
+
+@pytest.fixture(scope="session")
+def mp_euler_constant():
+    """A function (k, s_set): G_S(1, 2k-1) over every prime, taken in
+    40-digit mpmath arithmetic and returned as the exact Fraction of it.  The primes up to 100 and the primes of the set
+    above 100 enter one by one: p = 2 as analytic.gp on mpf arguments, as
+    perfbench/make_refs.py takes it, the odd primes exact, a prime of the
+    set above 100 as its exact factor in the set over its factor outside
+    it.  The other primes enter as exp(sum_{m=2}^{60} c_m T(m)), c_m the
+    exact coefficients of log gp outside the set and
+    T(m) = primezeta(m) - sum_{p <= 100} p^-m.  Skips without mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    terms = 60
+    small = primes_up_to(100)
+    with mpmath.workdps(40):
+        tails = [mpmath.primezeta(m) - mpmath.fsum(mpmath.mpf(p) ** -m for p in small)
+                 if m >= 2 else 0 for m in range(terms + 1)]
+
+    def constant(k, s_set):
+        factors = [_centre_factor_exact(p, k, p in s_set) for p in small[1:]]
+        factors += [_centre_factor_exact(p, k, True) / _centre_factor_exact(p, k, False)
+                    for p in s_set.primes if p > 100]
+        c = _log_coefficients_exact(k, terms)
+        with mpmath.workdps(40):
+            g = analytic.gp(analytic.EulerFactorInput(
+                p=2, k=k, in_S=2 in s_set, s=mpmath.mpf(1), w=mpmath.mpf(2 * k - 1)))
+            for f in factors:
+                g = g * f.numerator / f.denominator
+            tail = mpmath.fsum(mpmath.mpf(c[m].numerator) / c[m].denominator * tails[m]
+                               for m in range(2, terms + 1) if c[m])
+            man, exp = (g * mpmath.exp(tail)).man_exp
+        return Fraction(man) * Fraction(2) ** exp
+
+    return constant

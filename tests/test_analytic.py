@@ -1,15 +1,25 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from semicubic import analytic
-from semicubic.arith import DomainError, PrimeSet, bernoulli, primes_up_to, zeta_real
+from semicubic.arith import (
+    CapacityError,
+    DomainError,
+    PrimeSet,
+    bernoulli,
+    primes_up_to,
+    zeta_real,
+)
 from semicubic.analytic import (
     EulerFactorInput,
     centre_factors,
     constants_report,
+    euler_constant,
     euler_product,
     f_poly,
     fp_closed,
@@ -270,12 +280,12 @@ def test_euler_product_tail_is_fitted_outside_s():
 def test_leading_constant_prefactors():
     for k, s_set in ((1, PrimeSet.empty()), (2, PrimeSet.empty())):
         lead = leading_constant(k, s_set, 1000)
-        g = euler_product(k, s_set, 1000).value
+        g = euler_constant(k, s_set).value
         pre = 4 * k / ((3 * k - 1) * (4**k - 1) * float(abs(bernoulli(2 * k))))
         assert abs(lead - pre * g / zeta_real(4 * k - 1)) < 1e-12 * abs(lead)
     assert abs(
         leading_constant(1, PrimeSet.empty(), 1000)
-        / euler_product(1, PrimeSet.empty(), 1000).value
+        / euler_constant(1, PrimeSet.empty()).value
         - 4 / zeta_real(3)
     ) < 1e-12
 
@@ -426,3 +436,140 @@ def test_euler_product_pins(k):
         ep = euler_product(k, PrimeSet.parse(s), 10**5)
         assert (repr(ep.value), repr(ep.tail_estimate)) == tuple(
             map(repr, EULER_PINS[k, s])), (k, s)
+
+
+# --- the certified constant ----------------------------------------------------
+
+REFS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text())
+
+
+def _g_refs():
+    """((k, S), G) for each Euler-product reference of the benchmark."""
+    for key, ref in REFS["G"].items():
+        k, s = key.split("|")
+        yield (int(k[2:]), s[2:]), ref["G"]
+
+
+def test_mp_euler_constant_matches_the_references(mp_euler_constant):
+    for (k, s), ref in _g_refs():
+        g = mp_euler_constant(k, PrimeSet.parse(s))
+        assert abs(g / Fraction(ref) - 1) <= Fraction(1, 10**25), (k, s)
+
+
+def _assert_within_bound(ep, g):
+    """G, and G as printed to 15 digits, lie within the bound of the constant g."""
+    assert ep.prime_cutoff == 100 and 0 < ep.tail_estimate <= 1e-14
+    for value in (ep.value, f"{ep.value:.15g}"):
+        assert abs(Fraction(value) / Fraction(g) - 1) <= ep.tail_estimate, value
+
+
+def test_euler_constant_within_its_bound(mp_euler_constant):
+    sets = (*S_GRID, "101", "999999999989")
+    for k in (1, 2, 3, 4, 5, 6, 20, 128):
+        for s in sets:
+            s_set = PrimeSet.parse(s)
+            _assert_within_bound(euler_constant(k, s_set), mp_euler_constant(k, s_set))
+
+
+def test_euler_constant_within_the_references():
+    # without mpmath too: the benchmark's 30-digit constants
+    for (k, s), ref in _g_refs():
+        _assert_within_bound(euler_constant(k, PrimeSet.parse(s)), ref)
+
+
+def test_euler_constant_refuses_as_the_product_does(monkeypatch):
+    for bad_k in (0, -1):
+        with pytest.raises(DomainError, match="k must be >= 1"):
+            euler_constant(bad_k, PrimeSet.empty())
+    # k = 129 overflows at p = 2 before any coefficient list is built
+    monkeypatch.setattr(analytic, "_centre_coefficients", None)
+    with pytest.raises(OverflowError):
+        euler_constant(129, PrimeSet.empty())
+
+
+def _p2_exact(k, in_s):
+    """g_2 at (1, 2k-1) in exact rationals: _local_factor's p = 2 branch
+    with x = 1/2, y = 2^-(2k-1), z = 2^(2k-1) and (A, B) exact."""
+    x, y, z = Fraction(1, 2), Fraction(1, 2 ** (2 * k - 1)), Fraction(2 ** (2 * k - 1))
+    a, b = _p2_coefficients(k)
+    pre = (1 - x) * (1 - x * (y * z) ** 2) * (1 - x * (y * z) ** 3)
+    correction = (1 - a - b) / (1 - x)
+    if in_s:
+        part_a = (1 + x * y * z + x * y**2 * z**2) / ((1 - x) * (1 - x * (y * z) ** 3))
+        part_b = (1 + x * y + x * y**2) / ((1 - x) * (1 - x * y**3))
+    else:
+        part_a = (1 + x**2 * y * z - x**2 * y**3 * z**3 - x**3 * y**4 * z**4) / (
+            (1 - x) * (1 - x * (y * z) ** 2) * (1 - x * (y * z) ** 3))
+        part_b = (1 + x**2 * y - x**2 * y**3 - x**3 * y**4) / (
+            (1 - x) * (1 - x * y**2) * (1 - x * y**3))
+    return pre * (a * part_a + b * part_b + correction)
+
+
+def test_p2_factor_within_its_rounding_bound():
+    # _P2_ERROR allows twice the largest relative error of the float closed
+    # form at p = 2 over every k it reaches, on both sides of the set
+    worst = Fraction(0)
+    for in_s in (False, True):
+        for k in range(1, 131):
+            try:
+                pre, fp = analytic._local_factor(2, k, in_s, 1.0, 2.0 * k - 1)
+            except OverflowError:
+                assert k == (130 if in_s else 129), (k, in_s)  # predict's own edges
+                break
+            worst = max(worst, abs(Fraction(pre * fp) / _p2_exact(k, in_s) - 1))
+    assert worst <= analytic._P2_ERROR / 2, float(worst)
+
+
+def test_horner_bound_holds(centre_factor_exact):
+    # |log1p(_centre_h) - log gp| <= K (3/p)^v plus log1p's two units in the
+    # last place, against the exact factor, on both sides of the set
+    mpmath = pytest.importorskip("mpmath")
+    primes = [*primes_up_to(100)[1:], 101, 65537, 999999999989]
+    for k in range(1, 130):  # past 129 p = 2 overflows first
+        for in_s in (False, True):
+            bound, v = analytic._horner_bound(analytic._centre_coefficients(k, in_s))
+            assert 0 < bound < 1e-14, (k, in_s)
+            if k not in (1, 2, 3, 6, 20, 128):
+                continue
+            for p in primes:
+                got = math.log1p(analytic._centre_h(p, analytic._centre_coefficients(k, in_s)))
+                h = centre_factor_exact(p, k, in_s) - 1
+                with mpmath.workdps(40):
+                    err = abs(got - mpmath.log1p(mpmath.mpf(h.numerator) / h.denominator))
+                assert err <= bound * (3 / p) ** v + 2.0**-51 * abs(got), (k, in_s, p)
+
+
+def test_prime_zeta_tail_within_its_bound():
+    mpmath = pytest.importorskip("mpmath")
+    t, err = analytic._prime_zeta_tail()
+    with mpmath.workdps(50):
+        for m in range(2, analytic._TAIL_TERMS + 1):
+            exact = mpmath.primezeta(m) - mpmath.fsum(mpmath.mpf(p) ** -m
+                                                     for p in primes_up_to(100))
+            assert abs(t[m] - exact) <= err[m] <= 1e-14 * exact + 1e-22, m
+
+
+def test_constants_report_visits_only_the_head(monkeypatch):
+    # at the benchmark's cutoff of 10^6, _centre_h sees the odd primes up to
+    # 100 once each and a prime of the set above 100 twice, nothing else
+    calls = []
+    centre_h = analytic._centre_h
+    monkeypatch.setattr(analytic, "_centre_h", lambda p, c: (calls.append(p), centre_h(p, c))[1])
+    for k in (1, 2, 128):
+        for s_set in (PrimeSet.empty(), PrimeSet.of(2, 3, 101, 1000003)):
+            calls.clear()
+            rep = constants_report(k, s_set, 10**6)
+            assert rep["prime_cutoff"] == 10**6
+            above = sorted(p for p in s_set.primes if p > 100)
+            assert calls == primes_up_to(100)[1:] + [p for p in above for _ in (0, 1)]
+
+
+def test_prime_cutoff_leaves_g_alone():
+    # the cutoff is checked and echoed, and G is the same at every one
+    reps = [constants_report(1, PrimeSet.of(5, 7), c) for c in (100, 10**4, 10**6)]
+    assert len({(r["euler_product"], r["euler_product_tail_estimate"]) for r in reps}) == 1
+    assert [r["prime_cutoff"] for r in reps] == [100, 10**4, 10**6]
+    with pytest.raises(DomainError, match="at least 100"):
+        constants_report(1, PrimeSet.empty(), 99)
+    with pytest.raises(CapacityError, match="guarded"):
+        constants_report(1, PrimeSet.empty(), 10**6 + 1)

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -158,24 +161,59 @@ def test_large_k_is_refused_before_the_centre_polynomials(capsys, monkeypatch):
         _assert_usage_error(capsys, argv)
 
 
-def test_predict_past_the_float_range_of_the_general_form(capsys, mp_euler_product):
+def _assert_g_within_printed_bound(out, g):
+    blob = json.loads(out, parse_float=Fraction)
+    bound = blob["euler_product_tail_estimate"]
+    assert 0 < bound <= Fraction(1, 10**14)
+    assert abs(blob["euler_product"] / g - 1) <= bound
+
+
+def test_predict_past_the_float_range_of_the_general_form(capsys, mp_euler_constant):
     # the odd primes raise no power of p above 1, so k = 20 runs, and its G
-    # is the product of the same factors to the 15 digits printed
+    # lies within the printed bound of the constant
     code, out = _run(capsys, ["predict", "--k", "20", "--prime-cutoff", "200"])
     assert code == 0
-    g = json.loads(out)["euler_product"]
-    assert abs(g / mp_euler_product(20, PrimeSet.empty(), 200) - 1) <= 1e-14
+    _assert_g_within_printed_bound(out, mp_euler_constant(20, PrimeSet.empty()))
 
 
-def test_predict_with_a_prime_of_the_set_above_the_cutoff(capsys, mp_euler_product):
+def test_predict_with_a_prime_of_the_set_above_the_cutoff(capsys, mp_euler_constant):
     # such a prime enters G through the centre polynomials, which raise no
     # power of p above 1, so it stays in the float range at any k predict takes
     for k, p in ((7, 1000003), (20, 999999999989)):
         code, out = _run(capsys, ["predict", "--k", str(k), "--prime-cutoff", "100",
                                   "--exclude-primes", str(p)])
         assert code == 0, (k, p)
-        g = json.loads(out)["euler_product"]
-        assert abs(g / mp_euler_product(k, PrimeSet.of(p), 100) - 1) <= 1e-15, (k, p)
+        _assert_g_within_printed_bound(out, mp_euler_constant(k, PrimeSet.of(p)))
+
+
+def _perfbench(name):
+    """A module of perfbench/, loaded read-only by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_checker_refuses_g_moved_by_ten_bounds(capsys):
+    # the benchmark's predict ops pass its checker as printed, and fail it
+    # with G moved by ten times the printed bound, either way
+    check = _perfbench("check")
+    refs = json.loads((Path(check.__file__).parent / "refs.json").read_text())
+    checker = check.Checker(refs)
+    for k, s in ((1, ""), (1, "2,3"), (2, "2"), (2, "5,7")):
+        argv = ["predict", "--k", str(k), "--prime-cutoff", "1000000",
+                "--bounds", "1000,100000"] + (["--exclude-primes", s] if s else [])
+        code, out = _run(capsys, argv)
+        [err] = checker.check(argv, code, out)
+        blob = json.loads(out)
+        bound = blob["euler_product_tail_estimate"]
+        assert err <= bound <= 1e-14, (k, s)
+        for sign in (1, -1):
+            blob["euler_product"] = float(f"{blob['euler_product'] * (1 + sign * 10 * bound):.15g}")
+            with pytest.raises(check.CheckFailed, match="exceeds its tail estimate"):
+                checker.check(argv, code, json.dumps(blob, indent=2))
+            blob = json.loads(out)
 
 
 def test_bad_prime_set_is_usage_error(capsys):

@@ -2,7 +2,7 @@
 
 The acceptance gates check route equality on fixed grids; these draw the
 bound and the exceptional set at random (derandomized, so every run draws
-the same examples).
+the same examples).  The last draws (k, S) for the Euler-product constant.
 """
 from fractions import Fraction
 
@@ -11,6 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from semicubic.analytic import euler_constant  # noqa: E402
 from semicubic.arith import PrimeSet, primes_up_to  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
@@ -71,3 +72,14 @@ def test_walk_runs_match_the_per_n_walk(bound, s_set, k, source):
     # the sums by runs of the largest prime equal the walk over every n, slot by slot
     r = _req(bound, k, PrimeSet(frozenset(s_set)), source)
     assert _walk_runs(r, bound) == _walk_block(r, bound)
+
+
+@PROPERTY
+@given(k=st.integers(1, 6), s_set=st.sets(st.sampled_from(primes_up_to(300)), max_size=6))
+def test_euler_constant_within_its_bound(mp_euler_constant, k, s_set):
+    s_set = PrimeSet(frozenset(s_set))
+    ep = euler_constant(k, s_set)
+    g = mp_euler_constant(k, s_set)
+    assert 0 < ep.tail_estimate <= 1e-14
+    for value in (ep.value, f"{ep.value:.15g}"):  # as computed and as printed
+        assert abs(Fraction(value) / g - 1) <= ep.tail_estimate, (k, str(s_set), value)

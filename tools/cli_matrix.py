@@ -13,7 +13,8 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 13-16 s on a 2-core x86 machine, 5.6 s of them in one count
+Stdlib only; about 17 s on a 2-core x86 machine (20 s while predict took G as
+the product up to its prime cutoff), 5.6 s of them in one count
 at B = 10^6, the edge of the loop over n, and 1.5 s in the k = 5 count and
 oracle at the edge of their r_20 table, B = 252.  The r_4k tables are kept
 from command to command and rebuilt only for a command that needs a longer
@@ -95,6 +96,9 @@ EXTRA = [
     *(["predict", "--k", k, "--prime-cutoff", "100"] + s
       for k, s in (("128", []), ("129", []), ("129", ["--exclude-primes", "2"]),
                    ("130", ["--exclude-primes", "2"]))),
+    # and at the benchmark's cutoff, which once meant 78,498 centre polynomials
+    # of 1,278 coefficients each
+    ["predict", "--k", "128", "--prime-cutoff", "1000000"],
     # counts stop at k = 10^4 (exit 3), and so does a count too long to print;
     # at B = 100 the exact route's table is refused before the model walk runs
     ["count", "--k", "10000", "--bound", "3"],
