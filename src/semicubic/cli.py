@@ -43,17 +43,13 @@ from .geometry import intersection_mults, m_point_ok, semi_integral_ok
 from .reps import _p2_coefficients
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.15g}"
-    return str(x)
-
-
 def _round_floats(obj):
     """obj with every float at 15 significant digits.
 
     A dict or list with no float inside is returned as it is, not copied:
-    the count's n_star_values holds 6*10^5 entries at B = 10^6.
+    the count's n_star_values holds 6*10^5 entries at B = 10^6.  The JSON
+    writer rounds each float as it writes it, and its text is that of
+    json.dumps(_round_floats(obj), indent=2).
     """
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
@@ -67,13 +63,18 @@ def _round_floats(obj):
     return obj
 
 
-# Artifacts are written in pieces of about 64 KiB: a JSON token averages about
-# 4 characters and a CSV row about 50.  Joining a fixed number of chunks keeps
-# the loop in C: the 209 KB JSON of a count at B = 2*10^4 took 13.0 ms into a
-# StringIO, against 12.7 ms as one json.dumps string and 14.3 ms with a Python
-# loop that summed the chunks' lengths (medians of 31).
-_JSON_TOKENS_PER_PIECE = 1 << 14
+# Artifacts are written in pieces of about 64 KiB: a line of the count's
+# n_star_values averages about 17 characters and a CSV row about 50.  Joining a
+# fixed number of lines keeps the loop in C.  json's indenting encoder is pure
+# Python: the 209 KB JSON of a count at B = 2*10^4 took 11-12 ms through it, as
+# one json.dumps string or in pieces, and 4.7-4.9 ms line by line into a
+# StringIO (medians of 31, on a 2-core x86 machine with Python 3.11).
+_JSON_LINES_PER_PIECE = 1 << 12
 _CSV_ROWS_PER_PIECE = 1 << 10
+
+# json's encoder without indent, which runs in C: one scalar at a time, a str,
+# int, float, bool or None as json.dumps writes it
+_encode = json.JSONEncoder().encode
 
 
 def _emit(text: str, fh):
@@ -81,12 +82,12 @@ def _emit(text: str, fh):
     fh.write(text)
 
 
-def _emit_text(chunks, path, per_piece: int):
-    """Write the text chunks to path, or stdout without one, per_piece chunks at a time."""
-    chunks = iter(chunks)
+def _emit_text(lines, path, per_piece: int):
+    """Write the lines to path, or stdout without one, per_piece lines at a time."""
+    lines = iter(lines)
     try:
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-            while piece := "".join(itertools.islice(chunks, per_piece)):
+            while piece := "".join(itertools.islice(lines, per_piece)):
                 _emit(piece, fh)
     except OSError as exc:
         if not path:
@@ -94,15 +95,55 @@ def _emit_text(chunks, path, per_piece: int):
         raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: an int, float, bool or None as its JSON, quoted."""
+    return _encode(key if isinstance(key, str) else _encode(key))
+
+
+def _json_lines(obj, head: str, tail: str, ind: str):
+    """The lines of json.dumps(obj, indent=2) nested at indent ind, each with its newline.
+
+    The first line starts with head and the last ends with tail.  Floats are
+    rounded to 15 significant digits as they are written.  A dict of plain
+    ints (the count's n_star_values) takes one str.format per line, in C.
+    """
+    if obj and isinstance(obj, (dict, list)):
+        inner = ind + "  "
+        last = len(obj) - 1
+        if isinstance(obj, list):
+            yield head + "[\n"
+            for i, value in enumerate(obj):
+                yield from _json_lines(value, inner, "," if i < last else "", inner)
+            yield f"{ind}]{tail}\n"
+            return
+        yield head + "{\n"
+        if {*map(type, obj)} == {*map(type, obj.values())} == {int}:  # bools excluded
+            keys, values = iter(obj), iter(obj.values())
+            yield from map(f'{inner}"{{}}": {{}},\n'.format, itertools.islice(keys, last), values)
+            yield f'{inner}"{next(keys)}": {next(values)}\n'
+        else:
+            for i, (key, value) in enumerate(obj.items()):
+                yield from _json_lines(value, f"{inner}{_json_key(key)}: ",
+                                       "," if i < last else "", inner)
+        yield f"{ind}}}{tail}\n"
+    else:
+        text = ("{}" if isinstance(obj, dict) else "[]" if isinstance(obj, list)
+                else _encode(_round_floats(obj)))
+        yield f"{head}{text}{tail}\n"
+
+
 def _emit_json(obj, path):
-    """The JSON of json.dumps(obj, indent=2) and a newline, encoded as it is written."""
-    tokens = json.JSONEncoder(indent=2).iterencode(_round_floats(obj))
-    _emit_text(itertools.chain(tokens, ["\n"]), path, _JSON_TOKENS_PER_PIECE)
+    """json.dumps(_round_floats(obj), indent=2) and a newline, encoded as it is written."""
+    _emit_text(_json_lines(obj, "", "", ""), path, _JSON_LINES_PER_PIECE)
 
 
-def _emit_csv(header, rows, path):
-    """The header and each row of the iterable rows, one line each, as they come."""
-    _emit_text((",".join(map(_fmt, row)) + "\n" for row in itertools.chain([header], rows)),
+def _emit_csv(header, fmt: str, rows, path):
+    """The header, then each row of the iterable rows as fmt formats it, as they come.
+
+    fmt holds one field per column, "{}" for ints and "{:.15g}" for floats,
+    and ends with a newline: each column holds one type.
+    """
+    _emit_text(itertools.chain([",".join(header) + "\n"], itertools.starmap(fmt.format, rows)),
                path, _CSV_ROWS_PER_PIECE)
 
 
@@ -159,7 +200,7 @@ def _cmd_compare(args) -> int:
             for (b, tuples, points, main, ratio), _, _ in _count_rows(args)]
     header = ["B", "tuples", "points", "n_main", "ratio_tuples", "ratio_points"]
     if args.format == "csv":
-        _emit_csv(header, rows, args.out)
+        _emit_csv(header, "{},{},{},{:.15g},{:.15g},{:.15g}\n", rows, args.out)
     else:
         _emit_json(
             {"schema": "v1", "columns": header, "rows": [list(r) for r in rows]},
@@ -174,6 +215,7 @@ def _cmd_local_factors(args) -> int:
             in local_factors(args.k, args.exclude_primes, args.prime_cutoff))
     _emit_csv(
         ["p", "in_S", "gp_value", "gp_special_value", "abs_diff"],
+        "{},{},{:.15g},{:.15g},{:.15g}\n",
         rows,
         args.out,
     )
@@ -186,6 +228,7 @@ def _cmd_table(args) -> int:
     _emit_csv(
         ["B", "tuples", "points", "n_main", "ratio_tuples",
          "s_sum", "s_main", "t_sum", "t_main"],
+        "{},{},{},{:.15g},{:.15g},{},{:.15g},{},{:.15g}\n",
         rows,
         args.out,
     )

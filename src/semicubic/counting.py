@@ -60,10 +60,10 @@ from .geometry import SurfacePoint
 from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
-# difference array and Mobius list grow linearly in B.  On the same machine
-# one cold `count --k 1 --bound 1000000`, summed by runs of the largest prime,
-# took 5.1-5.6 s and peaked at 91 MiB (VmHWM); 1.7 s and 47 MiB at
-# B = 3 * 10^5, and 5.6 s and 102 MiB at k = 2, B = 10^6.  t_sum and s_sum
+# difference array and Mobius list grow linearly in B.  On a 2-core x86
+# machine one cold `count --k 1 --bound 1000000`, summed by runs of the largest
+# prime, took 3.0-4.2 s and peaked at 89 MiB (VmHWM); 0.9-1.2 s and 47 MiB at
+# B = 3 * 10^5, and 3.1-3.4 s and 101 MiB at k = 2, B = 10^6.  t_sum and s_sum
 # still visit every n: t_sum took 29 s and 95 MiB at 10^6, so twice the
 # limit would take them past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
@@ -226,6 +226,7 @@ def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
     cmax = (bn - 1) // bd
     diff = [0] * (bn // bd + 1)
     total = 0
+    root = isqrt
     for n, items, weight in _profiles(bn // bd, req, cmax):
         total += weight
         n3 = n * n * n
@@ -234,7 +235,8 @@ def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
             lo = -(-n3bd2 // bn2)  # c >= lo: d = n^3/c <= B^2, and top(c) >= 1
             items = [(c, table[n3 // c]) for c, _ in items if c >= lo]
         for c, w in items:
-            diff[min(isqrt(bn2 * c // n3bd2), cmax // c)] += w
+            t, cc = root(bn2 * c // n3bd2), cmax // c
+            diff[t if t < cc else cc] += w
     return diff, total
 
 
@@ -278,6 +280,7 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     for p in runp:
         pre0.append(pre0[-1] + r4k_star_prime_power(p, 3, k))
         pre1.append(pre1[-1] + r4k_star_prime_power(p, 2, k))
+    bisect, root = bisect_right, isqrt
     diff = [0] * (nmax + 1)
     total = 0
     # (m, P(m), allowed cofactors of m up to cmax with weights, total weight, filed directly)
@@ -289,41 +292,61 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
         if direct:
             total += weight
             for c, w in items:
-                diff[min(isqrt(bn2 * c // m3bd2), cmax // c)] += w
-        i0 = bisect_right(runp, pm)
-        i1 = bisect_right(runp, hi, i0)
+                t, cc = root(bn2 * c // m3bd2), cmax // c
+                diff[t if t < cc else cc] += w
+        i0 = bisect(runp, pm)
+        i1 = bisect(runp, hi, i0)
         if i0 < i1:
             total += weight * (pre0[i1] - pre0[i0] + pre1[i1] - pre1[i0] + i1 - i0)
+            # each loop takes a run's top t at its first prime i and ends the
+            # run at j: a run of one prime, whose next prime already has a
+            # lower top, needs no bisect
             for c, w in items:
                 a = bn2 * c // m3bd2
                 cc = cmax // c
-                ra = isqrt(a)
+                ra = root(a)
                 i = i0  # g = 0
                 while i < i1:
-                    t = min(isqrt(a // cubes[i]), cc)
-                    j = bisect_right(cubes, a // (t * t), i + 1, i1) if t else i1
+                    t = root(a // cubes[i])
+                    if t > cc:
+                        t = cc
+                    j = i + 1
+                    if not t:
+                        j = i1
+                    elif j < i1 and cubes[j] <= (x := a // (t * t)):
+                        j = bisect(cubes, x, j + 1, i1)
                     diff[t] += w * (pre0[j] - pre0[i])
                     i = j
-                lim = min(ra, cc)  # g = 1
-                end = bisect_right(runp, cc, i0, i1)
+                lim = ra if ra < cc else cc  # g = 1
+                end = bisect(runp, cc, i0, i1)
                 i = i0
                 while i < end:
                     t = lim // runp[i]
-                    j = bisect_right(runp, lim // t, i + 1, end) if t else end
+                    j = i + 1
+                    if not t:
+                        j = end
+                    elif j < end and runp[j] <= (x := lim // t):
+                        j = bisect(runp, x, j + 1, end)
                     diff[t] += w * (pre1[j] - pre1[i])
                     i = j
-                end = bisect_right(cubes, cc, i0, i1)  # g = 3
+                end = bisect(cubes, cc, i0, i1)  # g = 3
                 i = i0
                 while i < end:
-                    t = min(ra, cc // cubes[i])
-                    j = bisect_right(cubes, cc // t, i + 1, end) if t else end
+                    t = cc // cubes[i]
+                    if t > ra:
+                        t = ra
+                    j = i + 1
+                    if not t:
+                        j = end
+                    elif j < end and cubes[j] <= (x := cc // t):
+                        j = bisect(cubes, x, j + 1, end)
                     diff[t] += w * (j - i)
                     i = j
         # children m q^e, q > P(m): every power with e >= 2 or q in lone is
         # filed directly; m q itself is visited only if m q times the next
         # prime is at most nmax, the least it needs for a run or a child
         kids = []
-        j = bisect_right(primes, pm)
+        j = bisect(primes, pm)
         while j < len(primes) and (q := primes[j]) * q <= hi:
             alone = q in lone
             # primes[j + 1] < 2q <= q^2 <= nmax (Bertrand), so it is in the list

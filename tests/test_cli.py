@@ -349,11 +349,11 @@ def test_config_from_args_round_trip(capsys):
 
 
 def test_artifacts_are_written_in_pieces(tmp_path, capsys, monkeypatch):
-    # the encoder's tokens or the rows are joined into pieces, and the pieces
+    # the JSON lines or the CSV rows are joined into pieces, and the pieces
     # make up the text one json.dumps string or one join would give
     pieces = []
     emit = cli._emit
-    monkeypatch.setattr(cli, "_JSON_TOKENS_PER_PIECE", 50)
+    monkeypatch.setattr(cli, "_JSON_LINES_PER_PIECE", 10)  # predict writes 27 lines
     monkeypatch.setattr(cli, "_CSV_ROWS_PER_PIECE", 50)
     monkeypatch.setattr(cli, "_emit", lambda text, fh: (pieces.append(text), emit(text, fh)))
     for argv in (["count", "--k", "1", "--bound", "300", "--with-st"],

@@ -222,6 +222,9 @@ def test_walk_runs_match_the_per_n_walk():
         r = req(bound, k=k, s_set=PrimeSet.parse(s), source=source)
         assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound), \
             (k, source, s, bound)
+    # the benchmark's count at its most runs: 46,782 for g = 0 alone
+    r = req(2 * 10**4, s_set=S23)
+    assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound)
 
 
 def test_walk_runs_large_cases():

@@ -2,15 +2,21 @@
 
 The acceptance gates check route equality on fixed grids; these draw the
 bound and the exceptional set at random (derandomized, so every run draws
-the same examples).  The last draws (k, S) for the Euler-product constant.
+the same examples).  Then (k, S) is drawn for the Euler-product constant,
+and nested objects for the JSON writer.
 """
+import contextlib
+import io
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from semicubic import cli  # noqa: E402
 from semicubic.analytic import euler_constant  # noqa: E402
 from semicubic.arith import PrimeSet, primes_up_to  # noqa: E402
 from semicubic.counting import (  # noqa: E402
@@ -83,3 +89,31 @@ def test_euler_constant_within_its_bound(mp_euler_constant, k, s_set):
     assert 0 < ep.tail_estimate <= 1e-14
     for value in (ep.value, f"{ep.value:.15g}"):  # as computed and as printed
         assert abs(Fraction(value) / g - 1) <= ep.tail_estimate, (k, str(s_set), value)
+
+
+# the scalars json writes: every float rounds on the way out, so the edge
+# cases are named besides the drawn ones; text covers non-ASCII and control
+# characters, and ints run past 2^64
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((-0.0, 1e16, 1 / 3, math.nan, math.inf, -math.inf)))
+JSON_KEYS = st.one_of(st.text(max_size=8), st.integers(-2**70, 2**70), st.booleans(), st.none())
+JSON_OBJECTS = st.recursive(
+    # a dict of plain ints is the count's n_star_values, written line by line
+    JSON_SCALARS | st.dictionaries(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70)),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_KEYS, inner, max_size=5),
+    max_leaves=20)
+# what `count --bound 300 --timings` writes
+COUNT_300 = count_report(_req(300, 1, PrimeSet.empty(), RSource.JACOBI))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=JSON_OBJECTS)
+@example(obj=COUNT_300)
+@example(obj={"a": [], "b": {}, "c": [{}, []], 1: {2: True, 3: 4}, "\x00\u00e9": [-0.0]})
+def test_emit_json_matches_json_dumps(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_json(obj, None)
+    assert out.getvalue() == json.dumps(cli._round_floats(obj), indent=2) + "\n"
