@@ -228,21 +228,27 @@ def divisors_of_cube(n: int, lo, hi) -> list[Factorization]:
     The window is half-open on the left.  Bounds may be int, Fraction or
     float; each is floored once, exactly (no floating point), since for an
     integer d, lo < d <= hi exactly when floor(lo) < d <= floor(hi).
+    Divisors grow prime by prime; a partial product past hi, or one that
+    stays at or below lo times every p^(3e) still to come, is dropped.
     """
     if n < 1:
         raise DomainError("divisors_of_cube requires n >= 1")
     lo = math.floor(_as_fraction(lo))
     hi = math.floor(_as_fraction(hi))
     divs = [(1, ())]
+    rest = n ** 3  # the product of p^(3e) over the primes still to come
     for p, e in factorize(n).factors:
+        rest //= p ** (3 * e)
         grown = []
         for d, fs in divs:
-            grown.append((d, fs))
+            if d * rest > lo:
+                grown.append((d, fs))
             for f in range(1, 3 * e + 1):
                 d *= p
                 if d > hi:  # partial products only grow
                     break
-                grown.append((d, fs + ((p, f),)))
+                if d * rest > lo:
+                    grown.append((d, fs + ((p, f),)))
         divs = grown
     return [Factorization(d, fs) for d, fs in sorted(divs) if lo < d <= hi]
 

@@ -57,7 +57,7 @@ from .arith import (
     vp,
 )
 from .geometry import SurfacePoint
-from .reps import r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
+from .reps import _r4k_from_r4, r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
 # difference array and Mobius list grow linearly in B.  On a 2-core x86
@@ -114,18 +114,23 @@ class CountRequest:
         }
 
 
-# k -> (r_4k(0), ..., r_4k(L)), the longest table built for k.  The name is
-# older than the table: perfbench/tracer.py reads it, and its contract test
-# asserts it, so it stays.
+# k -> (r_4k(0), ..., r_4k(L)), the longest table built for k.  Every k >= 2
+# table is a power of the k = 1 table, which it reads from here, extends and
+# keeps.  The name is older than the table: perfbench/tracer.py reads it, and
+# its contract test asserts it, so it stays.
 _signed_cache: dict = {}
 
 
 def _r4k_table(limit: int, k: int) -> tuple:
     """r_4k(0..L), L >= limit, for the exact walk and the oracle: one table per
-    k, the longest built, rebuilt by r4k_bruteforce (and its guard) for a larger limit."""
+    k, the longest built, rebuilt for a larger limit.  For k >= 2 the guard
+    runs first, then r_4(0..limit) comes from this cache and is raised to
+    the power k."""
     table = _signed_cache.get(k)
     if table is None or len(table) <= limit:
-        table = _signed_cache[k] = r4k_bruteforce(limit, k)
+        table = _signed_cache[k] = (
+            r4k_bruteforce(limit, 1) if k == 1
+            else _r4k_from_r4(limit, k, lambda n: _r4k_table(n, 1)))
     return table
 
 

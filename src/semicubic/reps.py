@@ -4,8 +4,10 @@ Three routes for r_{4k}(d), the number of integer 4k-vectors of squared
 norm d:
 
 * an exact table, the coefficients of theta(q)^(4k) with
-  theta = 1 + 2 * sum_t q^(t^2), raised by binary powering on packed
-  decimal numbers (Kronecker substitution, see r4k_bruteforce),
+  theta = 1 + 2 * sum_t q^(t^2), taken as (theta^4)^k: theta^4, the table
+  r_4, first, then its k-th power, each by binary powering on packed
+  decimal numbers (Kronecker substitution, see r4k_bruteforce), so that
+  every k can share one r_4 table,
 * the divisor-sum closed form for 4 squares (k = 1), where the count is
   exactly 8 * sum of divisors not divisible by 4,
 * the multiplicative model rstar_{4k}, which reproduces r_{4k} up to the
@@ -31,9 +33,10 @@ from .arith import CapacityError, DomainError, bernoulli, factorize
 # the digits the powering holds, (limit + 1) * _slot_digits(limit, k), may
 # not exceed this; the count edges are B = 518, 381, 320, 278, 252 and 232
 # for k = 1..6.  On a 2-core x86 machine with Python 3.11 one cold n_oracle
-# call at the edge, table included, took 0.85-0.92, 1.09-1.15, 1.41-1.59,
-# 1.13-1.37, 1.18-1.89 and 1.41-1.90 s for k = 1..6 (three runs each),
-# within a budget of 2 s, and peaked under 40 MiB (VmHWM).
+# call at the edge, its r_4 table and r_4k table included, took 0.56-0.73,
+# 0.61-0.80, 0.97-1.16, 0.66-0.94, 0.93-1.35 and 0.81-1.27 s for k = 1..6
+# (three runs each), within a budget of 2 s, and peaked at 32.2, 32.6, 37.1,
+# 30.3, 34.5 and 33.2 MiB (VmHWM), within 40 MiB.
 R4K_TABLE_BUDGET = 3_500_000
 
 
@@ -66,19 +69,74 @@ def _slot_digits(limit: int, k: int) -> int:
     return min(bounds).bit_length() * 30103 // 100000 + 1  # 30103e-5 > log10(2)
 
 
-def r4k_bruteforce(limit: int, k: int) -> tuple:
-    """(r_{4k}(0), ..., r_{4k}(limit)): the coefficients of theta(q)^(4k).
+def _power(base: Decimal, n: int, size: int) -> Decimal:
+    """base^n cut to its low `size` digits, by binary powering.
 
-    A series c_0 + c_1 q + ... + c_limit q^limit is packed into the integer
-    sum c_d 10^(w d), one w-digit slot per coefficient, and theta is raised
-    to the power 4k by binary powering on these numbers in a decimal
-    context of maximal precision, whose large products run through
-    libmpdec's number-theoretic transform.  Every coefficient of every
-    partial power is a nonnegative r_j(d) < 10^w (`_slot_digits`), so no
-    slot carries into the next one and the low limit + 1 slots of each
-    product are the exact truncated series; the higher slots are cut off
-    after every product.  The traps on Inexact and Rounded make any
-    rounding raise.
+    The products run in a decimal context of maximal precision, whose large
+    products go through libmpdec's number-theoretic transform, with traps on
+    Inexact and Rounded, so any rounding raises; shift(0) under precision
+    `size` keeps the low `size` digits of each product.
+    """
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                    traps=[Inexact, Rounded])
+    low_slots = Context(prec=size)
+    power = base
+    for bit in bin(n)[3:]:
+        # squaring one operand lets libmpdec transform it once
+        power = exact.multiply(power, power).shift(0, low_slots)
+        if bit == "1":
+            power = exact.multiply(power, base).shift(0, low_slots)
+    return power
+
+
+def _unpack(packed: Decimal, limit: int, width: int) -> tuple:
+    """The coefficients 0..limit of a series packed at `width` digits a slot."""
+    size = (limit + 1) * width
+    text = str(packed)
+    # the caller passes its only reference: freed before the padded copy is
+    # made, the k = 1 table at its edge peaks 2.3 MiB lower
+    del packed
+    text = text.rjust(size, "0")
+    return tuple(int(text[end - width:end]) for end in range(size, 0, -width))
+
+
+def _packed(r4: tuple, limit: int, width: int) -> Decimal:
+    """r4[0..limit] packed at `width` digits a slot, joined in pieces of 4,096
+    slots so that no list holds one string per slot."""
+    return Decimal("".join(["".join([str(r4[d]).zfill(width)
+                                     for d in range(top, max(top - 4096, -1), -1)])
+                            for top in range(limit, -1, -4096)]))
+
+
+def _packed_theta(limit: int, width: int) -> Decimal:
+    """theta(q) = 1 + 2 sum_t q^(t^2) up to q^limit, packed at `width` digits a slot."""
+    size = (limit + 1) * width
+    digits = bytearray(b"0" * size)  # slot d holds digits [size - (d+1)w, size - dw)
+    digits[-1] = ord("1")
+    for t in range(1, math.isqrt(limit) + 1):
+        digits[size - 1 - t * t * width] = ord("2")
+    return Decimal(digits.decode())
+
+
+def _theta4(limit: int) -> tuple:
+    """(r_4(0), ..., r_4(limit)): theta(q)^4 at _slot_digits(limit, 1) digits a slot."""
+    width = _slot_digits(limit, 1)
+    # packed theta and its powers are held by no name here, so each goes as
+    # soon as it is used: with theta kept to the end, the k = 1 table at its
+    # edge peaked 2.7 MiB higher
+    return _unpack(_power(_packed_theta(limit, width), 4, (limit + 1) * width),
+                   limit, width)
+
+
+def _r4k_from_r4(limit: int, k: int, r4_table) -> tuple:
+    """r_4k(0..limit) as the k-th power of the series r_4.
+
+    r4_table(limit) returns (r_4(0), ..., r_4(L)) with L >= limit.  It is
+    called only once (limit, k) fits R4K_TABLE_BUDGET, so a refused table
+    (CapacityError) packs and raises nothing.  For k >= 2 the slots
+    r_4(0..limit) are packed at _slot_digits(limit, k) digits and raised to
+    the power k: every partial power is some theta^(4j) with j <= k, and every
+    r_4 value is below 10^_slot_digits(limit, 1), so no slot carries.
     """
     if limit < 1 or k < 1:
         raise DomainError("limit and k must be >= 1")
@@ -93,25 +151,26 @@ def r4k_bruteforce(limit: int, k: int) -> tuple:
     if size > R4K_TABLE_BUDGET:
         raise CapacityError(f"representation table r_{4 * k}(0..{limit}) exceeds "
                             f"the budget of {R4K_TABLE_BUDGET} packed digits")
-    digits = bytearray(b"0" * size)  # slot d holds digits [size - (d+1)w, size - dw)
-    digits[-1] = ord("1")
-    for t in range(1, math.isqrt(limit) + 1):
-        digits[size - 1 - t * t * width] = ord("2")
-    theta = Decimal(digits.decode())
-    del digits
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                    traps=[Inexact, Rounded])
-    # shift(0) under precision `size` keeps the low `size` digits: the low slots
-    low_slots = Context(prec=size)
-    power = theta
-    for bit in bin(4 * k)[3:]:
-        # squaring one operand lets libmpdec transform it once
-        power = exact.multiply(power, power).shift(0, low_slots)
-        if bit == "1":
-            power = exact.multiply(power, theta).shift(0, low_slots)
-    text = str(power).rjust(size, "0")
-    del power, theta
-    return tuple(int(text[end - width:end]) for end in range(size, 0, -width))
+    if k == 1:
+        return r4_table(limit)[:limit + 1]
+    return _unpack(_power(_packed(r4_table(limit), limit, width), k, size), limit, width)
+
+
+def r4k_bruteforce(limit: int, k: int) -> tuple:
+    """(r_4k(0), ..., r_4k(limit)): the coefficients of theta(q)^(4k).
+
+    A series c_0 + c_1 q + ... + c_limit q^limit is packed into the integer
+    sum c_d 10^(w d), one w-digit slot per coefficient, and raised by binary
+    powering (_power) with the higher slots cut off after every product.
+    theta is raised to the power 4 first, at w = _slot_digits(limit, 1), and
+    that table r_4 is packed again at w = _slot_digits(limit, k) and raised
+    to the power k.  Every coefficient of every partial power is a
+    nonnegative r_j(d) < 10^w (`_slot_digits`), so no slot carries into the
+    next one and the low limit + 1 slots of each product are the exact
+    truncated series.  A table past R4K_TABLE_BUDGET is refused before theta
+    is packed.
+    """
+    return _r4k_from_r4(limit, k, _theta4)
 
 
 def r4_jacobi(d: int) -> int:

@@ -377,6 +377,63 @@ def test_r4k_table_keeps_the_longest(monkeypatch):
     assert list(counting._signed_cache) == [1]
 
 
+def _no_table(*args):
+    raise AssertionError(f"a theta table built for {args}")
+
+
+def test_k2_table_extends_the_r4_table(monkeypatch):
+    # the crosscheck's order: a k = 2 count at B = 150 leaves r_4(0..150^2)
+    # behind, which the k = 1 oracle at B <= 150 reads without a build
+    from semicubic import reps
+
+    monkeypatch.setattr(counting, "_signed_cache", {})
+    limit = 150 * 150
+    r8 = counting._r4k_table(limit, 2)
+    assert r8 == r4k_bruteforce(limit, 2)
+    assert len(counting._signed_cache[1]) == limit + 1
+    assert counting._signed_cache[1] == r4k_bruteforce(limit, 1)
+    monkeypatch.setattr(counting, "r4k_bruteforce", _no_table)
+    monkeypatch.setattr(reps, "_theta4", _no_table)
+    for bound, s_set in ((100, S23), (150, S0)):
+        assert n_oracle(bound, 1, s_set) == n_mobius(bound, req(bound, 1, s_set)), bound
+    assert {k: len(table) for k, table in counting._signed_cache.items()} == \
+        {1: limit + 1, 2: limit + 1}
+
+
+def test_k3_table_extends_a_shorter_r4_table(monkeypatch):
+    # a k = 1 table shorter than the k = 3 limit is extended and kept
+    monkeypatch.setattr(counting, "_signed_cache", {})
+    counting._r4k_table(400, 1)
+    r12 = counting._r4k_table(900, 3)
+    assert r12 == r4k_bruteforce(900, 3)
+    assert counting._signed_cache[1] == r4k_bruteforce(900, 1)
+    # a longer k = 1 table is read, not rebuilt: the k = 3 table at 400 is its
+    # first 401 cubed entries
+    monkeypatch.setattr(counting, "_signed_cache", {1: counting._signed_cache[1]})
+    monkeypatch.setattr(counting, "r4k_bruteforce", _no_table)
+    assert counting._r4k_table(400, 3) == r12[:401]
+
+
+def test_refused_table_powers_nothing(capsys, monkeypatch):
+    # the budget is checked for (limit, k) before theta^4 or any power is built
+    from semicubic import cli, reps
+
+    cache = {1: r4k_bruteforce(100, 1)}
+    monkeypatch.setattr(counting, "_signed_cache", cache)
+    monkeypatch.setattr(reps, "_theta4", _no_table)
+    monkeypatch.setattr(reps, "_power", _no_table)
+    for argv, table in ((["count", "--k", "2", "--bound", "400", "--r-source", "exact"],
+                         "r_8(0..160000)"),
+                        (["count", "--k", "7", "--bound", "300", "--method", "both"],
+                         "r_28(0..90000)")):
+        assert cli.main(argv) == 3, argv
+        assert capsys.readouterr().err == (
+            f"capacity guard: representation table {table} exceeds the budget "
+            f"of 3500000 packed digits\n"), argv
+        assert counting._signed_cache is cache and list(cache) == [1]
+        assert len(cache[1]) == 101
+
+
 def test_oracle_k2_small():
     # 8-dimensional enumeration cross-checked against the table and the model
     for bound in (2, 4):

@@ -57,6 +57,19 @@ def test_bruteforce_against_signed_count(coordinate_counts):
         assert list(r4k_bruteforce(top, k)) == coordinate_counts(4 * k, top), (k, top)
 
 
+def test_power_of_r4_against_signed_count(coordinate_counts):
+    # k >= 2 raises the r_4 table to the power k; k = 3, 5 and 6 take the
+    # multiply step, and the r_4 table handed in may be longer than the limit
+    from semicubic.reps import _r4k_from_r4
+
+    for k in range(2, 7):
+        for top in (4, 50, 300):
+            want = coordinate_counts(4 * k, top)
+            assert list(r4k_bruteforce(top, k)) == want, (k, top)
+            longer = r4k_bruteforce(top + 37, 1)
+            assert list(_r4k_from_r4(top, k, lambda limit: longer)) == want, (k, top)
+
+
 def test_signed_count_against_literal_enumeration(coordinate_counts, literal_vector_counts):
     # each length built cold at every top, so no build reads a longer one
     for (m, j), want in literal_vector_counts.items():

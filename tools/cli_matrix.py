@@ -13,12 +13,13 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 17 s on a 2-core x86 machine (20 s while predict took G as
-the product up to its prime cutoff), 5.6 s of them in one count
-at B = 10^6, the edge of the loop over n, and 1.5 s in the k = 5 count and
-oracle at the edge of their r_20 table, B = 252.  The r_4k tables are kept
-from command to command and rebuilt only for a command that needs a longer
-one.
+Stdlib only; about 10 to 12 s on a 2-core x86 machine (12 to 14 s while each
+r_4k table raised theta to the power 4k itself), 3.8 to 4.1 s of them in one
+count at B = 10^6, the edge of the loop over n, and about 1.2 s in the k = 5
+count and oracle at the edge of their r_20 table, B = 252.  The r_4k tables
+are kept from command to command and rebuilt only for a command that needs a
+longer one, and every k >= 2 table reads and extends the k = 1 table, so the
+order of the commands decides which tables are built.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ SOURCES = [(1, "auto"), (1, "exact"), (1, "jacobi"), (1, "rstar"),
 BOUNDS = {1: ("30", "10,20"), 2: ("12", "5,10"), 3: ("6", "3,5")}
 
 EXTRA = [
+    # the order of the r_4k cache, which the commands share: here the k = 1
+    # table is 30^2 long.  A k = 2 exact count extends it to 150^2 and the
+    # k = 1 oracle at B = 100 and 120 reads it; a k = 3 count extends it again
+    # to 160^2, and the k = 1 oracle at B = 160 reads that
+    ["count", "--k", "2", "--bound", "150", "--r-source", "exact"],
+    ["count", "--k", "1", "--bound", "100", "--method", "both", "--with-st",
+     "--exclude-primes", "2,3"],
+    ["count", "--k", "1", "--bound", "120", "--method", "oracle"],
+    ["count", "--k", "3", "--bound", "160", "--method", "both"],
+    ["count", "--k", "1", "--bound", "160", "--method", "oracle", "--exclude-primes", "5,7"],
     # successes: the default prime cutoffs (100 for local-factors, 100000 for
     # predict, 10000 for compare and table), k = 6 at a cutoff of 10^6, the oracle
     ["local-factors", "--k", "1"],
@@ -112,6 +123,8 @@ EXTRA = [
      "--exclude-primes", "2,3", "--with-st"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "exact"],
     ["count", "--k", "2", "--bound", "400", "--r-source", "auto"],
+    # a k = 7 table past the budget, refused before theta^4 is built
+    ["count", "--k", "7", "--bound", "300", "--method", "both"],
     # the oracle reads the r_4k table: at its edges for k = 1 (B = 518) and
     # k = 5 (B = 252), one step past (exit 3), and at k = 5 with S and T
     ["count", "--k", "1", "--bound", "518", "--method", "both",
