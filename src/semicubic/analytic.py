@@ -145,12 +145,34 @@ def fp_series(inp: EulerFactorInput, a_max: int = 60) -> float:
     weights are the multiplicative model itself (1 at exponent 0); the
     geometric pieces are summed as y^b and (yz)^b, both < 1 here, so no
     large intermediate appears.  Deterministic for fixed input.
+
+    The sum over a of x^a times the inner sum over b <= 3a is taken as a
+    double loop would take it, bit for bit, but each weight is evaluated
+    once: the inner sums are read off left-to-right partial sums of the
+    weights (_series_core).  Float addition is not associative, so a
+    reordered or compensated sum (math.fsum, or sum() from Python 3.12 on)
+    would move the last bits.
     """
-    p, k, s, w = inp.p, inp.k, inp.s, inp.w
-    if not (s > 1 and w > 2 * k - 1):
-        raise DomainError("series evaluation requires s > 1 and w > 2k - 1")
+    _check_series_region(inp.k, inp.s, inp.w)
     if a_max < 0:
         raise DomainError("a_max must be nonnegative")
+    return _series_core(inp.p, inp.k, inp.in_S, inp.s, inp.w, a_max)
+
+
+def _check_series_region(k: int, s: float, w: float) -> None:
+    if not (s > 1 and w > 2 * k - 1):
+        raise DomainError("series evaluation requires s > 1 and w > 2k - 1")
+
+
+def _series_core(p: int, k: int, in_s: bool, s: float, w: float, a_max: int) -> float:
+    """fp_series at a prime p and a point in the convergent region, a_max >= 0.
+
+    part[j] is the left-to-right sum ((0.0 + w_0) + w_1) + ... + w_(j-1) of
+    the weights w_b.  The inner sum of a is part[3a + 1] in the set and at
+    a = 0; outside the set, where b = 2a - 1 is skipped, it is part[2a - 1]
+    plus w_2a, ..., w_3a in that order: the additions of the double loop,
+    in its order.
+    """
     x = p ** (-s)
     y = p ** (-w)
     yz = p ** (2 * k - 1 - w)
@@ -170,16 +192,23 @@ def fp_series(inp: EulerFactorInput, a_max: int = 60) -> float:
             # y^b (1 - z^(b+1)) / (1 - z), without forming z^b
             return (y**b - z * yz**b) * zc
 
+    weights = []
+    part = [0.0]
     total = 0.0
     xa = 1.0
     for a in range(a_max + 1):
         if a:
             xa *= x
-        inner = 0.0
-        for b in range(3 * a + 1):
-            if not inp.in_S and b == 2 * a - 1:
-                continue
-            inner += weighted(b)
+        top = 3 * a + 1
+        for b in range(len(weights), top):
+            weights.append(wb := weighted(b))
+            part.append(part[-1] + wb)
+        if in_s or not a:
+            inner = part[top]
+        else:
+            inner = part[2 * a - 1]
+            for b in range(2 * a, top):
+                inner += weights[b]
         term = xa * inner
         total += term
         if a >= 2 and abs(term) < SERIES_TERM_FLOOR:
@@ -358,6 +387,28 @@ def _centre_sweep(k: int, s_set: PrimeSet, prime_cutoff: int) -> tuple:
     if not primes:
         raise DomainError(f"prime cutoff {prime_cutoff} must be >= 2")
     return pre * fp, primes[1:], _centre_coefficients(k, False), _centre_coefficients(k, True)
+
+
+def _zeta_identity_sweep(k: int, s: float, w: float, prime_cutoff: int) -> float:
+    """The per-prime zeta identity at (s, w): the worst relative difference,
+    over the primes up to the cutoff, each outside the set, between
+    fp_series(p, 60) and gp over its three zeta denominators.
+
+    The point is checked once, as EulerFactorInput and fp_series check it, and
+    the primes come from the sieve, so no prime is tested; gp is pre * fp from
+    _local_factor, as gp returns it, and the series is _series_core.
+    """
+    _check_point(k, s, w)
+    _check_series_region(k, s, w)
+    worst = 0.0
+    for p in primes_up_to(prime_cutoff):
+        pre, fp = _local_factor(p, k, False, s, w)
+        zeta_side = pre * fp / ((1 - p**-s)
+                                * (1 - float(p) ** -(s + 2 * w - 4 * k + 2))
+                                * (1 - float(p) ** -(s + 3 * w - 6 * k + 3)))
+        worst = max(worst, abs(_series_core(p, k, False, s, w, 60) - zeta_side)
+                    / abs(zeta_side))
+    return worst
 
 
 def _centre_logs(k: int, s_set: PrimeSet, prime_cutoff: int, fit: list):

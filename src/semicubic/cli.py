@@ -24,11 +24,11 @@ from fractions import Fraction
 from .arith import PRIME_SIEVE_LIMIT, CapacityError, DomainError, PrimeSet, primes_up_to, vp
 from .analytic import (
     EulerFactorInput,
+    _zeta_identity_sweep,
     centre_factors,
     constants_report,
     fp_closed,
     fp_series,
-    gp,
     local_factors,
 )
 from .counting import (
@@ -287,16 +287,7 @@ def _check_euler_factors(report) -> bool:
                     inp = EulerFactorInput(p=p, k=k, in_S=in_s, s=s, w=w)
                     worst = max(worst, abs(fp_series(inp, 60) - fp_closed(inp)))
     report(f"series vs closed worst abs diff {worst:.2e}")
-    worst_zeta = 0.0
-    for k in (1, 2):
-        s, w = 2.0, 2.0 * k
-        for p in primes_up_to(10**4):
-            inp = EulerFactorInput(p=p, k=k, in_S=False, s=s, w=w)
-            zeta_side = gp(inp) / ((1 - p**-s)
-                                   * (1 - float(p) ** -(s + 2 * w - 4 * k + 2))
-                                   * (1 - float(p) ** -(s + 3 * w - 6 * k + 3)))
-            worst_zeta = max(worst_zeta,
-                             abs(fp_series(inp, 60) - zeta_side) / abs(zeta_side))
+    worst_zeta = max(_zeta_identity_sweep(k, 2.0, 2.0 * k, 10**4) for k in (1, 2))
     report(f"per-prime zeta identity for p <= 10^4 worst rel diff {worst_zeta:.2e}")
     return worst <= 1e-9 and worst_zeta <= 1e-12
 

@@ -372,7 +372,7 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     return diff, total
 
 
-def _walk(bound, req: CountRequest) -> tuple:
+def _walk(bound, req: CountRequest, with_st: bool = False) -> tuple:
     """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
 
     Squarefree e with nonzero entries only.  Each cofactor adds its weight
@@ -383,7 +383,9 @@ def _walk(bound, req: CountRequest) -> tuple:
 
     The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
-    are not multiplicative, walks every n (_walk_block).
+    are not multiplicative, walks every n (_walk_block).  There the model
+    walk serves only S and T, so it runs only with_st, and S and T are None
+    without it.
     """
     b = _as_fraction(bound)
     if b < 1:
@@ -391,11 +393,12 @@ def _walk(bound, req: CountRequest) -> tuple:
     nmax = b.numerator // b.denominator
     _check_walk_bound(nmax)
     exact = req.r_source == RSource.EXACT
-    if exact:  # its table guard refuses before the model walk runs
+    if exact:  # its table guard refuses before any walk runs
         table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
-    model, total = _walk_runs(req, b)
-    s = total - model[0]
-    t = total - sum(model)
+    s = t = None
+    if with_st or not exact:
+        model, total = _walk_runs(req, b)
+        s, t = total - model[0], total - sum(model)
     diff = _walk_block(req, b, table)[0] if exact else model
     mu = mobius_sieve(nmax)
     acc = 0
@@ -577,7 +580,7 @@ def count_report(req: CountRequest, with_oracle: bool = False,
     total as tuples and points, the oracle, S and T (None unless asked for),
     then the timings of the routes that ran."""
     t0 = time.perf_counter()
-    by_d, total, sv, tv = _walk(req.bound, req)
+    by_d, total, sv, tv = _walk(req.bound, req, with_st)
     timings = {"mobius_s": time.perf_counter() - t0}
     oracle = None
     if with_oracle:

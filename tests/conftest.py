@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from semicubic import analytic  # noqa: E402
 from semicubic.arith import primes_up_to  # noqa: E402
 from semicubic.counting import point_classes  # noqa: E402
+from semicubic.reps import _p2_coefficients  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -156,3 +157,48 @@ def mp_euler_constant():
         return Fraction(man) * Fraction(2) ** exp
 
     return constant
+
+
+def _fp_series_double_loop(inp, a_max=60):
+    """fp_series as a plain double loop over (a, b), every weight evaluated
+    anew for each a: the reference that fp_series must equal bit for bit."""
+    p, k, s, w = inp.p, inp.k, inp.s, inp.w
+    x = p ** (-s)
+    y = p ** (-w)
+    yz = p ** (2 * k - 1 - w)
+    if p == 2:
+        fa, fb = _p2_coefficients(k)
+        A, B = float(fa), float(fb)
+
+        def weighted(b):
+            if b == 0:
+                return 1.0
+            return A * yz**b + B * y**b
+    else:
+        z = float(p) ** (2 * k - 1)
+        zc = 1.0 / (1.0 - z)
+
+        def weighted(b):
+            return (y**b - z * yz**b) * zc
+
+    total = 0.0
+    xa = 1.0
+    for a in range(a_max + 1):
+        if a:
+            xa *= x
+        inner = 0.0
+        for b in range(3 * a + 1):
+            if not inp.in_S and b == 2 * a - 1:
+                continue
+            inner += weighted(b)
+        term = xa * inner
+        total += term
+        if a >= 2 and abs(term) < analytic.SERIES_TERM_FLOOR:
+            break
+    return total
+
+
+@pytest.fixture(scope="session")
+def fp_series_reference():
+    """The double-loop fp_series, as a function (inp, a_max)."""
+    return _fp_series_double_loop

@@ -107,6 +107,29 @@ def test_series_matches_closed_k3():
             assert abs(fp_series(i, 60) - fp_closed(i)) <= 1e-9
 
 
+def test_series_equals_the_double_loop(fp_series_reference):
+    # bit for bit, not to a tolerance: each weight once, the same additions
+    for p in (2, 3, 5, 7, 1999):
+        for k in (1, 2, 3, 6):
+            for in_S in (True, False):
+                for s, dw in ((1.0001, 1e-4), (1.5, 0.5), (2.0, 1.0), (3.0, 2.0), (8.0, 5.0)):
+                    i = _inp(p, k, in_S, s, 2 * k - 1 + dw)
+                    for a_max in (0, 1, 2, 5, 60, 80):
+                        assert fp_series(i, a_max) == fp_series_reference(i, a_max), (i, a_max)
+
+
+def test_zeta_identity_sweep_checks_its_point_first(monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a prime was evaluated before the point was checked")
+
+    monkeypatch.setattr(analytic, "_series_core", evaluated)
+    monkeypatch.setattr(analytic, "_local_factor", evaluated)
+    # outside the holomorphy domain, outside the convergent region, and k < 1
+    for k, s, w in ((1, 0.5, 2.0), (1, 2.0, -1.0), (1, 1.0, 1.0), (2, 2.0, 3.0), (0, 2.0, 2.0)):
+        with pytest.raises(DomainError):
+            analytic._zeta_identity_sweep(k, s, w, 10**4)
+
+
 def test_series_requires_convergent_region():
     with pytest.raises(DomainError):
         fp_series(_inp(3, 1, False, 1.0, 1.0))

@@ -307,6 +307,8 @@ def test_verify_suites(capsys):
     lines = out.splitlines()
     assert all(f"ok - {suite}" in lines for suite in ("mpoints", "routes", "euler"))
     assert "  checked 491512 points of height <= 40 (112 coordinate classes)" in lines
+    assert "  series vs closed worst abs diff 1.33e-15" in lines
+    assert "  per-prime zeta identity for p <= 10^4 worst rel diff 4.44e-16" in lines
 
 
 def test_output_file(tmp_path, capsys):

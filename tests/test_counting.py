@@ -365,6 +365,30 @@ def test_exact_table_guard_runs_before_the_model_walk(monkeypatch):
             n_mobius(bound, req(bound, k, source=RSource.EXACT))
 
 
+def test_exact_count_without_st_skips_the_model_walk(monkeypatch):
+    # the model walk serves only S and T on the exact route: without them the
+    # count and n_mobius read the table alone, with the values of the scaled
+    # model (equal to the table at k <= 2); with them the model walk runs
+    cases = [req(b, k, s_set) for k, b in ((1, 60), (2, 30)) for s_set in (S0, S23)]
+    expected = [(n_star_by_divisor(r.bound, r), n_mobius(r.bound, r)) for r in cases]
+
+    def walked(*args):
+        raise AssertionError("the model walk ran")
+
+    monkeypatch.setattr(counting, "_walk_runs", walked)
+    for r, (by_d, total) in zip(cases, expected):
+        exact = req(r.bound, r.k, r.s_set, RSource.EXACT)
+        rep = count_report(exact)
+        assert (rep["n_star_values"], rep["n_mobius"]) == (by_d, total), (r.k, str(r.s_set))
+        assert (rep["s_value"], rep["t_value"]) == (None, None)
+        assert n_mobius(r.bound, exact) == total
+        with pytest.raises(AssertionError, match="the model walk ran"):
+            count_report(exact, with_st=True)
+    # and the table guard still refuses first
+    with pytest.raises(CapacityError, match="exceeds the budget"):
+        count_report(req(519, source=RSource.EXACT), with_st=True)
+
+
 def test_r4k_table_keeps_the_longest(monkeypatch):
     # a shorter limit reads the longest table; a longer one rebuilds it
     monkeypatch.setattr(counting, "_signed_cache", {})

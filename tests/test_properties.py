@@ -3,6 +3,7 @@
 The acceptance gates check route equality on fixed grids; these draw the
 bound and the exceptional set at random (derandomized, so every run draws
 the same examples).  Then (k, S) is drawn for the Euler-product constant,
+the inputs of the raw Euler-factor series for its double-loop reference,
 and nested objects for the JSON writer.
 """
 import contextlib
@@ -14,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from semicubic import cli  # noqa: E402
-from semicubic.analytic import euler_constant  # noqa: E402
+from semicubic.analytic import EulerFactorInput, euler_constant, fp_series  # noqa: E402
 from semicubic.arith import PrimeSet, primes_up_to  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
@@ -89,6 +90,20 @@ def test_euler_constant_within_its_bound(mp_euler_constant, k, s_set):
     assert 0 < ep.tail_estimate <= 1e-14
     for value in (ep.value, f"{ep.value:.15g}"):  # as computed and as printed
         assert abs(Fraction(value) / g - 1) <= ep.tail_estimate, (k, str(s_set), value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.sampled_from(primes_up_to(2000)), k=st.integers(1, 6), in_s=st.booleans(),
+       s=st.floats(1, 8, exclude_min=True), dw=st.floats(0, 5, exclude_min=True),
+       a_max=st.integers(0, 80))
+@example(p=2, k=1, in_s=False, s=1.5, dw=0.5, a_max=80)
+@example(p=2, k=2, in_s=True, s=1.0001, dw=1e-4, a_max=80)
+def test_fp_series_is_the_double_loop(fp_series_reference, p, k, in_s, s, dw, a_max):
+    # equal as floats, with no tolerance
+    w = 2 * k - 1 + dw
+    assume(w > 2 * k - 1)
+    inp = EulerFactorInput(p=p, k=k, in_S=in_s, s=s, w=w)
+    assert fp_series(inp, a_max) == fp_series_reference(inp, a_max)
 
 
 # the scalars json writes: every float rounds on the way out, so the edge

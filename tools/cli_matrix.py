@@ -111,7 +111,7 @@ EXTRA = [
     # of 1,278 coefficients each
     ["predict", "--k", "128", "--prime-cutoff", "1000000"],
     # counts stop at k = 10^4 (exit 3), and so does a count too long to print;
-    # at B = 100 the exact route's table is refused before the model walk runs
+    # at B = 100 the exact route's table is refused before any walk runs
     ["count", "--k", "10000", "--bound", "3"],
     ["count", "--k", "10000", "--bound", "100"],
     ["count", "--k", "10001", "--bound", "2"],
@@ -163,6 +163,11 @@ EXTRA = [
     *(with_s(["count", "--k", "1", "--bound", bound], s)
       for bound in ("19800", "20200") for s in S_GRID),
     *(with_s(["table", "--k", "1", "--bounds", "3000"], s) for s in S_GRID),
+    # the benchmark's crosscheck ops: the Euler suite alone, and the exact k = 2
+    # count at the ends of its bound grid for every set, without and with S and T
+    ["verify", "--suite", "euler"],
+    *(with_s(["count", "--k", "2", "--bound", bound, "--r-source", "exact"], s) + st
+      for bound in ("148", "152") for s in S_GRID for st in ([], ["--with-st"])),
     # two neighbouring bounds with S and T, the edge where the loop over n
     # was once first cut into blocks
     ["count", "--k", "1", "--bound", "1999", "--with-st"],
