@@ -57,7 +57,6 @@ from .arith import (
     DomainError,
     PrimeSet,
     bernoulli,
-    check_sieve_limit,
     is_prime,
     primes_up_to,
     zeta_real,
@@ -693,32 +692,25 @@ def local_factors(k: int, s_set: PrimeSet, prime_cutoff: int):
     return itertools.chain([(2, in_2, g2, _gp_special(2, k, in_2))], map(row, odd))
 
 
-def leading_constant(k: int, s_set: PrimeSet, prime_cutoff: int) -> float:
+def leading_constant(k: int, s_set: PrimeSet) -> float:
     """4k G_S(1,2k-1) / ((3k-1)(4^k-1)|B_2k| zeta(4k-1))."""
-    return constants_report(k, s_set, prime_cutoff)["leading_constant"]
+    return constants_report(k, s_set)["leading_constant"]
 
 
-def predict(bound: float, k: int, s_set: PrimeSet, prime_cutoff: int) -> dict:
+def predict(bound: float, k: int, s_set: PrimeSet) -> dict:
     """Leading main terms at B: the tuple count and the two auxiliary sums."""
-    row = constants_report(k, s_set, prime_cutoff, [bound])["predictions"][0]
+    row = constants_report(k, s_set, [bound])["predictions"][0]
     del row["bound"]
     return row
 
 
-def constants_report(
-    k: int, s_set: PrimeSet, prime_cutoff: int, bounds=()
-) -> dict:
+def constants_report(k: int, s_set: PrimeSet, bounds=()) -> dict:
     """Everything the prediction rests on, with G's certified error bound.
 
-    G and euler_product_tail_estimate come from euler_constant, whatever
-    the prime cutoff.  The cutoff is still refused below 100 (DomainError)
-    and above PRIME_SIEVE_LIMIT (CapacityError, checked without sieving),
-    as when G was the product up to it, and it is echoed.
+    G and euler_product_tail_estimate come from euler_constant, over every
+    prime, so no prime cutoff enters.
     """
-    if prime_cutoff < 100:
-        raise DomainError("prime cutoff must be at least 100")
     ep = euler_constant(k, s_set)
-    check_sieve_limit(prime_cutoff)
     z = zeta_real(4 * k - 1)
     pre = _prefactor(k)
     lead = pre * ep.value / z
@@ -727,7 +719,6 @@ def constants_report(
         "schema": "v1",
         "k": k,
         "exclude_primes": str(s_set),
-        "prime_cutoff": prime_cutoff,
         "bernoulli_2k": str(abs(bernoulli(2 * k))),
         "zeta_4k_minus_1": z,
         "prefactor": pre / z,

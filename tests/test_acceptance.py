@@ -124,7 +124,7 @@ def test_criterion_08_euler_product_stability():
 
 def test_criterion_09_asymptotic_trend():
     t0 = time.perf_counter()
-    lead = leading_constant(1, S0, 10**5)
+    lead = leading_constant(1, S0)
     bounds = (10**3, 10**4, 3 * 10**4)
     counts = {b: n_mobius(b, _req(b)) for b in bounds}
     rho_t = {b: counts[b] / (lead * b**3 * math.log(b)) for b in bounds}

@@ -8,7 +8,6 @@ import pytest
 
 from semicubic import analytic
 from semicubic.arith import (
-    CapacityError,
     DomainError,
     PrimeSet,
     bernoulli,
@@ -66,6 +65,37 @@ def test_f_poly_identity_exact():
         rhs = nine / ((1 - x) * (1 - x*y**3) * (1 - x*y**3*z**3)) \
             - x*y*(1 + z) / ((1 - x*y**2) * (1 - x*y**2*z**2))
         assert lhs == rhs, (x, y, z)
+
+
+def _times_one_minus(poly, mono, x_max):
+    """poly * (1 - x^a y^b z^c) for mono = (a, b, c), above x-degree x_max dropped."""
+    out = dict(poly)
+    for (a, b, c), v in poly.items():
+        if a + mono[0] <= x_max:
+            key = (a + mono[0], b + mono[1], c + mono[2])
+            out[key] = out.get(key, 0) - v
+    return {key: v for key, v in out.items() if v}
+
+
+def test_odd_prime_numerators_from_the_model_series():
+    # the model's local series F = sum_a x^a sum_{b <= 3a} y^b (1 + z + ... + z^b),
+    # with b = 2a - 1 skipped outside the set, times the closed form's zeta
+    # denominators is the numerator, in integers: each denominator has
+    # x-degree 1, so the product is exact up to the series' last a = 10, and
+    # every coefficient of x-degree 5 to 10 is 0
+    a_max = 10
+    outside = ((1, 0, 0, 0),) + analytic._F_TERMS
+    for in_s, terms, denominators in (
+        (False, outside, ((1, 0, 0), (1, 3, 0), (1, 3, 3), (1, 2, 0), (1, 2, 2))),
+        (True, analytic._IN_S_TERMS, ((1, 0, 0), (1, 3, 0), (1, 3, 3))),
+    ):
+        poly = {(a, b, c): 1 for a in range(a_max + 1) for b in range(3 * a + 1)
+                if in_s or b != 2 * a - 1 for c in range(b + 1)}
+        for mono in denominators:
+            poly = _times_one_minus(poly, mono, a_max)
+        want = {(a, b, c): sign for sign, a, b, c in terms}
+        assert len(want) == len(terms) == (9 if in_s else 24)
+        assert poly == want, in_s
 
 
 def test_centre_polynomials_are_the_closed_form(centre_factor_exact):
@@ -302,36 +332,36 @@ def test_euler_product_tail_is_fitted_outside_s():
 
 def test_leading_constant_prefactors():
     for k, s_set in ((1, PrimeSet.empty()), (2, PrimeSet.empty())):
-        lead = leading_constant(k, s_set, 1000)
+        lead = leading_constant(k, s_set)
         g = euler_constant(k, s_set).value
         pre = 4 * k / ((3 * k - 1) * (4**k - 1) * float(abs(bernoulli(2 * k))))
         assert abs(lead - pre * g / zeta_real(4 * k - 1)) < 1e-12 * abs(lead)
     assert abs(
-        leading_constant(1, PrimeSet.empty(), 1000)
+        leading_constant(1, PrimeSet.empty())
         / euler_constant(1, PrimeSet.empty()).value
         - 4 / zeta_real(3)
     ) < 1e-12
 
 
 def test_predict_identities():
-    pr = predict(math.e, 1, PrimeSet.empty(), 1000)
-    lead = leading_constant(1, PrimeSet.empty(), 1000)
+    pr = predict(math.e, 1, PrimeSet.empty())
+    lead = leading_constant(1, PrimeSet.empty())
     assert abs(pr["n_main"] - lead * math.e**3) <= 1e-9 * abs(pr["n_main"])
     for k in (1, 2):
-        pk = predict(50.0, k, PrimeSet.empty(), 1000)
+        pk = predict(50.0, k, PrimeSet.empty())
         assert abs(pk["s_main"] / pk["t_main"] - 2 * (3 * k - 1)) < 1e-12
         coeff = 8 * k / ((4**k - 1) * float(abs(bernoulli(2 * k))))
         rebuilt = (pk["s_main"] - pk["t_main"]) * coeff / zeta_real(4 * k - 1)
         assert abs(pk["n_main"] - rebuilt) <= 1e-12 * abs(pk["n_main"])
     # one bound check serves predict and the report: B = 1 gives zero main terms
-    row = constants_report(1, PrimeSet.empty(), 1000, bounds=[1])["predictions"][0]
-    assert {"bound": 1, **predict(1, 1, PrimeSet.empty(), 1000)} == row
+    row = constants_report(1, PrimeSet.empty(), bounds=[1])["predictions"][0]
+    assert {"bound": 1, **predict(1, 1, PrimeSet.empty())} == row
     with pytest.raises(DomainError):
-        predict(0.5, 1, PrimeSet.empty(), 1000)
+        predict(0.5, 1, PrimeSet.empty())
 
 
 def test_constants_report_fields():
-    rep = constants_report(1, PrimeSet.empty(), 1000, bounds=[10, 100])
+    rep = constants_report(1, PrimeSet.empty(), bounds=[10, 100])
     assert rep["schema"] == "v1"
     assert rep["bernoulli_2k"] == "1/6"
     assert len(rep["predictions"]) == 2
@@ -573,26 +603,15 @@ def test_prime_zeta_tail_within_its_bound():
 
 
 def test_constants_report_visits_only_the_head(monkeypatch):
-    # at the benchmark's cutoff of 10^6, _centre_h sees the odd primes up to
-    # 100 once each and a prime of the set above 100 twice, nothing else
+    # _centre_h sees the odd primes up to 100 once each and a prime of the set
+    # above 100 twice, nothing else
     calls = []
     centre_h = analytic._centre_h
     monkeypatch.setattr(analytic, "_centre_h", lambda p, c: (calls.append(p), centre_h(p, c))[1])
     for k in (1, 2, 128):
         for s_set in (PrimeSet.empty(), PrimeSet.of(2, 3, 101, 1000003)):
             calls.clear()
-            rep = constants_report(k, s_set, 10**6)
-            assert rep["prime_cutoff"] == 10**6
+            constants_report(k, s_set)
             above = sorted(p for p in s_set.primes if p > 100)
             assert calls == primes_up_to(100)[1:] + [p for p in above for _ in (0, 1)]
 
-
-def test_prime_cutoff_leaves_g_alone():
-    # the cutoff is checked and echoed, and G is the same at every one
-    reps = [constants_report(1, PrimeSet.of(5, 7), c) for c in (100, 10**4, 10**6)]
-    assert len({(r["euler_product"], r["euler_product_tail_estimate"]) for r in reps}) == 1
-    assert [r["prime_cutoff"] for r in reps] == [100, 10**4, 10**6]
-    with pytest.raises(DomainError, match="at least 100"):
-        constants_report(1, PrimeSet.empty(), 99)
-    with pytest.raises(CapacityError, match="guarded"):
-        constants_report(1, PrimeSet.empty(), 10**6 + 1)

@@ -122,8 +122,7 @@ def test_count_json_digests(s, monkeypatch):
 
 
 def _table_int_columns(k, bounds, source, s):
-    out = _stdout(["table", "--k", str(k), "--bounds", bounds,
-                   "--prime-cutoff", "100", "--r-source", source], s)
+    out = _stdout(["table", "--k", str(k), "--bounds", bounds, "--r-source", source], s)
     rows = [line.split(",") for line in out.strip().split("\n")]
     cols = [rows[0].index(c) for c in ("B", "tuples", "s_sum", "t_sum")]
     return "\n".join(",".join(r[i] for i in cols) for r in rows) + "\n"

@@ -74,13 +74,17 @@ def test_capacity_exit_code(tmp_path, capsys, monkeypatch):
                  ["count", "--k", "10001", "--bound", "2"],
                  ["count", "--k", "1000000", "--bound", "3"],
                  ["predict", "--k", "1", "--prime-cutoff", "1000001"],
-                 ["compare", "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"],
-                 ["table", "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"],
                  ["local-factors", "--k", "1", "--prime-cutoff", "1000001"]):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 3, argv
         assert err.startswith("capacity guard: ") and "guarded" in err, (argv, err)
+    # compare and table take G over every prime and have no cutoff to guard
+    for command in ("compare", "table"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--k", "1", "--bounds", "10", "--prime-cutoff", "1000001"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --prime-cutoff 1000001" in capsys.readouterr().err
 
     # a count too long for str() is refused before the output is opened
     path = tmp_path / "count.json"
@@ -186,6 +190,28 @@ def test_predict_with_a_prime_of_the_set_above_the_cutoff(capsys, mp_euler_const
         _assert_g_within_printed_bound(out, mp_euler_constant(k, PrimeSet.of(p)))
 
 
+def test_predict_cutoff_is_only_checked_and_echoed(capsys):
+    # G is taken over every prime: the cutoff is echoed, right after
+    # exclude_primes, and moves no number printed, and it is still refused
+    # below 100 (exit 2) and past the prime sieve's guard (exit 3)
+    blobs = []
+    for cutoff in (100, 10**4, 10**6):
+        code, out = _run(capsys, ["predict", "--k", "1", "--exclude-primes", "5,7",
+                                  "--bounds", "1000", "--prime-cutoff", str(cutoff)])
+        blob = json.loads(out)
+        assert code == 0 and list(blob)[3] == "prime_cutoff"
+        assert blob.pop("prime_cutoff") == cutoff
+        blobs.append(blob)
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert main(["predict", "--k", "1", "--prime-cutoff", "99"]) == 2
+    assert "at least 100" in capsys.readouterr().err
+    assert main(["predict", "--k", "1", "--prime-cutoff", str(10**6 + 1)]) == 3
+    assert "guarded" in capsys.readouterr().err
+    # k is refused first, as while G was the product up to the cutoff
+    assert main(["predict", "--k", "0", "--prime-cutoff", str(10**6 + 1)]) == 2
+    capsys.readouterr()
+
+
 def _perfbench(name):
     """A module of perfbench/, loaded read-only by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
@@ -267,7 +293,7 @@ def test_local_factors_csv(capsys):
 
 def test_compare_csv(capsys):
     code, out = _run(capsys, ["compare", "--k", "1", "--bounds", "20,40",
-                              "--prime-cutoff", "500", "--format", "csv"])
+                              "--format", "csv"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "B,tuples,points,n_main,ratio_tuples,ratio_points"
@@ -278,8 +304,7 @@ def test_compare_csv(capsys):
     # compare, table and predict print one n_main, digit for digit; these
     # bounds are where a second main-term expression differs in the last digit
     for k, primes, bounds in ((1, "", "34,77"), (1, "2,3", "10"), (2, "", "50")):
-        tail = ["--k", str(k), "--bounds", bounds, "--prime-cutoff", "10000",
-                "--exclude-primes", primes]
+        tail = ["--k", str(k), "--bounds", bounds, "--exclude-primes", primes]
         _, out = _run(capsys, ["compare", "--format", "csv"] + tail)
         via_compare = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
         _, out = _run(capsys, ["table"] + tail)
@@ -290,8 +315,7 @@ def test_compare_csv(capsys):
 
 
 def test_table_csv(capsys):
-    code, out = _run(capsys, ["table", "--k", "1", "--bounds", "10,20",
-                              "--prime-cutoff", "500"])
+    code, out = _run(capsys, ["table", "--k", "1", "--bounds", "10,20"])
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].startswith("B,tuples,points,n_main")

@@ -56,7 +56,7 @@ EXTRA = [
     ["count", "--k", "3", "--bound", "160", "--method", "both"],
     ["count", "--k", "1", "--bound", "160", "--method", "oracle", "--exclude-primes", "5,7"],
     # successes: the default prime cutoffs (100 for local-factors, 100000 for
-    # predict, 10000 for compare and table), k = 6 at a cutoff of 10^6, the oracle
+    # predict; compare and table take none), k = 6 at a cutoff of 10^6, the oracle
     ["local-factors", "--k", "1"],
     ["predict", "--k", "1", "--bounds", "2"],
     ["predict", "--k", "2", "--bounds", "100,1000"],
@@ -190,6 +190,14 @@ EXTRA = [
                          (["count", "--k", "1", "--bound"], 10**6))
       for step in (0, 1)),
     ["predict", "--k", "1", "--prime-cutoff", "1000001"],
+    # predict's cutoff is only checked and echoed: refused below 100 (exit 2),
+    # below 2 by the check local-factors shares, and after k, whose refusal
+    # comes before the sieve's; compare and table take no cutoff (exit 2)
+    ["predict", "--k", "1", "--prime-cutoff", "99"],
+    ["predict", "--k", "1", "--prime-cutoff", "1"],
+    ["predict", "--k", "0", "--prime-cutoff", "1000001"],
+    ["compare", "--k", "1", "--bounds", "10", "--prime-cutoff", "10000"],
+    ["table", "--k", "1", "--bounds", "10", "--prime-cutoff", "10000"],
 ]
 
 
