@@ -410,37 +410,28 @@ def _zeta_identity_sweep(k: int, s: float, w: float, prime_cutoff: int) -> float
     return worst
 
 
-def _centre_logs(k: int, s_set: PrimeSet, prime_cutoff: int, fit: list):
-    """An iterator of the logs of G's factors at (1, 2k-1), for euler_product
-    and euler_constant; _centre_sweep's checks run in this call.
+def _centre_logs(k: int, s_set: PrimeSet, prime_cutoff: int) -> tuple:
+    """(logs, sides): the logs of G's factors at (1, 2k-1), for euler_product
+    and euler_constant, after _centre_sweep's checks.
 
-    p = 2 from _centre_sweep, each odd prime up to the cutoff as log1p of
-    its _centre_h, and each prime of the set above the cutoff as
-    log gp(p, in the set) - log gp(p, outside it), both from _centre_h.
-    Once the odd primes are done, fit[0] holds the largest |log gp| p^2
-    over the primes 10 < p <= cutoff outside the set.
+    logs[0] is log g_2 from _centre_sweep, and logs[i + 1] is the log of the
+    odd factor sides[i] = (p, in_s, sign), from _centre_h: each odd prime up
+    to the cutoff once, on its side of the set, with sign 1, then each prime
+    of the set above the cutoff twice, as log gp(p, in the set) with sign 1
+    and -log gp(p, outside it) with sign -1.  A factor <= 0 raises
+    ArithmeticError.
     """
-    g2, odd, outside, inside = _centre_sweep(k, s_set, prime_cutoff)
+    g2, odd, *coefficients = _centre_sweep(k, s_set, prime_cutoff)
     s_primes = s_set.primes
-
-    def logs():
-        yield math.log(g2)
-        c_fit = 0.0
-        for p in odd:
-            if p in s_primes:
-                yield math.log1p(_centre_h(p, inside))
-                continue
-            log_g = math.log1p(_centre_h(p, outside))
-            if p > 10 and (f := abs(log_g) * p * p) > c_fit:
-                c_fit = f
-            yield log_g
-        fit[0] = c_fit
-        for p in s_primes:
-            if p > prime_cutoff:
-                yield math.log1p(_centre_h(p, inside))
-                yield -math.log1p(_centre_h(p, outside))
-
-    return logs()
+    sides = [(p, p in s_primes, 1) for p in odd]
+    sides += [(p, in_s, sign) for p in s_primes if p > prime_cutoff
+              for in_s, sign in ((True, 1), (False, -1))]
+    try:
+        logs = [math.log(g2)]
+        logs += [sign * math.log1p(_centre_h(p, coefficients[in_s])) for p, in_s, sign in sides]
+    except ValueError:  # the log of a factor <= 0
+        raise ArithmeticError("Euler product is not positive") from None
+    return logs, sides
 
 
 def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductResult:
@@ -453,20 +444,19 @@ def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductRes
     C / (cutoff log cutoff) * 1.5 with C the largest |log gp| p^2 over the
     primes 10 < p <= cutoff outside the set (in the set it is about p): a
     fit, not a bound.  This is the direct product that euler_constant's
-    series replaces in every prediction; it stays as their reference.  At
-    a cutoff of 10^6 (78,498 primes) one cold call takes about 0.16-0.29 s
-    at k = 1 and 2 on a 2-core x86 machine.
+    series replaces in every prediction; it stays as their reference.  The
+    logs are held as one list: at a cutoff of 10^6 (78,498 primes) one cold
+    call takes 0.13-0.30 s at k = 1 and peaks at 28 MiB (VmHWM) on a
+    2-core x86 machine.
     """
     if prime_cutoff < 100:
         raise DomainError("prime cutoff must be at least 100")
-    fit = [0.0]
-    logs = _centre_logs(k, s_set, prime_cutoff, fit)
-    try:
-        value = math.exp(math.fsum(logs))
-    except ValueError:  # the log of a factor <= 0
-        raise ArithmeticError("Euler product is not positive") from None
-    tail = 1.5 * fit[0] / (prime_cutoff * math.log(prime_cutoff))
-    return EulerProductResult(value=value, prime_cutoff=prime_cutoff, tail_estimate=tail)
+    logs, sides = _centre_logs(k, s_set, prime_cutoff)
+    fit = max((abs(log_g) * p * p for log_g, (p, in_s, sign) in zip(logs[1:], sides)
+               if p > 10 and not in_s and sign > 0), default=0.0)
+    tail = 1.5 * fit / (prime_cutoff * math.log(prime_cutoff))
+    return EulerProductResult(value=math.exp(math.fsum(logs)), prime_cutoff=prime_cutoff,
+                              tail_estimate=tail)
 
 
 # euler_constant multiplies the primes up to _HEAD_CUTOFF one by one and
@@ -520,7 +510,7 @@ def _log_series(poly: list, terms: int) -> list:
 
 @lru_cache(maxsize=64)
 def _centre_expansion(k: int) -> tuple:
-    """(c, truncation, outside, inside) for euler_constant at k.
+    """(c, truncation, bounds) for euler_constant at k.
 
     c[m] is the coefficient of u^m in log gp = log(1 + N/D) outside the set
     (_centre_coefficients(k, False)), m = 0.._TAIL_TERMS, exact integers
@@ -528,7 +518,7 @@ def _centre_expansion(k: int) -> tuple:
     |c_m| T(m): by Cauchy's bound the roots of a polynomial 1 + a_1 u + ...
     of degree n lie outside 1/R, R = 1 + max |a_i|, so the u^m coefficient
     of its log is at most n R^m / m, and T(m) <= 101^-m (1 + 101/(m-1)).
-    outside and inside are _horner_bound's pairs.
+    bounds[in_s] is _horner_bound's pair on that side of the set.
     """
     coefficients = _centre_coefficients(k, False)
     den = [int(b) for _, b in reversed(coefficients)]
@@ -540,8 +530,8 @@ def _centre_expansion(k: int) -> tuple:
     q = max(1 + max(map(abs, poly[1:])) for poly in (num, den)) / (_HEAD_CUTOFF + 1)
     truncation = (2 * degree * q ** (terms + 1) / (1 - q)
                   * (1 + (_HEAD_CUTOFF + 1) / terms) / (terms + 1))
-    return (tuple(c), truncation, _horner_bound(coefficients),
-            _horner_bound(_centre_coefficients(k, True)))
+    return tuple(c), truncation, (_horner_bound(coefficients),
+                                  _horner_bound(_centre_coefficients(k, True)))
 
 
 @lru_cache(maxsize=1)
@@ -608,30 +598,24 @@ def euler_constant(k: int, s_set: PrimeSet) -> EulerProductResult:
     of one math.fsum of both parts.
 
     tail_estimate is a bound on |G_printed / G - 1| for the G printed to 15
-    significant digits: the head's rounding (_horner_bound, _P2_ERROR, two
-    units in the last place per log), the tail's (T's error times |c_m|,
-    and the truncation at m = 20), the fsum and the exp, and half a unit in
-    the 15th digit: 1.6e-15 to 7.5e-15 on the benchmark's eight (k, set)
-    pairs.  prime_cutoff is 100.
+    significant digits: the head's rounding (_P2_ERROR, two units in the
+    last place per log, and _horner_bound's term for each odd factor, read
+    off the same sides that _centre_logs returned with the logs summed), the
+    tail's (T's error times |c_m|, and the truncation at m = 20), the fsum
+    and the exp, and half a unit in the 15th digit: 1.6e-15 to 7.5e-15 on
+    the benchmark's eight (k, set) pairs.  prime_cutoff is 100.
     """
-    logs = _centre_logs(k, s_set, _HEAD_CUTOFF, [0.0])  # k and p = 2 checked first
-    c, truncation, outside, inside = _centre_expansion(k)
+    head, sides = _centre_logs(k, s_set, _HEAD_CUTOFF)  # k and p = 2 checked first
+    c, truncation, bounds = _centre_expansion(k)
     t, t_err = _prime_zeta_tail()
-    try:
-        head = list(logs)
-    except ValueError:  # the log of a factor <= 0
-        raise ArithmeticError("Euler product is not positive") from None
     tail = [c[m] * t[m] for m in range(2, _TAIL_TERMS + 1)]
     log_g = math.fsum(head + tail)
     value = math.exp(log_g)
 
     head_err = 1.01 * _P2_ERROR + 4 * _U * math.fsum(map(abs, head))
-    for p in primes_up_to(_HEAD_CUTOFF)[1:]:
-        scale, v = inside if p in s_set.primes else outside
+    for p, in_s, _ in sides:
+        scale, v = bounds[in_s]
         head_err += scale * (3 / p) ** v
-    for p in s_set.primes:
-        if p > _HEAD_CUTOFF:
-            head_err += sum(scale * (3 / p) ** v for scale, v in (outside, inside))
     tail_err = truncation + math.fsum(abs(c[m]) * (t_err[m] + 4 * _U * abs(t[m]))
                                       for m in range(2, _TAIL_TERMS + 1))
     computed = 1.01 * (head_err + tail_err + _U * abs(log_g)) + 4 * _U  # and exp's

@@ -48,11 +48,13 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n) == n
 
 
-# Largest n primes_up_to sieves to.  On a 2-core x86 machine with Python 3.11,
-# one cold local-factors run, the heaviest command that sieves, took 0.45-0.7 s
-# and peaked at 20 MiB (VmHWM) at a cutoff of 10^6, and 0.85 s at 2 * 10^6;
-# predict took 0.16-0.29 s and 0.24-0.34 s.  So 2 * 10^6 would fit a
-# budget of 2 s, but the limit stays at the edge of the loop over n
+# Largest n primes_up_to sieves to.  Of the constants, only local-factors and
+# analytic.euler_product sieve this far; predict only checks its cutoff here.
+# On a 2-core x86 machine with Python 3.11, one cold local-factors run at a
+# cutoff of 10^6 took 0.43-0.74 s and peaked at 20.5 MiB (ru_maxrss) at k = 1,
+# 0.64-1.01 s at k = 6, and 0.85 s at 2 * 10^6; one cold euler_product(1, {},
+# 10^6) took 0.13-0.30 s and peaked at 28 MiB (VmHWM).  So 2 * 10^6 would fit
+# a budget of 2 s, but the limit stays at the edge of the loop over n
 # (counting.WALK_BOUND_LIMIT), whose prefix sums and Mobius list come from
 # this sieve, until the two are repriced together.
 PRIME_SIEVE_LIMIT = 10**6

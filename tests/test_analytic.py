@@ -98,6 +98,47 @@ def test_odd_prime_numerators_from_the_model_series():
         assert poly == want, in_s
 
 
+def _at(poly, x, y, z):
+    """The polynomial poly, as {(a, b, c): coefficient}, at (x, y, z)."""
+    return sum(v * x**a * y**b * z**c for (a, b, c), v in poly.items())
+
+
+def test_p2_numerators_from_the_model_series():
+    # p = 2's weights are 1 at b = 0 and A z^b + B for b >= 1, so its series
+    # is A H(x, yz) + B H(x, y) + (1 - A - B)/(1 - x), with
+    # H(x, Y) = sum_a x^a sum_{b <= 3a} Y^b and b = 2a - 1 skipped outside
+    # the set.  H times its zeta denominators is each part's numerator, in
+    # integers, and every coefficient of x-degree 5 to 10 is 0; g_2 assembled
+    # from these parts at the centre is _p2_exact's, which transcribes
+    # _local_factor's p = 2 branch
+    a_max = 10
+    parts = {}
+    for in_s in (False, True):
+        for c in (1, 0):  # Y = yz for part a, Y = y for part b
+            poly = {(a, b, c * b): 1 for a in range(a_max + 1) for b in range(3 * a + 1)
+                    if in_s or b != 2 * a - 1}
+            denominators = [(1, 0, 0), (1, 3, 3 * c)] + ([] if in_s else [(1, 2, 2 * c)])
+            for mono in denominators:
+                poly = _times_one_minus(poly, mono, a_max)
+            if in_s:  # 1 + x Y + x Y^2
+                want = {(0, 0, 0): 1, (1, 1, c): 1, (1, 2, 2 * c): 1}
+            else:  # 1 + x^2 Y - x^2 Y^3 - x^3 Y^4
+                want = {(0, 0, 0): 1, (2, 1, c): 1, (2, 3, 3 * c): -1, (3, 4, 4 * c): -1}
+            assert not [key for key in poly if key[0] >= 5], (in_s, c)
+            assert poly == want, (in_s, c)
+            parts[in_s, c] = poly, denominators
+    for k in range(1, 7):
+        x, y, z = Fraction(1, 2), Fraction(1, 2 ** (2 * k - 1)), Fraction(2 ** (2 * k - 1))
+        a, b = _p2_coefficients(k)
+        pre = (1 - x) * (1 - x * (y * z) ** 2) * (1 - x * (y * z) ** 3)
+        for in_s in (False, True):
+            part_a, part_b = (
+                _at(num, x, y, z) / math.prod(1 - _at({mono: 1}, x, y, z) for mono in den)
+                for num, den in (parts[in_s, 1], parts[in_s, 0]))
+            g2 = pre * (a * part_a + b * part_b + (1 - a - b) / (1 - x))
+            assert g2 == _p2_exact(k, in_s), (k, in_s)
+
+
 def test_centre_polynomials_are_the_closed_form(centre_factor_exact):
     # at x = 1/p, y = p^-(2k-1), z = p^(2k-1): three zeta denominators times
     # the closed Euler factor, exactly
@@ -556,6 +597,22 @@ def _p2_exact(k, in_s):
         part_b = (1 + x**2 * y - x**2 * y**3 - x**3 * y**4) / (
             (1 - x) * (1 - x * y**2) * (1 - x * y**3))
     return pre * (a * part_a + b * part_b + correction)
+
+
+def test_certified_bound_counts_the_logged_odd_factors(monkeypatch):
+    # with every odd factor's rounding bound set to 2^-10, the head's bound is
+    # 2^-10 per odd factor that _centre_logs logged: the 24 odd primes up to
+    # 100, each on its side of the set, and both sides of a prime of the set
+    # above 100
+    monkeypatch.setattr(analytic, "_horner_bound", lambda coefficients: (2.0**-10, 0))
+    analytic._centre_expansion.cache_clear()
+    try:
+        for k in (1, 2):
+            for primes, count in (((), 24), ((3,), 24), ((101,), 26), ((3, 101, 1000003), 28)):
+                bound = euler_constant(k, PrimeSet.of(*primes)).tail_estimate
+                assert abs(bound / (1.01 * 2.0**-10) - count) < 1e-9, (k, primes)
+    finally:
+        analytic._centre_expansion.cache_clear()
 
 
 def test_p2_factor_within_its_rounding_bound():

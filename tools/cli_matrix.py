@@ -13,13 +13,14 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 10 to 12 s on a 2-core x86 machine (12 to 14 s while each
-r_4k table raised theta to the power 4k itself), 3.8 to 4.1 s of them in one
-count at B = 10^6, the edge of the loop over n, and about 1.2 s in the k = 5
-count and oracle at the edge of their r_20 table, B = 252.  The r_4k tables
-are kept from command to command and rebuilt only for a command that needs a
-longer one, and every k >= 2 table reads and extends the k = 1 table, so the
-order of the commands decides which tables are built.
+Stdlib only; about 10 s on a 2-core x86 machine (9.9 and 10.1 s in two runs
+of its 277 commands; 12 to 14 s while each r_4k table raised theta to the
+power 4k itself), 3.8 to 4.1 s of them in one count at B = 10^6, the edge of
+the loop over n, and about 1.2 s in the k = 5 count and oracle at the edge of
+their r_20 table, B = 252.  The r_4k tables are kept from command to
+command and rebuilt only for a command that needs a longer one, and every
+k >= 2 table reads and extends the k = 1 table, so the order of the commands
+decides which tables are built.
 """
 
 from __future__ import annotations
@@ -198,6 +199,11 @@ EXTRA = [
     ["predict", "--k", "0", "--prime-cutoff", "1000001"],
     ["compare", "--k", "1", "--bounds", "10", "--prime-cutoff", "10000"],
     ["table", "--k", "1", "--bounds", "10", "--prime-cutoff", "10000"],
+    # primes of the set above euler_constant's head of 100, whose two sides
+    # each add a rounding bound: the three cases whose bound depends in its
+    # last bits on the order of those additions, below the 15 digits printed
+    ["predict", "--k", "3", "--exclude-primes", "101", "--bounds", "1000"],
+    *(["predict", "--k", k, "--exclude-primes", "2,101,103"] for k in ("3", "128")),
 ]
 
 
