@@ -208,13 +208,14 @@ def mobius_sieve(n: int) -> list[int]:
 
 
 def smallest_prime_factors(n: int) -> list[int]:
-    """spf[i] = smallest prime factor of i, for 0 <= i <= n."""
+    """spf[i] = smallest prime factor of i, for 0 <= i <= n.
+
+    Each prime p <= sqrt(n) is written at its multiples from p^2 on, the
+    largest prime first, so the last prime written at m is its smallest.
+    """
     spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+    for p in reversed(primes_up_to(math.isqrt(n))):
+        spf[p * p::p] = [p] * ((n - p * p) // p + 1)
     return spf
 
 

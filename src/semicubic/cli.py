@@ -9,7 +9,8 @@ byte-identical reruns.
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error
 (including a --k or bound too large for the float arithmetic), 3 capacity
 guard (including a bound too large for memory and a count too long to
-print).
+print), 141 (128 + SIGPIPE) when the reader closed stdout before the
+output was written, as `| head` does.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -49,18 +51,14 @@ def _round_floats(obj):
 
     The JSON writer (_json_lines) calls it on one scalar at a time, and its
     text is that of json.dumps(_round_floats(obj), indent=2): only that
-    reference, in the tests, passes a whole artifact.  A dict or list with
-    no float inside is returned as it is, not copied.
+    reference, in the tests, passes a whole artifact, which is copied.
     """
     if isinstance(obj, float):
         return float(f"{obj:.15g}")
-    if isinstance(obj, (dict, list)):
-        pairs = obj.items() if isinstance(obj, dict) else enumerate(obj)
-        new = [(key, r) for key, v in pairs if (r := _round_floats(v)) is not v]
-        if new:
-            obj = dict(obj) if isinstance(obj, dict) else list(obj)
-            for key, r in new:
-                obj[key] = r
+    if isinstance(obj, dict):
+        return {key: _round_floats(v) for key, v in obj.items()}
+    if isinstance(obj, list):
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -264,6 +262,13 @@ def _suite_mpoints(report) -> bool:
     return ok
 
 
+def _route_counts(b: int, k: int, s_set: PrimeSet) -> tuple:
+    """(oracle, scaled model, brute-force table): the three routes' counts at (B, k, S)."""
+    return (n_oracle(b, k, s_set), *(
+        n_mobius(b, CountRequest(k=k, bound=Fraction(b), s_set=s_set, r_source=source))
+        for source in (RSource.JACOBI, RSource.EXACT)))
+
+
 def _suite_routes(report) -> bool:
     """Oracle = scaled model = brute-force table on fixed grids, well inside the table's guard."""
     ok = True
@@ -271,10 +276,7 @@ def _suite_routes(report) -> bool:
     for k, bounds in grids.items():
         for s_set in (PrimeSet.empty(), PrimeSet.of(2), PrimeSet.of(2, 3)):
             for b in bounds:
-                a = n_oracle(b, k, s_set)
-                mj, me = (n_mobius(b, CountRequest(k=k, bound=Fraction(b), s_set=s_set,
-                                                   r_source=source))
-                          for source in (RSource.JACOBI, RSource.EXACT))
+                a, mj, me = _route_counts(b, k, s_set)
                 if not (a == mj == me):
                     report(f"route mismatch k={k} B={b} S={s_set}: {a} {mj} {me}")
                     ok = False
@@ -477,7 +479,15 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
-    return run(args)
+    try:
+        return run(args)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull, so that the flush at
+        # exit writes what is left nowhere instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

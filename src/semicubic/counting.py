@@ -547,9 +547,7 @@ def iter_points(bound: int, k: int = 1, strict_z: bool = False):
     strict_z selects the half-open convention |z| < bound used by the
     counting routes; otherwise the closed height condition |z| <= bound.
     """
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
-    for cls in _classes(bound, strict_z):
+    for cls in _classes(_oracle_bound(bound, k), strict_z):
         yield from _class_points(k, *cls)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import sys
 from fractions import Fraction
@@ -6,12 +7,26 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from semicubic import analytic  # noqa: E402
 from semicubic.arith import primes_up_to  # noqa: E402
 from semicubic.counting import point_classes  # noqa: E402
 from semicubic.reps import _p2_coefficients  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def perfbench():
+    """A function name -> the module perfbench/<name>.py, loaded read-only by path."""
+    def load(name):
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        return mod
+
+    return load
 
 
 @pytest.fixture(scope="session")

@@ -47,6 +47,17 @@ def test_f_poly_signed_coefficient_sum():
     assert f_poly(1, 1, 1) == -1
 
 
+def _closed_forms(x, y, z):
+    """The closed Euler factor before its zeta prefactor, (in the set, outside
+    it): the nine-term numerator over three factors, and 1 + F over five."""
+    nine = (1 + x*y + x*y*z + x*y**2 + x*y**2*z + x*y**2*z**2
+            + x*y**3*z + x*y**3*z**2 + x**2*y**4*z**2)
+    in_s = nine / ((1 - x) * (1 - x*y**3) * (1 - x*y**3*z**3))
+    out = (1 + f_poly(x, y, z)) / (
+        (1 - x) * (1 - x*y**3) * (1 - x*y**2) * (1 - x*y**3*z**3) * (1 - x*y**2*z**2))
+    return in_s, out
+
+
 def test_f_poly_identity_exact():
     # (1+F) / five factors = nine-term form - xy(1+z) correction, exactly
     pts = [
@@ -56,14 +67,8 @@ def test_f_poly_identity_exact():
         (Fraction(5, 8), Fraction(1, 2), Fraction(9, 4)),
     ]
     for x, y, z in pts:
-        nine = (1 + x*y + x*y*z + x*y**2 + x*y**2*z + x*y**2*z**2
-                + x*y**3*z + x*y**3*z**2 + x**2*y**4*z**2)
-        lhs = (1 + f_poly(x, y, z)) / (
-            (1 - x) * (1 - x*y**3) * (1 - x*y**2) * (1 - x*y**3*z**3)
-            * (1 - x*y**2*z**2)
-        )
-        rhs = nine / ((1 - x) * (1 - x*y**3) * (1 - x*y**3*z**3)) \
-            - x*y*(1 + z) / ((1 - x*y**2) * (1 - x*y**2*z**2))
+        nine_form, lhs = _closed_forms(x, y, z)
+        rhs = nine_form - x*y*(1 + z) / ((1 - x*y**2) * (1 - x*y**2*z**2))
         assert lhs == rhs, (x, y, z)
 
 
@@ -146,14 +151,9 @@ def test_centre_polynomials_are_the_closed_form(centre_factor_exact):
         for p in (3, 5, 7, 11, 101, 65537):
             x, y, z = Fraction(1, p), Fraction(1, p ** (2 * k - 1)), Fraction(p ** (2 * k - 1))
             pre = (1 - x) * (1 - x * (y*z)**2) * (1 - x * (y*z)**3)
-            nine = (1 + x*y + x*y*z + x*y**2 + x*y**2*z + x*y**2*z**2
-                    + x*y**3*z + x*y**3*z**2 + x**2*y**4*z**2)
-            in_s = pre * nine / ((1 - x) * (1 - x*y**3) * (1 - x*y**3*z**3))
-            out = pre * (1 + f_poly(x, y, z)) / (
-                (1 - x) * (1 - x*y**3) * (1 - x*y**2) * (1 - x*y**3*z**3)
-                * (1 - x*y**2*z**2))
-            assert centre_factor_exact(p, k, True) == in_s, (k, p)
-            assert centre_factor_exact(p, k, False) == out, (k, p)
+            in_s, out = _closed_forms(x, y, z)
+            assert centre_factor_exact(p, k, True) == pre * in_s, (k, p)
+            assert centre_factor_exact(p, k, False) == pre * out, (k, p)
 
 
 def test_euler_product_against_a_30_digit_product(mp_euler_product):
@@ -232,26 +232,11 @@ def test_gp_hand_values():
 
 
 def test_gp_certified_p2_exact_rational():
-    # evaluate the corrected p=2 closed form in exact arithmetic and
-    # compare with the float route
+    # the float route against the corrected p=2 closed form in exact arithmetic
     for k in (1, 2):
         for in_S in (True, False):
-            x = Fraction(1, 2)
-            y = Fraction(1, 2 ** (2 * k - 1))
-            z = Fraction(2 ** (2 * k - 1))
-            a, b = _p2_coefficients(k)
-            corr = (1 - a - b) / (1 - x)
-            if in_S:
-                fp = (a * (1 + x*y*z + x*y**2*z**2) / ((1 - x) * (1 - x*y**3*z**3))
-                      + b * (1 + x*y + x*y**2) / ((1 - x) * (1 - x*y**3)) + corr)
-            else:
-                na = 1 + x**2*y*z - x**2*y**3*z**3 - x**3*y**4*z**4
-                nb = 1 + x**2*y - x**2*y**3 - x**3*y**4
-                fp = (a * na / ((1 - x) * (1 - x*y**2*z**2) * (1 - x*y**3*z**3))
-                      + b * nb / ((1 - x) * (1 - x*y**2) * (1 - x*y**3)) + corr)
-            exact = (1 - x) * (1 - x * (y*z)**2) * (1 - x * (y*z)**3) * fp
             got = gp(_inp(2, k, in_S, 1.0, 2.0 * k - 1.0))
-            assert abs(got - float(exact)) < 1e-13, (k, in_S)
+            assert abs(got - float(_p2_exact(k, in_S))) < 1e-13, (k, in_S)
 
 
 def test_pole_guard(monkeypatch):

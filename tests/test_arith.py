@@ -18,6 +18,7 @@ from semicubic.arith import (
     mobius,
     mobius_sieve,
     primes_up_to,
+    smallest_prime_factors,
     vp,
     zeta_real,
 )
@@ -91,6 +92,14 @@ def test_mobius_matches_sieve_and_is_multiplicative():
         for b in range(1, 101):
             if a * b <= n and math.gcd(a, b) == 1:
                 assert mu[a * b] == mu[a] * mu[b]
+
+
+def test_smallest_prime_factors_against_trial_division():
+    assert smallest_prime_factors(0) == [0]
+    assert smallest_prime_factors(1) == [0, 1]
+    spf = smallest_prime_factors(2 * 10**4)
+    assert spf[:2] == [0, 1]
+    assert all(spf[i] == arith._least_factor(i) for i in range(2, 2 * 10**4 + 1))
 
 
 def test_mobius_divisor_sum_identity():

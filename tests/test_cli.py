@@ -1,5 +1,7 @@
-import importlib.util
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,19 +214,10 @@ def test_predict_cutoff_is_only_checked_and_echoed(capsys):
     capsys.readouterr()
 
 
-def _perfbench(name):
-    """A module of perfbench/, loaded read-only by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_benchmark_checker_refuses_g_moved_by_ten_bounds(capsys):
+def test_benchmark_checker_refuses_g_moved_by_ten_bounds(capsys, perfbench):
     # the benchmark's predict ops pass its checker as printed, and fail it
     # with G moved by ten times the printed bound, either way
-    check = _perfbench("check")
+    check = perfbench("check")
     refs = json.loads((Path(check.__file__).parent / "refs.json").read_text())
     checker = check.Checker(refs)
     for k, s in ((1, ""), (1, "2,3"), (2, "2"), (2, "5,7")):
@@ -393,11 +386,25 @@ def test_artifacts_are_written_in_pieces(tmp_path, capsys, monkeypatch):
     assert code == 0 and "".join(pieces) == out
     assert [len(piece.splitlines()) for piece in pieces] == [50, 50, 50, 19]  # 1 + 168 rows
 
-    # an int-only dict, the count's n_star_values, is not copied
+    # the rounded copy leaves its input as it was
     rep = {"n_star_values": {e: 2 * e for e in range(1, 100)}, "ratio": 1 / 3}
     rounded = cli._round_floats(rep)
-    assert rounded["n_star_values"] is rep["n_star_values"]
     assert rounded["ratio"] == 0.333333333333333 and rep["ratio"] == 1 / 3
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the rows up to 10^5, about 480 KB, are more than a pipe holds, so the
+    # command is still writing when the reader closes the pipe after one line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semicubic.cli", "local-factors", "--prime-cutoff", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"p,in_S,gp_value,gp_special_value,abs_diff\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in err, err
 
 
 def test_local_factors_overflow_writes_nothing(tmp_path, capsys):

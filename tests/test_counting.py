@@ -59,33 +59,28 @@ def _brute_divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-def _brute_n_star(bound, k, s_set, table):
-    total = 0
-    b = Fraction(bound)
-    for n in range(1, int(b) + 1):
-        for d in _brute_divisors(n**3):
-            if Fraction(n**3) / b < d <= b * b and _brute_indicator(n * n, d, s_set):
-                total += table[d]
-    return 2 * total
-
-
-def _brute_s(x_bound, y_bound, k, s_set):
+def _brute_sum(x_bound, s_set, weight, keep):
+    """The sum of weight(d) over n <= X and d | n^3 with keep(n, d) and 1_S(n^2/d)."""
     total = 0
     for n in range(1, int(Fraction(x_bound)) + 1):
         for d in _brute_divisors(n**3):
-            if d <= Fraction(y_bound) and _brute_indicator(n * n, d, s_set):
-                total += r4k_star(d, k)
+            if keep(n, d) and _brute_indicator(n * n, d, s_set):
+                total += weight(d)
     return total
+
+
+def _brute_n_star(bound, k, s_set, table):
+    b = Fraction(bound)
+    return 2 * _brute_sum(b, s_set, table.__getitem__, lambda n, d: n**3 / b < d <= b * b)
+
+
+def _brute_s(x_bound, y_bound, k, s_set):
+    return _brute_sum(x_bound, s_set, lambda d: r4k_star(d, k), lambda n, d: d <= Fraction(y_bound))
 
 
 def _brute_t(bound, k, s_set):
-    total = 0
     b = Fraction(bound)
-    for n in range(1, int(b) + 1):
-        for d in _brute_divisors(n**3):
-            if d <= Fraction(n**3) / b and _brute_indicator(n * n, d, s_set):
-                total += r4k_star(d, k)
-    return total
+    return _brute_sum(b, s_set, lambda d: r4k_star(d, k), lambda n, d: d <= n**3 / b)
 
 
 # --- indicator --------------------------------------------------------------
@@ -260,6 +255,10 @@ def test_oracle_guard():
         count_report(req(Fraction(7, 2)), with_oracle=True)
     with pytest.raises(DomainError):
         n_oracle(5, 0, S0)
+    # the point enumeration refuses what the oracle refuses, before its first point
+    for bound, k in ((5, 0), (Fraction(11, 2), 1), (5.5, 1), (0, 1)):
+        with pytest.raises(DomainError):
+            next(iter_points(bound, k))
 
 
 def test_oracle_against_point_enumeration():

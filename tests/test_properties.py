@@ -26,8 +26,6 @@ from semicubic.counting import (  # noqa: E402
     _walk_block,
     _walk_runs,
     count_report,
-    n_mobius,
-    n_oracle,
     n_star,
     s_sum,
     t_sum,
@@ -42,18 +40,11 @@ def _req(bound, k, s_set, source):
     return CountRequest(k=k, bound=Fraction(bound), s_set=s_set, r_source=source)
 
 
-def _assert_routes_agree(bound, k, s_set):
-    """Oracle = scaled model = brute-force table."""
-    oracle = n_oracle(bound, k, s_set)
-    model, table = (n_mobius(bound, _req(bound, k, s_set, source))
-                    for source in (RSource.JACOBI, RSource.EXACT))
-    assert oracle == model == table, (bound, k, str(s_set))
-
-
 @PROPERTY
 @given(bound=st.integers(1, 50), s_set=PRIME_SETS)
 def test_routes_agree_k1(bound, s_set):
-    _assert_routes_agree(bound, 1, s_set)
+    oracle, model, table = cli._route_counts(bound, 1, s_set)
+    assert oracle == model == table, (bound, str(s_set))
     model = _req(bound, 1, s_set, RSource.RSTAR)
     sv, tv = s_sum(bound, bound * bound, model), t_sum(bound, model)
     assert 16 * (sv - tv) == n_star(bound, _req(bound, 1, s_set, RSource.JACOBI))
@@ -65,7 +56,8 @@ def test_routes_agree_k1(bound, s_set):
 @PROPERTY
 @given(bound=st.integers(1, 12), s_set=PRIME_SETS)
 def test_routes_agree_k2(bound, s_set):
-    _assert_routes_agree(bound, 2, s_set)
+    oracle, model, table = cli._route_counts(bound, 2, s_set)
+    assert oracle == model == table, (bound, str(s_set))
 
 
 BOUNDS_3000 = st.one_of(st.integers(1, 3000).map(Fraction),

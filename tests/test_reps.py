@@ -1,7 +1,6 @@
 import hashlib
 import math
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -20,16 +19,6 @@ from semicubic.reps import (
 R12_20000_SHA = "e9026eae09199bb48ec7938a92fb3682014d6d19553bd3214b086dfa59f4d386"
 
 
-def _count_vectors(d, dim):
-    """Independent oracle: nested enumeration of integer vectors."""
-    r = math.isqrt(d)
-    count = 0
-    for ys in product(range(-r, r + 1), repeat=dim):
-        if sum(y * y for y in ys) == d:
-            count += 1
-    return count
-
-
 def test_bruteforce_examples():
     assert r4k_bruteforce(4, 1) == (1, 8, 24, 32, 24)
     assert r4k_bruteforce(1, 2) == (1, 16)
@@ -39,13 +28,13 @@ def test_bruteforce_examples():
     assert r4k_bruteforce(1, 250000) == (1, 2000000)
 
 
-def test_bruteforce_against_nested_enumeration():
+def test_bruteforce_against_nested_enumeration(literal_vector_counts):
     t1 = r4k_bruteforce(12, 1)
     for d in range(1, 13):
-        assert t1[d] == _count_vectors(d, 4)
+        assert t1[d] == literal_vector_counts[d, 4]
     t2 = r4k_bruteforce(3, 2)
     for d in range(1, 4):
-        assert t2[d] == _count_vectors(d, 8)
+        assert t2[d] == literal_vector_counts[d, 8]
 
 
 def test_bruteforce_against_signed_count(coordinate_counts):

@@ -7,26 +7,15 @@ tracer's tables; it never installs the wrappers.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 from semicubic import arith, counting
 from semicubic.arith import PrimeSet
 from semicubic.counting import indicator_1S
 from semicubic.reps import r4k_star
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def test_traced_names_resolve():
-    tracer = _tracer()
+def test_traced_names_resolve(perfbench):
+    tracer = perfbench("tracer")
     for table in (tracer.TRACED, tracer.GENERATORS):
         for layer, names in table.items():
             mod = importlib.import_module(f"semicubic.{layer}")
