@@ -388,25 +388,21 @@ def _centre_sweep(k: int, s_set: PrimeSet, prime_cutoff: int) -> tuple:
     return pre * fp, primes[1:], _centre_coefficients(k, False), _centre_coefficients(k, True)
 
 
-def _zeta_identity_sweep(k: int, s: float, w: float, prime_cutoff: int) -> float:
-    """The per-prime zeta identity at (s, w): the worst relative difference,
-    over the primes up to the cutoff, each outside the set, between
-    fp_series(p, 60) and gp over its three zeta denominators.
+def _series_closed_sweep(k: int, s: float, w: float, prime_cutoff: int) -> float:
+    """The worst relative difference, over the primes up to the cutoff, each
+    outside the set, between the Euler factor's series fp_series(p, 60) and
+    its closed form fp_closed at (s, w).
 
     The point is checked once, as EulerFactorInput and fp_series check it, and
-    the primes come from the sieve, so no prime is tested; gp is pre * fp from
-    _local_factor, as gp returns it, and the series is _series_core.
+    the primes come from the sieve, so no prime is tested; the closed form is
+    fp from _local_factor, and the series is _series_core.
     """
     _check_point(k, s, w)
     _check_series_region(k, s, w)
     worst = 0.0
     for p in primes_up_to(prime_cutoff):
-        pre, fp = _local_factor(p, k, False, s, w)
-        zeta_side = pre * fp / ((1 - p**-s)
-                                * (1 - float(p) ** -(s + 2 * w - 4 * k + 2))
-                                * (1 - float(p) ** -(s + 3 * w - 6 * k + 3)))
-        worst = max(worst, abs(_series_core(p, k, False, s, w, 60) - zeta_side)
-                    / abs(zeta_side))
+        fp = _local_factor(p, k, False, s, w)[1]
+        worst = max(worst, abs(_series_core(p, k, False, s, w, 60) - fp) / abs(fp))
     return worst
 
 

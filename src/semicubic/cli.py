@@ -27,7 +27,7 @@ from .arith import (PRIME_SIEVE_LIMIT, CapacityError, DomainError, PrimeSet,
                     check_sieve_limit, primes_up_to, vp)
 from .analytic import (
     EulerFactorInput,
-    _zeta_identity_sweep,
+    _series_closed_sweep,
     centre_factors,
     constants_report,
     fp_closed,
@@ -167,8 +167,9 @@ def _check_printable(ints) -> None:
 
 def _cmd_count(args) -> int:
     rep = count_report(_request(args, args.bound),
-                       with_oracle=args.method in ("oracle", "both"),
-                       with_st=args.with_st)
+                       with_oracle=args.method in ("oracle", "both"))
+    if not args.with_st:
+        rep["s_value"] = rep["t_value"] = None
     if not args.timings:
         del rep["timings"]
     _check_printable([*rep["n_star_values"].values(),
@@ -195,7 +196,7 @@ def _count_rows(args) -> list:
     """Per bound: the row prefix (B, tuples, points, n_main, ratio_tuples),
     the prediction it rests on and the count report, with S and T."""
     rep = constants_report(args.k, args.exclude_primes, args.bounds)
-    counts = (count_report(_request(args, b), with_st=True) for b in args.bounds)
+    counts = (count_report(_request(args, b)) for b in args.bounds)
     return [((b, r["tuples"], r["points"], pred["n_main"], r["tuples"] / pred["n_main"]),
              pred, r) for b, pred, r in zip(args.bounds, rep["predictions"], counts)]
 
@@ -287,7 +288,7 @@ def _suite_routes(report) -> bool:
 
 
 def _check_euler_factors(report) -> bool:
-    """The series against the closed form, and the per-prime zeta identity."""
+    """The series against the closed form, on a grid and at every prime up to 10^4."""
     worst = 0.0
     for p in (2, 3, 5, 7, 11):
         for k in (1, 2):
@@ -296,9 +297,9 @@ def _check_euler_factors(report) -> bool:
                     inp = EulerFactorInput(p=p, k=k, in_S=in_s, s=s, w=w)
                     worst = max(worst, abs(fp_series(inp, 60) - fp_closed(inp)))
     report(f"series vs closed worst abs diff {worst:.2e}")
-    worst_zeta = max(_zeta_identity_sweep(k, 2.0, 2.0 * k, 10**4) for k in (1, 2))
-    report(f"per-prime zeta identity for p <= 10^4 worst rel diff {worst_zeta:.2e}")
-    return worst <= 1e-9 and worst_zeta <= 1e-12
+    worst_rel = max(_series_closed_sweep(k, 2.0, 2.0 * k, 10**4) for k in (1, 2))
+    report(f"series vs closed form for p <= 10^4 worst rel diff {worst_rel:.2e}")
+    return worst <= 1e-9 and worst_rel <= 1e-12
 
 
 def _check_specializations(report) -> bool:
@@ -418,8 +419,8 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     try:
         if hasattr(args, "exclude_primes"):
             args.exclude_primes = PrimeSet.parse(args.exclude_primes)
-        if hasattr(args, "bounds"):
-            args.bounds = [int(t) for t in args.bounds.split(",") if t.strip()]
+        if hasattr(args, "bounds"):  # as PrimeSet.parse: "" is none, "20,,30" an error
+            args.bounds = [int(t) for t in args.bounds.split(",")] if args.bounds.strip() else []
     except DomainError:
         raise
     except ValueError as exc:  # a token that is not an integer

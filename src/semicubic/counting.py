@@ -8,7 +8,7 @@
   inclusion-exclusion, sharing no code with the oracle's point loop.
 * s_sum / t_sum: the auxiliary double sums over the multiplicative model,
   feeding the main-term identities: separate passes, the references for the
-  S(B, B^2) and T(B) that count_report takes from the model walk.
+  S(B, B^2) and T(B) that count_report takes from the count's own walk.
 
 All three sums run over cofactors c = n^3/d.  With B = bn/bd, d lies in
 the window n^3 e/B < d <= B^2/e^2 of e exactly when e c bd < bn and
@@ -19,7 +19,7 @@ positive (r*(p^f) >= 1, and r_4k(d) >= 1 for d >= 1), so the nonzero e are
 those whose window holds a cofactor.  S and T are the multiplicative total
 less the cofactors below a cap: for T every c < B, all of them in the walk,
 and for S those with d > B^2, the walk's cofactors with top(c) = 0.  So
-every route takes S and T from the model walk.
+every route takes S and T from the model weights its own walk files.
 
 All window comparisons are exact (integer cross-multiplication against
 rational bounds, bisection on integer prime cubes, and in the oracle
@@ -29,8 +29,8 @@ is exact.  On the model routes the n whose largest prime p is outside
 the set and simple are not visited one at a time: top(c) does not
 increase with p, so their cofactors are summed over runs of primes
 against prefix sums of the weights of p (_walk_runs).  The exact table
-walks every n for its windows.  All sums are of integers, so any order
-of summation gives a bit-identical total.
+walks every n and files both weights.  All sums are of integers, so any
+order of summation gives a bit-identical total.
 """
 
 from __future__ import annotations
@@ -219,30 +219,32 @@ def _check_walk_bound(nmax: int) -> None:
 
 
 def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
-    """The loop over n <= B, one n at a time: (diff, total).
+    """The loop over n <= B, one n at a time: (diff, total, exact).
 
-    Each cofactor adds its weight to top(c), which is 0 exactly when
-    c < lo (d > B^2); total is the model weight of every allowed cofactor.
-    With a table, only the cofactors in a window (c >= lo) are kept,
-    weighed by the table, so slot 0 stays 0.
+    Each cofactor adds its model weight to top(c), which is 0 exactly when
+    d > B^2; total is the model weight of every allowed cofactor.  With a
+    table, each cofactor with top(c) >= 1, that is in a window, also adds
+    its table weight r_4k(d) to exact at top(c), so exact[0] stays 0;
+    exact is None without a table.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
     cmax = (bn - 1) // bd
     diff = [0] * (bn // bd + 1)
+    exact = None if table is None else diff[:]
     total = 0
     root = isqrt
     for n, items, weight in _profiles(bn // bd, req, cmax):
         total += weight
         n3 = n * n * n
         n3bd2 = n3 * bd2
-        if table is not None:
-            lo = -(-n3bd2 // bn2)  # c >= lo: d = n^3/c <= B^2, and top(c) >= 1
-            items = [(c, table[n3 // c]) for c, _ in items if c >= lo]
         for c, w in items:
             t, cc = root(bn2 * c // n3bd2), cmax // c
-            diff[t if t < cc else cc] += w
-    return diff, total
+            t = t if t < cc else cc
+            diff[t] += w
+            if t and table:
+                exact[t] += table[n3 // c]
+    return diff, total, exact
 
 
 def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
@@ -372,34 +374,32 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     return diff, total
 
 
-def _walk(bound, req: CountRequest, with_st: bool = False) -> tuple:
+def _walk(bound, req: CountRequest) -> tuple:
     """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
 
     Squarefree e with nonzero entries only.  Each cofactor adds its weight
     at top(c); suffix sums give n_star(B/e) / 2.  S and T come from the
-    model walk on every route: slot 0 takes top(c) = 0, that is d > B^2,
-    so S is the model total less slot 0, and T is the total less every
-    cofactor below B, the whole difference array.
+    model weights the same walk files: slot 0 takes top(c) = 0, that is
+    d > B^2, so S is the model total less slot 0, and T is the total less
+    every cofactor below B, the whole difference array.
 
     The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
-    are not multiplicative, walks every n (_walk_block).  There the model
-    walk serves only S and T, so it runs only with_st, and S and T are None
-    without it.
+    are not multiplicative, walks every n (_walk_block), filing each
+    cofactor's model weight and table weight side by side.
     """
     b = _as_fraction(bound)
     if b < 1:
         raise DomainError("bound must be >= 1")
     nmax = b.numerator // b.denominator
     _check_walk_bound(nmax)
-    exact = req.r_source == RSource.EXACT
-    if exact:  # its table guard refuses before any walk runs
+    if req.r_source == RSource.EXACT:  # its table guard refuses before the walk
         table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
-    s = t = None
-    if with_st or not exact:
+        model, total, diff = _walk_block(req, b, table)
+    else:
         model, total = _walk_runs(req, b)
-        s, t = total - model[0], total - sum(model)
-    diff = _walk_block(req, b, table)[0] if exact else model
+        diff = model
+    s, t = total - model[0], total - sum(model)
     mu = mobius_sieve(nmax)
     acc = 0
     for e in range(nmax, 0, -1):
@@ -572,19 +572,18 @@ def point_classes(bound: int, k: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # Reports
 
-def count_report(req: CountRequest, with_oracle: bool = False,
-                 with_st: bool = False) -> dict:
+def count_report(req: CountRequest, with_oracle: bool = False) -> dict:
     """The count artifact, keys in output order: {e: n_star(B/e)}, the Mobius
-    total as tuples and points, the oracle, S and T (None unless asked for),
-    then the timings of the routes that ran."""
+    total as tuples and points, the oracle (None unless asked for), S and T,
+    then the timings of the routes that ran.  The oracle runs first, so its
+    table guard refuses before the walk."""
     t0 = time.perf_counter()
-    by_d, total, sv, tv = _walk(req.bound, req, with_st)
-    timings = {"mobius_s": time.perf_counter() - t0}
-    oracle = None
+    oracle = n_oracle(req.bound, req.k, req.s_set) if with_oracle else None
+    t1 = time.perf_counter()
+    by_d, total, sv, tv = _walk(req.bound, req)
+    timings = {"mobius_s": time.perf_counter() - t1}
     if with_oracle:
-        t0 = time.perf_counter()
-        oracle = n_oracle(req.bound, req.k, req.s_set)
-        timings["oracle_s"] = time.perf_counter() - t0
+        timings["oracle_s"] = t1 - t0
     return {
         "schema": "v1",
         "request": req.to_json_dict(),
@@ -593,7 +592,7 @@ def count_report(req: CountRequest, with_oracle: bool = False,
         "tuples": total,
         "points": total // 2,
         "n_oracle": oracle,
-        "s_value": sv if with_st else None,
-        "t_value": tv if with_st else None,
+        "s_value": sv,
+        "t_value": tv,
         "timings": timings,
     }

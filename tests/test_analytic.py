@@ -189,7 +189,7 @@ def test_series_equals_the_double_loop(fp_series_reference):
                         assert fp_series(i, a_max) == fp_series_reference(i, a_max), (i, a_max)
 
 
-def test_zeta_identity_sweep_checks_its_point_first(monkeypatch):
+def test_series_closed_sweep_checks_its_point_first(monkeypatch):
     def evaluated(*args):
         raise AssertionError("a prime was evaluated before the point was checked")
 
@@ -198,7 +198,7 @@ def test_zeta_identity_sweep_checks_its_point_first(monkeypatch):
     # outside the holomorphy domain, outside the convergent region, and k < 1
     for k, s, w in ((1, 0.5, 2.0), (1, 2.0, -1.0), (1, 1.0, 1.0), (2, 2.0, 3.0), (0, 2.0, 2.0)):
         with pytest.raises(DomainError):
-            analytic._zeta_identity_sweep(k, s, w, 10**4)
+            analytic._series_closed_sweep(k, s, w, 10**4)
 
 
 def test_series_requires_convergent_region():

@@ -131,8 +131,8 @@ def _table_int_columns(k, bounds, source, s):
 def _rstar_int_columns(bounds, s):
     """The text _table_int_columns gave for --r-source rstar, from count_report."""
     s_set = PrimeSet.parse(s)
-    rows = [count_report(CountRequest(k=1, bound=b, s_set=s_set, r_source=RSource.RSTAR),
-                         with_st=True) for b in bounds]
+    rows = [count_report(CountRequest(k=1, bound=b, s_set=s_set, r_source=RSource.RSTAR))
+            for b in bounds]
     return "B,tuples,s_sum,t_sum\n" + "".join(
         f"{b},{r['tuples']},{r['s_value']},{r['t_value']}\n" for b, r in zip(bounds, rows))
 

@@ -123,6 +123,9 @@ BAD_BOUNDS = [
     ["predict", "--bounds", "10,10"],
     ["compare", "--bounds", "1"],
     ["compare", "--bounds", "20,a"],
+    # an empty token is an error, as in --exclude-primes
+    ["compare", "--bounds", "20,,30"],
+    ["predict", "--bounds", ","],
     ["table", "--bounds", "1"],
     ["table", "--bounds", "5,20,5"],
     ["count", "--bound", "0"],
@@ -325,7 +328,7 @@ def test_verify_suites(capsys):
     assert all(f"ok - {suite}" in lines for suite in ("mpoints", "routes", "euler"))
     assert "  checked 491512 points of height <= 40 (112 coordinate classes)" in lines
     assert "  series vs closed worst abs diff 1.33e-15" in lines
-    assert "  per-prime zeta identity for p <= 10^4 worst rel diff 4.44e-16" in lines
+    assert "  series vs closed form for p <= 10^4 worst rel diff 4.44e-16" in lines
 
 
 def test_output_file(tmp_path, capsys):

@@ -215,11 +215,11 @@ def test_walk_runs_match_the_per_n_walk():
     for k, source, s, bound in product((1, 2), (RSource.JACOBI, RSource.RSTAR),
                                        ("", "2", "2,3", "5,7", "3,7"), bounds):
         r = req(bound, k=k, s_set=PrimeSet.parse(s), source=source)
-        assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound), \
+        assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound)[:2], \
             (k, source, s, bound)
     # the benchmark's count at its most runs: 46,782 for g = 0 alone
     r = req(2 * 10**4, s_set=S23)
-    assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound)
+    assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound)[:2]
 
 
 def test_walk_runs_large_cases():
@@ -229,7 +229,7 @@ def test_walk_runs_large_cases():
               req(3 * 10**4, s_set=PrimeSet.of(5, 7), source=RSource.RSTAR),
               req(10**5, s_set=S0),
               req(3 * 10**4, k=2, s_set=PrimeSet.of(3), source=RSource.RSTAR)):
-        assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound), \
+        assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound)[:2], \
             (r.k, r.bound)
 
 
@@ -362,30 +362,36 @@ def test_exact_table_guard_runs_before_the_model_walk(monkeypatch):
     for k, bound in ((1, 519), (10**4, 100)):
         with pytest.raises(CapacityError, match="exceeds the budget"):
             n_mobius(bound, req(bound, k, source=RSource.EXACT))
+    # and the oracle's guard refuses before the walk of a model route
+    with pytest.raises(CapacityError, match="exceeds the budget"):
+        count_report(req(519), with_oracle=True)
 
 
 def test_exact_count_without_st_skips_the_model_walk(monkeypatch):
-    # the model walk serves only S and T on the exact route: without them the
-    # count and n_mobius read the table alone, with the values of the scaled
-    # model (equal to the table at k <= 2); with them the model walk runs
-    cases = [req(b, k, s_set) for k, b in ((1, 60), (2, 30)) for s_set in (S0, S23)]
-    expected = [(n_star_by_divisor(r.bound, r), n_mobius(r.bound, r)) for r in cases]
+    # the exact route never runs the walk by runs, with or without S and T:
+    # its count is the scaled model's (equal to the table at k <= 2), and its
+    # S and T, from the model weights its own walk files, are the separate passes
+    cases = [req(b, k, s_set, RSource.EXACT)
+             for k, b in ((1, 60), (2, 30), (3, 20)) for s_set in (S0, S23)]
+    st = [(s_sum(r.bound, r.bound ** 2, r), t_sum(r.bound, r)) for r in cases]
+    model = {}
+    for r in cases[:4]:  # k <= 2
+        scaled = req(r.bound, r.k, r.s_set)
+        model[r] = (n_star_by_divisor(r.bound, scaled), n_mobius(r.bound, scaled))
 
     def walked(*args):
         raise AssertionError("the model walk ran")
 
     monkeypatch.setattr(counting, "_walk_runs", walked)
-    for r, (by_d, total) in zip(cases, expected):
-        exact = req(r.bound, r.k, r.s_set, RSource.EXACT)
-        rep = count_report(exact)
-        assert (rep["n_star_values"], rep["n_mobius"]) == (by_d, total), (r.k, str(r.s_set))
-        assert (rep["s_value"], rep["t_value"]) == (None, None)
-        assert n_mobius(r.bound, exact) == total
-        with pytest.raises(AssertionError, match="the model walk ran"):
-            count_report(exact, with_st=True)
+    for r, (sv, tv) in zip(cases, st):
+        rep = count_report(r)
+        assert (rep["s_value"], rep["t_value"]) == (sv, tv), (r.k, str(r.s_set))
+        if r in model:
+            assert (rep["n_star_values"], rep["n_mobius"]) == model[r], (r.k, str(r.s_set))
+        assert n_mobius(r.bound, r) == rep["n_mobius"]
     # and the table guard still refuses first
     with pytest.raises(CapacityError, match="exceeds the budget"):
-        count_report(req(519, source=RSource.EXACT), with_st=True)
+        count_report(req(519, source=RSource.EXACT))
 
 
 def test_r4k_table_keeps_the_longest(monkeypatch):
@@ -505,7 +511,7 @@ def test_s_t_k2_against_definitions():
 
 def _assert_walk_st(r, s_value, t_value):
     """The count's own S and T equal the separate s_sum and t_sum passes."""
-    rep = count_report(r, with_st=True)
+    rep = count_report(r)
     assert (rep["s_value"], rep["t_value"]) == (s_value, t_value), (r.k, r.bound, r.r_source)
 
 
@@ -537,7 +543,7 @@ def test_st_nstar_relation():
 
 def test_count_report_round_trip():
     for r in (req(20, s_set=S23), req(10, k=2, s_set=S23)):
-        rep = count_report(r, with_oracle=True, with_st=True)
+        rep = count_report(r, with_oracle=True)
         assert rep["n_oracle"] == rep["n_mobius"]
         assert rep["points"] == rep["tuples"] // 2
         assert rep["request"]["r_source"] == f"jacobi_k{r.k}"
@@ -546,9 +552,9 @@ def test_count_report_round_trip():
 
 
 def test_count_report_walks_once(monkeypatch):
-    # the count, its Mobius sum, S and T come from one walk by runs and one
-    # mu sieve; a model route makes no pass over every n, and the exact
-    # route makes one, for the table's windows, and takes S and T from the runs
+    # the count, its Mobius sum, S and T come from one walk and one mu sieve:
+    # a model route walks by runs and makes no pass over every n, and the
+    # exact route makes one pass over every n and no walk by runs
     cases = [(req(40, s_set=S23), 0), (req(40, k=3, s_set=S23, source=RSource.EXACT), 1)]
     st = [(s_sum(40, 1600, r), t_sum(40, r)) for r, _ in cases]
     calls = dict.fromkeys(("_walk_runs", "_walk_block", "mobius_sieve", "_profiles"), 0)
@@ -559,8 +565,8 @@ def test_count_report_walks_once(monkeypatch):
         monkeypatch.setattr(counting, name, counted)
     for (r, per_n), (sv, tv) in zip(cases, st):
         calls.update(dict.fromkeys(calls, 0))
-        rep = count_report(r, with_st=True)
-        assert calls == {"_walk_runs": 1, "_walk_block": per_n, "mobius_sieve": 1,
+        rep = count_report(r)
+        assert calls == {"_walk_runs": 1 - per_n, "_walk_block": per_n, "mobius_sieve": 1,
                          "_profiles": per_n}, r.r_source
         assert (rep["s_value"], rep["t_value"]) == (sv, tv), r.r_source
 

@@ -13,9 +13,9 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 10 s on a 2-core x86 machine (9.9 and 10.1 s in two runs
-of its 277 commands; 12 to 14 s while each r_4k table raised theta to the
-power 4k itself), 3.8 to 4.1 s of them in one count at B = 10^6, the edge of
+Stdlib only; about 7 s on a 2-core x86 machine (7.0 and 7.1 s in two runs
+of its 280 commands; 12 to 14 s while each r_4k table raised theta to the
+power 4k itself), about 2.2 s of them in one count at B = 10^6, the edge of
 the loop over n, and about 1.2 s in the k = 5 count and oracle at the edge of
 their r_20 table, B = 252.  The r_4k tables are kept from command to
 command and rebuilt only for a command that needs a longer one, and every
@@ -85,6 +85,9 @@ EXTRA = [
     ["predict", "--bounds", "10,10"],
     ["compare", "--bounds", "1"],
     ["compare", "--bounds", "20,a"],
+    # an empty token in --bounds, as in --exclude-primes below
+    ["compare", "--k", "1", "--bounds", "20,,30"],
+    ["predict", "--bounds", ","],
     ["table", "--bounds", "1"],
     ["table", "--bounds", "5,20,5"],
     ["count", "--bound", "0"],
@@ -190,6 +193,8 @@ EXTRA = [
       for argv, edge in ((["local-factors", "--k", "1", "--prime-cutoff"], 10**6),
                          (["count", "--k", "1", "--bound"], 10**6))
       for step in (0, 1)),
+    # past the loop's edge with the oracle: its table guard refuses before the walk
+    ["count", "--k", "1", "--bound", "1000001", "--method", "both"],
     ["predict", "--k", "1", "--prime-cutoff", "1000001"],
     # predict's cutoff is only checked and echoed: refused below 100 (exit 2),
     # below 2 by the check local-factors shares, and after k, whose refusal
