@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,7 +62,7 @@ from .arith import (
     primes_up_to,
     zeta_real,
 )
-from .reps import _p2_coefficients
+from .reps import _p2_coefficients, r4k_main_coeff
 
 SERIES_TERM_FLOOR = 1e-22  # a-terms below this cannot move any tested digit
 
@@ -489,7 +490,7 @@ def _horner_bound(coefficients: tuple) -> tuple:
     d_err = math.fsum((3 * i + 1) * b * w for i, (b, w) in enumerate(zip(d, third)))
     d_lo = 2.0 - math.fsum(map(operator.mul, d, third))  # d[0] = 1
     h_hi = n_hi / d_lo
-    g_lo = 1.0 - h_hi  # at least 0.39 at every k predict reaches (the tests check each)
+    g_lo = 1.0 - h_hi  # at least 0.39 at every k euler_constant takes (the tests check each)
     return 1.02 * _U * ((n_err + h_hi * d_err) / d_lo + h_hi) / g_lo, v
 
 
@@ -621,11 +622,6 @@ def euler_constant(k: int, s_set: PrimeSet) -> EulerProductResult:
     return EulerProductResult(value=value, prime_cutoff=_HEAD_CUTOFF, tail_estimate=bound)
 
 
-def _prefactor(k: int) -> float:
-    """4k / ((3k-1)(4^k-1)|B_2k|), the rational part of the leading constant."""
-    return 4 * k / ((3 * k - 1) * (4**k - 1) * float(abs(bernoulli(2 * k))))
-
-
 def _main_terms(k: int, g: float, lead: float, bound) -> dict:
     """Leading main terms at B from the Euler product g and leading constant."""
     if bound < 1:
@@ -687,13 +683,15 @@ def predict(bound: float, k: int, s_set: PrimeSet) -> dict:
 def constants_report(k: int, s_set: PrimeSet, bounds=()) -> dict:
     """Everything the prediction rests on, with G's certified error bound.
 
-    G and euler_product_tail_estimate come from euler_constant, over every
-    prime, so no prime cutoff enters.
+    G and its bound come from euler_constant, over every prime.  OverflowError
+    where the prefactor or the leading constant is not a normal float (k >= 109).
     """
     ep = euler_constant(k, s_set)
     z = zeta_real(4 * k - 1)
-    pre = _prefactor(k)
+    pre = float(r4k_main_coeff(k) / (3 * k - 1))  # the exact rational, rounded once
     lead = pre * ep.value / z
+    if min(pre, lead) < sys.float_info.min:
+        raise OverflowError(f"the leading constant leaves the float range at k = {k}")
     g2, g2_special = centre_factors(2, k, 2 in s_set)
     return {
         "schema": "v1",

@@ -7,7 +7,8 @@ Timings are only included when asked for, since they would break
 byte-identical reruns.
 
 Exit codes: 0 success, 1 verification-suite failure, 2 usage error
-(including a --k or bound too large for the float arithmetic), 3 capacity
+(including a --k or bound too large for the float arithmetic, and an output,
+stdout or --out, that cannot be written), 3 capacity
 guard (including a bound too large for memory and a count too long to
 print), 141 (128 + SIGPIPE) when the reader closed stdout before the
 output was written, as `| head` does.
@@ -481,14 +482,20 @@ def main(argv=None) -> int:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(args)
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull, so that the flush at
-        # exit writes what is left nowhere instead of raising again
+        code = run(args)
+        sys.stdout.flush()  # a block-buffered stdout fails here, not at exit
+        return code
+    except OSError as exc:
+        # only a write to stdout gets here (_emit_text turns --out's into a
+        # DomainError): point stdout at devnull, so that the flush at exit
+        # writes what is left nowhere instead of raising again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return 141
+        if isinstance(exc, BrokenPipeError):  # the reader is gone
+            return 141
+        print(f"invalid arguments: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -141,6 +141,10 @@ BAD_BOUNDS = [
     # not a bound: the unscaled model would be printed as the tuple count
     ["compare", "--k", "1", "--bounds", "50,99", "--format", "csv", "--r-source", "rstar"],
     ["table", "--k", "1", "--bounds", "50,99", "--r-source", "rstar"],
+    # the leading constant below the normal floats, from k = 109 on
+    ["predict", "--k", "109"],
+    ["compare", "--k", "128", "--bounds", "2"],
+    ["table", "--k", "129", "--bounds", "2", "--exclude-primes", "2"],
 ]
 
 
@@ -168,6 +172,18 @@ def test_large_k_is_refused_before_the_centre_polynomials(capsys, monkeypatch):
     for argv in (["predict", "--k", "1000000"], ["local-factors", "--k", "1000000"],
                  ["predict", "--k", "129", "--prime-cutoff", "100"]):
         _assert_usage_error(capsys, argv)
+
+
+def test_leading_constant_at_the_edge_of_the_normal_floats(capsys):
+    # k = 108 is the last k whose prefactor, 1.6e-305, is a normal float; from
+    # k = 109 on predict, compare and table refuse, whatever the set
+    for s in ("", "2", "2,3", "5,7"):
+        code, out = _run(capsys, ["predict", "--k", "108", "--exclude-primes", s])
+        assert code == 0 and json.loads(out)["leading_constant"] >= sys.float_info.min, s
+        for k in range(109, 131):
+            for command in ("predict", "compare", "table"):
+                _assert_usage_error(capsys, [command, "--k", str(k), "--bounds", "2",
+                                             "--exclude-primes", s])
 
 
 def _assert_g_within_printed_bound(out, g):
@@ -408,6 +424,24 @@ def test_closed_stdout_exits_141_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in err, err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_stdout_exits_2_without_a_traceback():
+    # every write to /dev/full fails with ENOSPC: one usage line, as a failed
+    # --out gives, whether the command writes in pieces or prints
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv in (["count", "--k", "1", "--bound", "50"],
+                 ["predict", "--k", "1", "--bounds", "10"],
+                 ["local-factors", "--prime-cutoff", "100000"],
+                 ["verify", "--suite", "euler"]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "semicubic.cli", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, (argv, err)
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1, (argv, err)
+        assert err.startswith("invalid arguments: cannot write stdout: "), (argv, err)
 
 
 def test_local_factors_overflow_writes_nothing(tmp_path, capsys):

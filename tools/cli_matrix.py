@@ -13,9 +13,9 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 7 s on a 2-core x86 machine (7.0 and 7.1 s in two runs
-of its 280 commands; 12 to 14 s while each r_4k table raised theta to the
-power 4k itself), about 2.2 s of them in one count at B = 10^6, the edge of
+Stdlib only; about 8 s on a 2-core x86 machine (8.2 s for its 286 commands;
+12 to 14 s while each r_4k table raised theta to the power 4k itself), about
+2.2 s of them in one count at B = 10^6, the edge of
 the loop over n, and about 1.2 s in the k = 5 count and oracle at the edge of
 their r_20 table, B = 252.  The r_4k tables are kept from command to
 command and rebuilt only for a command that needs a longer one, and every
@@ -102,8 +102,9 @@ EXTRA = [
     ["local-factors", "--prime-cutoff", "0"],
     ["local-factors", "--prime-cutoff", "-5"],
     # large k: gp_special's float powers overflow (exit 2), the Euler
-    # product's odd primes do not; predict's edges are p = 2 (k = 129) and,
-    # with 2 in the set, the prefactor (k = 130)
+    # product's odd primes do not; euler_constant's edge is p = 2 outside the
+    # set (k = 129), later with 2 in it, but predict stops first, at k = 109,
+    # where the leading constant's prefactor leaves the normal floats
     ["predict", "--k", "20", "--prime-cutoff", "200"],
     ["local-factors", "--k", "20", "--prime-cutoff", "200"],
     ["predict", "--k", "7", "--prime-cutoff", "1000000"],
@@ -137,8 +138,9 @@ EXTRA = [
     ["count", "--k", "1", "--bound", "519", "--method", "oracle"],
     ["count", "--k", "5", "--bound", "20", "--method", "both", "--with-st"],
     # a prime of the set above the prime cutoff enters the Euler product
-    # through the centre polynomials, in the float range at every k predict
-    # takes, up to the largest prime a set holds and k = 129 with 2 in the set
+    # through the centre polynomials, in the float range at every k
+    # euler_constant takes, up to the largest prime a set holds and k = 129
+    # with 2 in the set (where predict refuses the leading constant)
     ["predict", "--k", "1", "--prime-cutoff", "100", "--exclude-primes", "101",
      "--bounds", "1000"],
     ["compare", "--k", "1", "--bounds", "20,40", "--exclude-primes", "10007"],
@@ -209,6 +211,17 @@ EXTRA = [
     # last bits on the order of those additions, below the 15 digits printed
     ["predict", "--k", "3", "--exclude-primes", "101", "--bounds", "1000"],
     *(["predict", "--k", k, "--exclude-primes", "2,101,103"] for k in ("3", "128")),
+    # the leading constant's edge: its prefactor r4k_main_coeff(k) / (3k - 1) is
+    # a normal float up to k = 108 (exit 0) and subnormal from k = 109 (exit 2);
+    # compare and table stop there too, before any count
+    ["predict", "--k", "108", "--bounds", "2"],
+    ["predict", "--k", "109", "--bounds", "2"],
+    ["compare", "--k", "128", "--bounds", "2"],
+    ["table", "--k", "129", "--bounds", "2", "--exclude-primes", "2"],
+    # a k where the prefactor rounded once moves the 15th digit printed
+    ["predict", "--k", "21", "--bounds", "10"],
+    # primes of the set above 100 at the largest k predict takes
+    ["predict", "--k", "108", "--exclude-primes", "2,101,103"],
 ]
 
 
