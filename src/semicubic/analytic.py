@@ -55,8 +55,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (
+    _FIXED_BITS,
+    _ZETA_FLOORS,
     DomainError,
     PrimeSet,
+    _zeta_fixed,
     bernoulli,
     is_prime,
     primes_up_to,
@@ -461,7 +464,6 @@ def euler_product(k: int, s_set: PrimeSet, prime_cutoff: int) -> EulerProductRes
 # p^-m, with zeta_100(m) in fixed point with _FIXED_BITS fractional bits.
 _HEAD_CUTOFF = 100
 _TAIL_TERMS = 20
-_FIXED_BITS = 128
 _U = 2.0**-53  # the unit roundoff of a float
 # The relative error of g_2 from _local_factor at (1, 2k-1): at most 2^-52
 # at every k it reaches, both sides of the set, against exact rationals (the
@@ -539,37 +541,25 @@ def _prime_zeta_tail() -> tuple:
     down, T(m) = log zeta_100(m) - sum_{r >= 2} T(rm)/r, the Moebius
     inversion of log zeta_100(s) = sum_r T(rs)/r; the r with rm > 20 are
     bounded, not summed.  zeta_100(m) = zeta(m) prod_{p <= 100} (1 - p^-m)
-    is taken in fixed point: zeta(m) by Euler-Maclaurin as zeta_real takes
-    it (N = 16, 8 corrections, the remainder below the first omitted one),
-    each floor within one unit of 2^-128.  Only zeta_100(m) - 1, about
-    101^-m, is rounded to a float.  Taken as log zeta(m) + sum log1p(-p^-m)
-    in floats, log zeta_100(m) would carry an error near 2^-53 at every m,
-    which the largest c_m multiply (it moved G by 1e-6 with m up to 60).
-    log1p is taken within two units in the last place.
+    is taken in fixed point: zeta(m) from _zeta_fixed, as zeta_real takes
+    it, then one floor per prime, each within one unit of 2^-128.  Only
+    zeta_100(m) - 1, about 101^-m, is rounded to a float.  Taken as
+    log zeta(m) + sum log1p(-p^-m) in floats, log zeta_100(m) would carry
+    an error near 2^-53 at every m, which the largest c_m multiply (it
+    moved G by 1e-6 with m up to 60).  log1p is taken within two units in
+    the last place.
     """
-    terms, n, corrections = _TAIL_TERMS, 16, 8
+    terms = _TAIL_TERMS
     one = 1 << _FIXED_BITS
     small = primes_up_to(_HEAD_CUTOFF)
     # what the inversion leaves out at any m: sum_{j > 20} T(j), with
     # T(j) <= sum_{i >= 101} i^-j <= 101^-j (1 + 101/(j - 1))
     beyond = 2 * (_HEAD_CUTOFF + 1) ** -(terms + 1) * (1 + (_HEAD_CUTOFF + 1) / terms)
-    floors = (n - 1 + 2 + corrections + len(small)) / one  # one unit per floor
-    # B_2j / (2j)! as (numerator, denominator), j = 1..corrections + 1
-    weights = [(b.numerator, b.denominator * math.factorial(2 * j))
-               for j in range(1, corrections + 2) for b in [bernoulli(2 * j)]]
+    floors = (_ZETA_FLOORS + len(small)) / one  # one unit per floor
     t = [0.0] * (terms + 1)
     err = [0.0] * (terms + 1)
     for m in range(terms, 1, -1):
-        z = sum(one // i**m for i in range(1, n)) + one // ((m - 1) * n ** (m - 1))
-        z += one // (2 * n**m)
-        for j, (num, den) in enumerate(weights, 1):
-            # B_2j/(2j)! m(m+1)...(m+2j-2) n^(1-m-2j)
-            num *= math.prod(range(m, m + 2 * j - 1))
-            den *= n ** (m + 2 * j - 1)
-            if j > corrections:  # the first omitted one bounds the remainder
-                remainder = abs(num) / den
-            else:
-                z += num * one // den
+        z, remainder = _zeta_fixed(m)
         for p in small:
             z -= z // p**m
         rough = (z - one) / one

@@ -606,14 +606,16 @@ def test_p2_factor_within_its_rounding_bound():
     # _P2_ERROR allows twice the largest relative error of the float closed
     # form at p = 2 over every k it reaches, on both sides of the set
     worst = Fraction(0)
+    edges = {}
     for in_s in (False, True):
-        for k in range(1, 131):
+        for k in range(1, 258):
             try:
                 pre, fp = analytic._local_factor(2, k, in_s, 1.0, 2.0 * k - 1)
             except OverflowError:
-                assert k == (130 if in_s else 129), (k, in_s)  # euler_constant's own edges
+                edges[in_s] = k
                 break
             worst = max(worst, abs(Fraction(pre * fp) / _p2_exact(k, in_s) - 1))
+    assert edges == {False: 129, True: 257}  # euler_constant's own edges
     assert worst <= analytic._P2_ERROR / 2, float(worst)
 
 
@@ -644,6 +646,16 @@ def test_prime_zeta_tail_within_its_bound():
             exact = mpmath.primezeta(m) - mpmath.fsum(mpmath.mpf(p) ** -m
                                                      for p in primes_up_to(100))
             assert abs(t[m] - exact) <= err[m] <= 1e-14 * exact + 1e-22, m
+
+
+# sha256 of repr(_prime_zeta_tail()), recorded before its zeta(m) moved into
+# arith._zeta_fixed
+PRIME_ZETA_TAIL_SHA = "dca699008b7b83f62b81a2b7e5e4fb82d90d52fdac583318eb361261822a1066"
+
+
+def test_prime_zeta_tail_bits_pinned():
+    text = repr(analytic._prime_zeta_tail())
+    assert hashlib.sha256(text.encode()).hexdigest() == PRIME_ZETA_TAIL_SHA
 
 
 def test_constants_report_visits_only_the_head(monkeypatch):

@@ -170,24 +170,46 @@ def test_bernoulli_zeta_relation():
 
 
 def test_zeta_values():
-    assert abs(zeta_real(2, 1e-12) - math.pi**2 / 6) <= 1e-12
-    assert abs(zeta_real(3, 1e-12) - 1.2020569031595942) <= 1e-12
-    assert abs(zeta_real(7, 1e-12) - 1.0083492773819228) <= 1e-12
+    assert abs(zeta_real(2) - math.pi**2 / 6) <= 1e-12
+    assert abs(zeta_real(3) - 1.2020569031595942) <= 1e-12
+    assert abs(zeta_real(7) - 1.0083492773819228) <= 1e-12
     with pytest.raises(DomainError):
         zeta_real(1.0)
-    with pytest.raises(DomainError):
-        zeta_real(2.0, 0.0)
 
 
 def test_zeta_direct_summation_cross_check():
     # independent oracle: plain summation with an integral tail bound
-    for s in (2.5, 3.0, 7.0):
+    for s in (2, 3, 7):
         n_cut = 2000
         direct = sum(n ** (-s) for n in range(1, n_cut + 1))
         tail_lo = (n_cut + 1) ** (1 - s) / (s - 1)
         tail_hi = n_cut ** (1 - s) / (s - 1)
-        val = zeta_real(s, 1e-12)
+        val = zeta_real(s)
         assert direct + tail_lo - 1e-12 <= val <= direct + tail_hi + 1e-12
+
+
+def test_zeta_correctly_rounded():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for m in range(2, 521):
+            assert zeta_real(m) == float(mpmath.zeta(m)), m
+
+
+def test_zeta_fixed_within_its_remainder():
+    # z lies below the Euler-Maclaurin sum by less than one unit per floor,
+    # and the sum within remainder of zeta(m)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for m in range(2, 21):
+            z, remainder = arith._zeta_fixed(m)
+            err = abs(mpmath.mpf(z) / 2**arith._FIXED_BITS - mpmath.zeta(m))
+            assert err <= remainder + arith._ZETA_FLOORS / 2**arith._FIXED_BITS, m
+
+
+def test_zeta_refuses_non_integers_and_the_pole():
+    for s in (2.5, 1, 0):
+        with pytest.raises(DomainError):
+            zeta_real(s)
 
 
 def test_prime_set():

@@ -13,8 +13,9 @@ that a change keeps every artifact byte for byte:
     python3 tools/cli_matrix.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
-Stdlib only; about 8 s on a 2-core x86 machine (8.2 s for its 286 commands;
-12 to 14 s while each r_4k table raised theta to the power 4k itself), about
+Stdlib only; about 8 to 11 s on a 2-core x86 machine (8.2 s for 286 commands
+in one session, 11.2 s for its 288 in a slower one; 12 to 14 s while each
+r_4k table raised theta to the power 4k itself), about
 2.2 s of them in one count at B = 10^6, the edge of
 the loop over n, and about 1.2 s in the k = 5 count and oracle at the edge of
 their r_20 table, B = 252.  The r_4k tables are kept from command to
@@ -222,6 +223,11 @@ EXTRA = [
     ["predict", "--k", "21", "--bounds", "10"],
     # primes of the set above 100 at the largest k predict takes
     ["predict", "--k", "108", "--exclude-primes", "2,101,103"],
+    # zeta(4k - 1) at k = 5 and 3 on the empty set, 19 and 11, both misrounded
+    # by one unit in the last place while zeta_real summed in floats: at k = 3
+    # the leading constant's 15th digit moved, at k = 5 no printed digit did
+    ["predict", "--k", "5", "--bounds", "10"],
+    ["predict", "--k", "3", "--bounds", "10"],
 ]
 
 
