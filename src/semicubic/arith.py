@@ -315,8 +315,19 @@ def zeta_real(m: int) -> float:
     """zeta(m) for an integer m >= 2: _zeta_fixed's sum, rounded once.
 
     Correctly rounded at every m from 2 to 520 (the tests check each
-    against mpmath): the sum is within 10^-21 of zeta(m).
+    against mpmath): the sum is within 10^-21 of zeta(m).  From m = 54 on
+    it returns 1.0 without the sum, whose exact powers i^m would cost time
+    superlinear in m: bounding the terms n >= 3 by an integral,
+
+        zeta(m) - 1 <= 2^-m + int_2^oo x^-m dx = 2^-m + 2^(1-m) / (m - 1)
+                    = 2^-m (1 + 2/(m - 1)) <= 2^-54 (1 + 2/53) < 2^-53
+
+    for m >= 54.  So zeta(m) lies below 1 + 2^-53, the midpoint between 1.0
+    and the next double, and rounds to 1.0.  (At m = 53 the bound is above
+    2^-53, and zeta(53) rounds up.)
     """
     if m < 2 or m % 1:
         raise DomainError("zeta_real requires an integer m >= 2")
+    if m >= 54:
+        return 1.0
     return _zeta_fixed(int(m))[0] / 2**_FIXED_BITS

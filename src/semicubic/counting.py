@@ -31,11 +31,25 @@ increase with p, so their cofactors are summed over runs of primes
 against prefix sums of the weights of p (_walk_runs).  The exact table
 walks every n and files both weights.  All sums are of integers, so any
 order of summation gives a bit-identical total.
+
+That is what lets the walk by runs split.  Its tree of m has the root
+m = 1, and the root's children head disjoint subtrees; each part walks
+the subtrees dealt to it, part 0 the root too, and the parts' slots and
+totals add up to the whole walk's.  From floor(B) = WALK_SPLIT_MIN on,
+where the process may use two CPUs, os.fork exists and no other thread
+runs, a count walks part 0 itself and part 1 in a forked child that sends
+its slots back through a pipe (_walk_forked).  If the fork fails or the child ends without a
+result, the parent walks part 1 too.  The deal uses a float estimate of
+each subtree's cost, which decides only where a subtree is walked, never
+what it adds.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -61,12 +75,23 @@ from .reps import _r4k_from_r4, r4k_bruteforce, r4k_main_coeff, r4k_star_prime_p
 
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
 # difference array and Mobius list grow linearly in B.  On a 2-core x86
-# machine one cold `count --k 1 --bound 1000000`, summed by runs of the largest
-# prime, took 3.0-4.2 s and peaked at 89 MiB (VmHWM); 0.9-1.2 s and 47 MiB at
-# B = 3 * 10^5, and 3.1-3.4 s and 101 MiB at k = 2, B = 10^6.  t_sum and s_sum
-# still visit every n: t_sum took 29 s and 95 MiB at 10^6, so twice the
-# limit would take them past a budget of a minute.
+# machine one cold `count --k 1 --bound 1000000`, its walk by runs in two
+# forked parts, took 1.7-2.2 s (2.2-2.9 s in one process, interleaved runs)
+# and peaked at 93.7 MiB VmHWM in the parent and 41 MiB in the child (its
+# ru_maxrss); at B = 3 * 10^5 0.76 s (1.11 s), 50.9 and 23.3 MiB, and at
+# k = 2, B = 10^6, 2.3 s (2.5 s), 105.0 and 42.6 MiB.  t_sum and s_sum still
+# visit every n: t_sum took 29 s and 95 MiB at 10^6, so twice the limit
+# would take them past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
+
+# Least floor(B) at which a model-route count walks by runs in two parts,
+# the second in a forked child (_walk_forked).  The fork, the child's start
+# and the transfer cost a few ms a count; the walk's time halves.  On the
+# same machine, k = 1, the median of 21-31 interleaved _walk calls changed
+# by +42% and -13% at B = 3000 (S empty and {5, 7}), +7% and +0% at 7000,
+# -24% and -32% at 10^4, -29% and -31% at 1.5 * 10^4 and -36% and -25% at
+# 2 * 10^4.
+WALK_SPLIT_MIN = 10**4
 
 # Largest k a count accepts.  The model weights r*(p^l) are integers of
 # about (2k - 1) l log2(p) bits, and the walk forms each by an exact
@@ -247,7 +272,46 @@ def _walk_block(req: CountRequest, b: Fraction, table=None) -> tuple:
     return diff, total, exact
 
 
-def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
+def _run_setup(req: CountRequest, nmax: int) -> tuple:
+    """What every part of _walk_runs reads: the primes up to nmax, those summed
+    in runs (outside the set), their cubes and the prefix sums of W_0, W_1."""
+    k, lone = req.k, req.s_set.primes
+    primes = primes_up_to(nmax)
+    runp = [p for p in primes if p not in lone]
+    cubes = [p * p * p for p in runp]
+    pre0, pre1 = [0], [0]  # W_3 = 1 sums to the index
+    for p in runp:
+        pre0.append(pre0[-1] + r4k_star_prime_power(p, 3, k))
+        pre1.append(pre1[-1] + r4k_star_prime_power(p, 2, k))
+    return primes, runp, cubes, pre0, pre1
+
+
+def _deal(kids: list, nmax: int, parts: int) -> list:
+    """The part of each child (q, e, alone) of the root, in the order given.
+
+    Children go, dearest first, to the part with the least estimated cost so
+    far.  The estimate of the subtree under q^e, e (nmax / q^e)^1.2 times the
+    product of (1 - 1/p)^3 over the primes p < q, fits the runs counted per
+    subtree at B = 3000, 2 * 10^4 and 10^5 for the four benchmark sets: its
+    deal left at most 51.4% of the runs in one of two parts, against 58% for
+    a deal in turn.  The children come in increasing q, every prime up to
+    isqrt(nmax) among them, so a running product gives the one over p < q.
+    """
+    cost, dens, last = [], 1.0, None
+    for q, e, _ in kids:
+        if last is not None and q != last:
+            dens *= (1 - 1 / last) ** 3
+        last = q
+        cost.append(e * (nmax / q**e) ** 1.2 * dens)
+    load, deal = [0.0] * parts, [0] * len(kids)
+    for i in sorted(range(len(kids)), key=cost.__getitem__, reverse=True):
+        part = deal[i] = load.index(min(load))
+        load[part] += cost[i]
+    return deal
+
+
+def _walk_runs(req: CountRequest, b: Fraction, part: int = 0, parts: int = 1,
+               setup=None) -> tuple:
     """_walk_block's (diff, total) for the model weights, summed by runs of primes.
 
     Write n = m p with p = P(n), the largest prime of n.  When p is
@@ -274,24 +338,27 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
     other n (n = 1, and those whose largest prime is in the set or
     squared) are nodes of the same walk, filed one at a time as _walk_block
     files them.
+
+    part and parts pick one part of the walk: the root m = 1 files its own
+    cofactor and has its runs in part 0, and its children, the heads of the
+    subtrees, go to the parts by _deal; every deeper node is walked with
+    the child it descends from.  With parts = 1 this is the whole walk, and
+    the parts of any parts add up to it slot by slot, as every entry is a
+    sum of integers.  setup is _run_setup's tuple, built once when several
+    parts share it (_walk_forked); without it the walk builds its own.
     """
     bn, bd = b.numerator, b.denominator
     bn2, bd2 = bn * bn, bd * bd
     nmax, cmax = bn // bd, (bn - 1) // bd
     k = req.k
-    primes = primes_up_to(nmax)
     lone = req.s_set.primes  # the primes q of a directly filed n = m q
-    runp = [p for p in primes if p not in lone]  # the primes summed in runs
-    cubes = [p * p * p for p in runp]
-    pre0, pre1 = [0], [0]  # prefix sums of W_0 and W_1 over runp; W_3 sums to the index
-    for p in runp:
-        pre0.append(pre0[-1] + r4k_star_prime_power(p, 3, k))
-        pre1.append(pre1[-1] + r4k_star_prime_power(p, 2, k))
+    primes, runp, cubes, pre0, pre1 = setup or _run_setup(req, nmax)
     bisect, root = bisect_right, isqrt
     diff = [0] * (nmax + 1)
     total = 0
-    # (m, P(m), allowed cofactors of m up to cmax with weights, total weight, filed directly)
-    stack = [(1, 1, [(1, 1)] if cmax >= 1 else [], 1, True)]
+    # (m, P(m), allowed cofactors of m up to cmax with weights, total weight,
+    # filed directly); the root is filed and has its runs in part 0 only
+    stack = [(1, 1, [(1, 1)] if cmax >= 1 else [], 1, not part)]
     while stack:
         m, pm, items, weight, direct = stack.pop()
         hi = nmax // m
@@ -302,7 +369,7 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                 t, cc = root(bn2 * c // m3bd2), cmax // c
                 diff[t if t < cc else cc] += w
         i0 = bisect(runp, pm)
-        i1 = bisect(runp, hi, i0)
+        i1 = bisect(runp, hi, i0) if m > 1 or not part else i0
         if i0 < i1:
             total += weight * (pre0[i1] - pre0[i0] + pre1[i1] - pre1[i0] + i1 - i0)
             # each loop takes a run's top t at its first prime i and ends the
@@ -365,6 +432,8 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                 e, x = e + 1, x * q
             j += 1
         kids += [(q, 1, True) for q in lone if pm < q <= hi < q * q]
+        if m == 1 and parts > 1:
+            kids = [kid for kid, p in zip(kids, _deal(kids, nmax, parts)) if p == part]
         for q, e, alone in kids:
             pws, psum = _prime_weights(q, e, k, q in lone)
             stack.append((m * q**e, q,
@@ -372,6 +441,77 @@ def _walk_runs(req: CountRequest, b: Fraction) -> tuple:
                            if (cq := c * pq) <= cmax],
                           weight * psum, alone))
     return diff, total
+
+
+def _splits(nmax: int) -> bool:
+    """Whether _walk forks its walk by runs: from nmax >= WALK_SPLIT_MIN on,
+    where os.fork exists, this process may run on two CPUs or more, and no
+    other thread runs (a lock another thread holds at the fork stays held
+    in the child)."""
+    if nmax < WALK_SPLIT_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return (cpus or 1) >= 2
+
+
+def _walk_forked(req: CountRequest, b: Fraction) -> tuple:
+    """_walk_runs's (diff, total) from its two parts, part 1 walked by a forked child.
+
+    The set-up is built before the fork, so the child inherits it.  The
+    child sends its total and its nonzero slots (a few hundred of the
+    2 * 10^4 at that bound: its subtrees have small tops), marshalled,
+    through a pipe and leaves by os._exit on every path.  The parent walks
+    part 0, then reads the child's part and adds it slot by slot.  If the
+    pipe or the fork fails, or the child ends without a complete result,
+    the parent walks part 1 itself, so no integer depends on the fork.  A
+    parent that unwinds kills its child; either way the child is reaped.
+    """
+    setup = _run_setup(req, b.numerator // b.denominator)
+
+    def part1() -> tuple:  # the nonzero slots of part 1, and its total
+        diff1, total1 = _walk_runs(req, b, 1, 2, setup)
+        return {t: v for t, v in enumerate(diff1) if v}, total1
+
+    r = w = pid = None
+    try:
+        r, w = os.pipe()
+        pid = os.fork()
+    except OSError:
+        pass
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(part1()))
+            code = 0
+        finally:
+            os._exit(code)
+    if w is not None:
+        os.close(w)
+    sent = None
+    try:
+        diff, total = _walk_runs(req, b, 0, 2, setup)
+        if pid is not None:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            pid = None
+            if status == 0:
+                sent = marshal.loads(data)
+    finally:
+        if r is not None:
+            os.close(r)
+        if pid is not None:  # unwinding: the child's part is no longer wanted
+            import signal  # here, not at the top: 0.8 ms of every start-up
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    slots, total1 = sent or part1()
+    for t, v in slots.items():
+        diff[t] += v
+    return diff, total + total1
 
 
 def _walk(bound, req: CountRequest) -> tuple:
@@ -386,7 +526,10 @@ def _walk(bound, req: CountRequest) -> tuple:
     The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
     are not multiplicative, walks every n (_walk_block), filing each
-    cofactor's model weight and table weight side by side.
+    cofactor's model weight and table weight side by side.  Where _splits
+    allows it, from floor(B) = WALK_SPLIT_MIN on, the walk by runs goes in
+    two parts, the second in a forked child (_walk_forked); its integers
+    are those of the walk in one process.
     """
     b = _as_fraction(bound)
     if b < 1:
@@ -397,7 +540,7 @@ def _walk(bound, req: CountRequest) -> tuple:
         table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
         model, total, diff = _walk_block(req, b, table)
     else:
-        model, total = _walk_runs(req, b)
+        model, total = (_walk_forked if _splits(nmax) else _walk_runs)(req, b)
         diff = model
     s, t = total - model[0], total - sum(model)
     mu = mobius_sieve(nmax)

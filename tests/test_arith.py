@@ -195,6 +195,20 @@ def test_zeta_correctly_rounded():
             assert zeta_real(m) == float(mpmath.zeta(m)), m
 
 
+def test_zeta_past_53_is_one_without_the_sum(monkeypatch):
+    # zeta(m) rounds to 1.0 from m = 54 on, which zeta_real returns without
+    # the fixed-point sum (2.3 s at m = 10^6); at m = 53 it still sums
+    real = arith._zeta_fixed
+
+    def below_54(m):
+        assert m < 54, m
+        return real(m)
+
+    monkeypatch.setattr(arith, "_zeta_fixed", below_54)
+    assert zeta_real(10**6) == zeta_real(54) == zeta_real(54.0) == 1.0
+    assert zeta_real(53) == 1 + 2**-52
+
+
 def test_zeta_fixed_within_its_remainder():
     # z lies below the Euler-Maclaurin sum by less than one unit per floor,
     # and the sum within remainder of zeta(m)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import signal
+import threading
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -231,6 +235,203 @@ def test_walk_runs_large_cases():
               req(3 * 10**4, k=2, s_set=PrimeSet.of(3), source=RSource.RSTAR)):
         assert counting._walk_runs(r, r.bound) == counting._walk_block(r, r.bound)[:2], \
             (r.k, r.bound)
+
+
+# --- the walk by runs in parts, the second in a forked child ----------------
+
+def _summed(parts):
+    """The slot-by-slot sum of (diff, total) parts."""
+    diffs, totals = zip(*parts)
+    return [sum(slot) for slot in zip(*diffs)], sum(totals)
+
+
+def _walk_parts(r, parts):
+    return _summed(counting._walk_runs(r, r.bound, i, parts) for i in range(parts))
+
+
+def test_walk_runs_parts_sum_to_the_walk():
+    # the parts of the walk add up to the whole walk, slot by slot, on the
+    # grid of test_walk_runs_match_the_per_n_walk and at the benchmark's count
+    bounds = (1, 2, 3, 4, 8, 9, 25, 27, 5, 31, 97, 211, Fraction(599, 2),
+              Fraction(10**6 + 1, 1000), Fraction(7, 2), Fraction(241, 4))
+    for k, source, s, bound in product((1, 2), (RSource.JACOBI, RSource.RSTAR),
+                                       ("", "2", "2,3", "5,7", "3,7"), bounds):
+        r = req(bound, k=k, s_set=PrimeSet.parse(s), source=source)
+        whole = counting._walk_runs(r, r.bound)
+        for parts in (1, 2, 3):
+            assert _walk_parts(r, parts) == whole, (k, source, s, bound, parts)
+    r = req(2 * 10**4, s_set=S23)
+    whole = counting._walk_runs(r, r.bound)
+    assert _walk_parts(r, 2) == _walk_parts(r, 3) == whole
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FORK_CASES = [req(b, k, PrimeSet.parse(s), source)
+              for b, k, s, source in ((1, 1, "", RSource.JACOBI), (2, 1, "2,3", RSource.JACOBI),
+                                      (Fraction(599, 2), 2, "5,7", RSource.RSTAR),
+                                      (3000, 1, "", RSource.JACOBI), (3000, 1, "2,3", RSource.RSTAR),
+                                      (2000, 2, "2", RSource.JACOBI))]
+
+
+def _unsplit(monkeypatch):
+    monkeypatch.setattr(counting, "WALK_SPLIT_MIN", 10**9)
+    return [counting._walk(r.bound, r) for r in FORK_CASES]
+
+
+def _forks(monkeypatch, cpus=(0, 1)):
+    """Count the calls of os.fork, with the split from B = 1 on and the given CPUs."""
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
+
+    real_fork = os.fork
+    monkeypatch.setattr(counting, "WALK_SPLIT_MIN", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@needs_fork
+def test_walk_forks_and_gives_the_unsplit_walk(monkeypatch):
+    # with the split from B = 1 on, every model-route count forks once and
+    # gives the integers of the walk in one process; no child is left
+    split_min = counting.WALK_SPLIT_MIN
+    unsplit = _unsplit(monkeypatch)
+    forks = _forks(monkeypatch)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    assert len(forks) == len(FORK_CASES)
+    _no_child_left()
+    # the real threshold: the benchmark's count at 2 * 10^4 forks once, one
+    # below the threshold does not fork
+    monkeypatch.setattr(counting, "WALK_SPLIT_MIN", split_min)
+    r = req(2 * 10**4, s_set=S23)
+    forked = counting._walk(r.bound, r)
+    assert len(forks) == len(FORK_CASES) + 1
+    counting._walk(split_min - 1, req(split_min - 1))
+    assert len(forks) == len(FORK_CASES) + 1
+    monkeypatch.setattr(counting, "WALK_SPLIT_MIN", 10**9)
+    assert forked == counting._walk(r.bound, r)
+    _no_child_left()
+
+
+def _child_exits(req_, b, part, parts, setup):
+    os._exit(1)
+
+
+def _child_raises(req_, b, part, parts, setup):
+    raise MemoryError
+
+
+def _child_is_killed(req_, b, part, parts, setup):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.parametrize("death", [_child_exits, _child_raises, _child_is_killed])
+def test_walk_walks_a_dead_childs_part_itself(monkeypatch, death):
+    # a child that ends without a result: the parent walks part 1 itself
+    unsplit = _unsplit(monkeypatch)
+    forks = _forks(monkeypatch)
+    parent, real = os.getpid(), counting._walk_runs
+
+    def dying(req_, b, part=0, parts=1, setup=None):
+        if part and os.getpid() != parent:
+            death(req_, b, part, parts, setup)
+        return real(req_, b, part, parts, setup)
+
+    monkeypatch.setattr(counting, "_walk_runs", dying)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    assert len(forks) == len(FORK_CASES)
+    _no_child_left()
+
+
+@needs_fork
+def test_walk_without_a_fork(monkeypatch):
+    # a fork that fails, or a pipe that does: the parent walks both parts
+    unsplit = _unsplit(monkeypatch)
+    _forks(monkeypatch)
+
+    def refused():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    monkeypatch.setattr(os, "pipe", refused)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    _no_child_left()
+
+
+@needs_fork
+def test_walk_on_one_cpu_does_not_fork(monkeypatch):
+    # one CPU in the affinity, or one CPU counted where there is no
+    # affinity, or no os.fork: the walk runs in one process
+    unsplit = _unsplit(monkeypatch)
+    _forks(monkeypatch, cpus=(0,))
+
+    def never():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", never)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+
+
+@needs_fork
+def test_walk_beside_a_thread_does_not_fork(monkeypatch):
+    # another thread may hold a lock at the fork, which the child would
+    # never see released: the walk runs in one process
+    unsplit = _unsplit(monkeypatch)
+    forks = _forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert [counting._walk(r.bound, r) for r in FORK_CASES] == unsplit
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive() and forks == []
+
+
+class _ParentFails(Exception):
+    pass
+
+
+@needs_fork
+def test_walk_kills_its_child_when_the_parent_fails(monkeypatch):
+    # a parent that unwinds kills and reaps its child, which would otherwise
+    # sleep for a minute, and the error reaches the caller
+    _forks(monkeypatch)
+    parent = os.getpid()
+
+    def failing(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise _ParentFails
+
+    monkeypatch.setattr(counting, "_walk_runs", failing)
+    r = FORK_CASES[3]
+    start = time.monotonic()
+    with pytest.raises(_ParentFails):
+        counting._walk(r.bound, r)
+    _no_child_left()
+    assert time.monotonic() - start < 30
 
 
 # --- oracle -----------------------------------------------------------------

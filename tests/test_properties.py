@@ -74,6 +74,17 @@ def test_walk_runs_match_the_per_n_walk(bound, s_set, k, source):
 
 
 @PROPERTY
+@given(bound=BOUNDS_3000, s_set=st.sets(st.sampled_from(primes_up_to(50))),
+       k=st.integers(1, 2), parts=st.integers(1, 4))
+def test_walk_runs_parts_sum_to_the_walk(bound, s_set, k, parts):
+    # the parts of the walk by runs add up to the whole walk, slot by slot
+    r = _req(bound, k, PrimeSet(frozenset(s_set)), RSource.JACOBI)
+    walks = [_walk_runs(r, bound, i, parts) for i in range(parts)]
+    assert ([sum(slot) for slot in zip(*(diff for diff, _ in walks))],
+            sum(total for _, total in walks)) == _walk_runs(r, bound)
+
+
+@PROPERTY
 @given(k=st.integers(1, 6), s_set=st.sets(st.sampled_from(primes_up_to(300)), max_size=6))
 def test_euler_constant_within_its_bound(mp_euler_constant, k, s_set):
     s_set = PrimeSet(frozenset(s_set))

@@ -14,11 +14,11 @@ that a change keeps every artifact byte for byte:
     diff before.txt after.txt
 
 Stdlib only; about 8 to 11 s on a 2-core x86 machine (8.2 s for 286 commands
-in one session, 11.2 s for its 288 in a slower one; 12 to 14 s while each
-r_4k table raised theta to the power 4k itself), about
-2.2 s of them in one count at B = 10^6, the edge of
-the loop over n, and about 1.2 s in the k = 5 count and oracle at the edge of
-their r_20 table, B = 252.  The r_4k tables are kept from command to
+in one session, 11.2 s for its 288 in a slower one, 7.7 s for 291 once the
+walk by runs forked its second part; 12 to 14 s while each r_4k table raised
+theta to the power 4k itself), about 2.2 s of them in one count at B = 10^6,
+the edge of the loop over n, and about 1.2 s in the k = 5 count and oracle
+at the edge of their r_20 table, B = 252.  The r_4k tables are kept from command to
 command and rebuilt only for a command that needs a longer one, and every
 k >= 2 table reads and extends the k = 1 table, so the order of the commands
 decides which tables are built.
@@ -228,6 +228,11 @@ EXTRA = [
     # the leading constant's 15th digit moved, at k = 5 no printed digit did
     ["predict", "--k", "5", "--bounds", "10"],
     ["predict", "--k", "3", "--bounds", "10"],
+    # the walk by runs in two parts, the second in a forked child, from
+    # floor(B) = 10^4 on: a count, one with S and T, and a table
+    ["count", "--k", "1", "--bound", "20000"],
+    ["count", "--k", "1", "--bound", "20000", "--with-st", "--exclude-primes", "2,3"],
+    ["table", "--k", "1", "--bounds", "15000,20000"],
 ]
 
 
