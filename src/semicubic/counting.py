@@ -28,9 +28,13 @@ the half-open convention |z| < B in every route, so cross-route equality
 is exact.  On the model routes the n whose largest prime p is outside
 the set and simple are not visited one at a time: top(c) does not
 increase with p, so their cofactors are summed over runs of primes
-against prefix sums of the weights of p (_walk_runs).  The exact table
-walks every n and files both weights.  All sums are of integers, so any
-order of summation gives a bit-identical total.
+against prefix sums of the weights of p (_walk_runs), and the n with no
+run and no child below them, the leaves of its tree, are filed inside
+their parent's loop.  The exact table walks every n and files both
+weights.  All sums are of integers, so any order of summation gives a
+bit-identical total.  The Mobius sum over e is read off the difference
+array before its suffix sums, as the sum of diff[t] M(t) with M the
+running sums of mu (the Mertens function), over its few nonzero slots.
 
 That is what lets the walk by runs split.  Its tree of m has the root
 m = 1, and the root's children head disjoint subtrees; each part walks
@@ -56,7 +60,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress
 from math import isqrt
+from operator import mul
 
 from .arith import (
     CapacityError,
@@ -74,14 +80,14 @@ from .geometry import SurfacePoint
 from .reps import _r4k_from_r4, r4k_bruteforce, r4k_main_coeff, r4k_star_prime_power
 
 # Largest floor(B) a loop over n <= B accepts.  Its prime or spf list,
-# difference array and Mobius list grow linearly in B.  On a 2-core x86
+# difference array and Mobius bytes grow linearly in B.  On a 2-core x86
 # machine one cold `count --k 1 --bound 1000000`, its walk by runs in two
-# forked parts, took 1.7-2.2 s (2.2-2.9 s in one process, interleaved runs)
-# and peaked at 93.7 MiB VmHWM in the parent and 41 MiB in the child (its
-# ru_maxrss); at B = 3 * 10^5 0.76 s (1.11 s), 50.9 and 23.3 MiB, and at
-# k = 2, B = 10^6, 2.3 s (2.5 s), 105.0 and 42.6 MiB.  t_sum and s_sum still
-# visit every n: t_sum took 29 s and 95 MiB at 10^6, so twice the limit
-# would take them past a budget of a minute.
+# forked parts, took 2.0-2.2 s and peaked at 89.6 MiB VmHWM in the parent
+# and 39.3 MiB in the child (its ru_maxrss, about 1.1 s of CPU); at
+# B = 3 * 10^5 0.5-0.7 s, 48.4 and 22.1 MiB, and at k = 2, B = 10^6,
+# 1.9-2.3 s, 101.0 and 40.5 MiB.  t_sum and s_sum still visit every n:
+# t_sum took 29 s and 95 MiB at 10^6, so twice the limit would take them
+# past a budget of a minute.
 WALK_BOUND_LIMIT = 10**6
 
 # Least floor(B) at which a model-route count walks by runs in two parts,
@@ -298,7 +304,7 @@ def _deal(kids: list, nmax: int, parts: int) -> list:
     isqrt(nmax) among them, so a running product gives the one over p < q.
     """
     cost, dens, last = [], 1.0, None
-    for q, e, _ in kids:
+    for q, e, *_ in kids:
         if last is not None and q != last:
             dens *= (1 - 1 / last) ** 3
         last = q
@@ -331,13 +337,21 @@ def _walk_runs(req: CountRequest, b: Fraction, part: int = 0, parts: int = 1,
     p^3 <= cc // t (g = 3), since x // q >= t exactly when q <= x // t for
     positive integers.  A run adds w_c times a difference of prefix sums of
     W_g to diff[top].  The last run of each g has top 0 and ends at the
-    range end, as no later prime can raise the top.
+    range end, as no later prime can raise the top.  The g = 1 and g = 3
+    runs end at the cap, so they take no bisect when the first prime, or
+    its cube, is already past it.
     The m come from a depth-first walk over factorizations in increasing
     primes, each node extending its parent's cofactor profile by one prime
     power, and visiting only the m that have a run or a descendant.  The
     other n (n = 1, and those whose largest prime is in the set or
     squared) are nodes of the same walk, filed one at a time as _walk_block
-    files them.
+    files them.  A child n = m q^e with n r > nmax, r the prime after q,
+    has no run and no child: it is a leaf, and always filed directly (m q
+    outside the set is visited only when m q r <= nmax).  Its parent files
+    it inside its own loop, with no cofactor list built and nothing pushed.
+    The leaf's cofactors below lo = ceil(n^3 bd^2 / bn^2) have A = 0, so
+    top 0, and lie below the cap (c < n^3 / B^2 <= B): their weight goes
+    to diff[0] in one sum, and the others to their tops one at a time.
 
     part and parts pick one part of the walk: the root m = 1 files its own
     cofactor and has its runs in part 0, and its children, the heads of the
@@ -391,8 +405,10 @@ def _walk_runs(req: CountRequest, b: Fraction, part: int = 0, parts: int = 1,
                         j = bisect(cubes, x, j + 1, i1)
                     diff[t] += w * (pre0[j] - pre0[i])
                     i = j
+                # g = 1 and g = 3 end at the cap: no bisect when the first
+                # prime, or its cube, is already past it
                 lim = ra if ra < cc else cc  # g = 1
-                end = bisect(runp, cc, i0, i1)
+                end = bisect(runp, cc, i0, i1) if runp[i0] <= cc else i0
                 i = i0
                 while i < end:
                     t = lim // runp[i]
@@ -403,7 +419,7 @@ def _walk_runs(req: CountRequest, b: Fraction, part: int = 0, parts: int = 1,
                         j = bisect(runp, x, j + 1, end)
                     diff[t] += w * (pre1[j] - pre1[i])
                     i = j
-                end = bisect(cubes, cc, i0, i1)  # g = 3
+                end = bisect(cubes, cc, i0, i1) if cubes[i0] <= cc else i0  # g = 3
                 i = i0
                 while i < end:
                     t = cc // cubes[i]
@@ -416,30 +432,56 @@ def _walk_runs(req: CountRequest, b: Fraction, part: int = 0, parts: int = 1,
                         j = bisect(cubes, x, j + 1, end)
                     diff[t] += w * (j - i)
                     i = j
-        # children m q^e, q > P(m): every power with e >= 2 or q in lone is
-        # filed directly; m q itself is visited only if m q times the next
-        # prime is at most nmax, the least it needs for a run or a child
+        # children (q, e, filed directly, leaf) for m q^e, q > P(m): every
+        # power with e >= 2 or q in lone is filed directly; m q itself is
+        # visited only if m q r <= nmax for the prime r after q, the least it
+        # needs for a run or a child.  A child with m q^e r > nmax has neither,
+        # a leaf, filed below without being pushed
         kids = []
         j = bisect(primes, pm)
         while j < len(primes) and (q := primes[j]) * q <= hi:
             alone = q in lone
             # primes[j + 1] < 2q <= q^2 <= nmax (Bertrand), so it is in the list
-            if alone or q * primes[j + 1] <= hi:
-                kids.append((q, 1, alone))
+            r = primes[j + 1]
+            if q * r <= hi:
+                kids.append((q, 1, alone, False))
+            elif alone:
+                kids.append((q, 1, True, True))
             e, x = 2, q * q
             while x <= hi:
-                kids.append((q, e, True))
+                kids.append((q, e, True, x * r > hi))
                 e, x = e + 1, x * q
             j += 1
-        kids += [(q, 1, True) for q in lone if pm < q <= hi < q * q]
+        kids += [(q, 1, True, True) for q in lone if pm < q <= hi < q * q]
         if m == 1 and parts > 1:
             kids = [kid for kid, p in zip(kids, _deal(kids, nmax, parts)) if p == part]
-        for q, e, alone in kids:
+        for q, e, alone, leaf in kids:
             pws, psum = _prime_weights(q, e, k, q in lone)
-            stack.append((m * q**e, q,
-                          [(cq, w * wq) for c, w in items for pq, wq in pws
-                           if (cq := c * pq) <= cmax],
-                          weight * psum, alone))
+            if not leaf:
+                stack.append((m * q**e, q,
+                              [(cq, w * wq) for c, w in items for pq, wq in pws
+                               if (cq := c * pq) <= cmax],
+                              weight * psum, alone))
+                continue
+            # the leaf n = m q^e files its cofactors c q^g <= cmax here, in
+            # increasing q^g for each c; those below lo have A = 0, so top 0,
+            # and go to slot 0 in one sum
+            total += weight * psum
+            n = m * q**e
+            n3bd2 = n * n * n * bd2
+            lo = -(-n3bd2 // bn2)
+            dead = 0
+            for c, w in items:
+                for pq, wq in pws:
+                    cq = c * pq
+                    if cq < lo:
+                        dead += w * wq
+                    elif cq > cmax:
+                        break
+                    else:
+                        t, cc = root(bn2 * cq // n3bd2), cmax // cq
+                        diff[t if t < cc else cc] += w * wq
+            diff[0] += dead
     return diff, total
 
 
@@ -523,6 +565,14 @@ def _walk(bound, req: CountRequest) -> tuple:
     d > B^2, so S is the model total less slot 0, and T is the total less
     every cofactor below B, the whole difference array.
 
+    The Mobius sum is read off the raw slots before the suffix sums: with
+    M(t) = mu(1) + ... + mu(t), the Mertens function,
+
+        sum_e mu(e) n_star(B/e) = scale * sum_t diff[t] M(t),
+
+    a sum over the few nonzero slots.  The suffix sums then go in place, and
+    the squarefree e with a nonzero value are picked by mu.
+
     The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
     are not multiplicative, walks every n (_walk_block), filing each
@@ -544,14 +594,13 @@ def _walk(bound, req: CountRequest) -> tuple:
         diff = model
     s, t = total - model[0], total - sum(model)
     mu = mobius_sieve(nmax)
-    acc = 0
-    for e in range(nmax, 0, -1):
-        acc += diff[e]
-        diff[e] = acc
     # jacobi: r4k_main_coeff(k) r*, 8 r* at k = 1 and 16 r* at k = 2, is r_4k
     scale = 2 * int(r4k_main_coeff(req.k)) if req.r_source == RSource.JACOBI else 2
-    by_d = {e: scale * diff[e] for e in range(1, nmax + 1) if mu[e] and diff[e]}
-    return by_d, sum(mu[e] * v for e, v in by_d.items()), s, t
+    mobius_total = scale * sum(map(mul, compress(diff, diff),
+                                   compress(accumulate(mu), diff)))
+    diff[:0:-1] = accumulate(diff[:0:-1])  # suffix sums, slot 0 left as it is
+    by_d = {e: scale * v for e, v in compress(enumerate(diff), mu) if v}
+    return by_d, mobius_total, s, t
 
 
 def n_star_by_divisor(bound, req: CountRequest) -> dict:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,31 @@ def test_mobius_matches_sieve_and_is_multiplicative():
         for b in range(1, 101):
             if a * b <= n and math.gcd(a, b) == 1:
                 assert mu[a * b] == mu[a] * mu[b]
+
+
+def test_mobius_sieve_is_mobius():
+    # at the edges n = 0, 1, 2, at n = 4 and 49, the squares of primes, and at
+    # every 61st e up to 2 * 10^5 and the last
+    for n in (0, 1, 2, 4, 49):
+        assert list(mobius_sieve(n)) == [0] + [mobius(e) for e in range(1, n + 1)]
+    n = 2 * 10**5
+    mu = mobius_sieve(n)
+    assert (mu.typecode, len(mu)) == ("b", n + 1)
+    for e in [*range(1, n + 1, 61), n - 1, n]:
+        assert mu[e] == mobius(e), e
+
+
+def test_sieves_refuse_past_the_limit_before_allocating():
+    # one step past the edge: CapacityError before the n + 1 entries exist
+    for sieve in (mobius_sieve, smallest_prime_factors):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="guarded"):
+                sieve(PRIME_SIEVE_LIMIT + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (sieve.__name__, peak)
 
 
 def test_smallest_prime_factors_against_trial_division():

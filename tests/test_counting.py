@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from semicubic import counting
-from semicubic.arith import CapacityError, DomainError, PrimeSet
+from semicubic.arith import CapacityError, DomainError, PrimeSet, factorize, is_prime, mobius
 from semicubic.counting import (
     WALK_BOUND_LIMIT,
     CountRequest,
@@ -265,6 +265,42 @@ def test_walk_runs_parts_sum_to_the_walk():
     assert _walk_parts(r, 2) == _walk_parts(r, 3) == whole
 
 
+# bounds up to about 5000, fractional ones included, at which the walk by runs
+# files leaves whose first cofactors have A = 0 (lo > 1)
+LEAF_BOUNDS = (Fraction(599, 2), Fraction(10**6 + 1, 1000), Fraction(4001, 3),
+               Fraction(24999, 5))
+
+
+def _leaves_with_a_dead_prefix(bound, s_set):
+    """The n <= B that the walk by runs files as leaves, where even c = 1 has top 0.
+
+    n = m q^e, q its largest prime, is filed directly when e >= 2 or q is in
+    the set, and is a leaf when n times the prime after q passes B; c = 1 has
+    A = 0 when n^3 > B^2.
+    """
+    b = Fraction(bound)
+    nmax = int(b)
+    out = []
+    for n in range(2, nmax + 1):
+        q, e = factorize(n).factors[-1]
+        after = next(p for p in range(q + 1, 2 * q + 1) if is_prime(p))
+        if (e >= 2 or q in s_set) and n * after > nmax and n**3 > b * b:
+            out.append(n)
+    return out
+
+
+def test_walk_runs_files_leaves_as_the_per_n_walk():
+    # every part count gives the per-n walk's slots and total, at bounds where
+    # leaves have cofactors below lo, for k = 1..3 and five sets
+    for s, bound in product(("", "2", "2,3", "5,7", "3,7"), LEAF_BOUNDS):
+        assert _leaves_with_a_dead_prefix(bound, PrimeSet.parse(s)), (s, bound)
+        for k in (1, 2, 3):
+            r = req(bound, k=k, s_set=PrimeSet.parse(s), source=RSource.RSTAR)
+            block = counting._walk_block(r, r.bound)[:2]
+            for parts in (1, 2, 3):
+                assert _walk_parts(r, parts) == block, (k, s, bound, parts)
+
+
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 
@@ -407,6 +443,34 @@ def test_walk_beside_a_thread_does_not_fork(monkeypatch):
         release.set()
         other.join(60)
     assert not other.is_alive() and forks == []
+
+
+@needs_fork
+def test_mobius_sum_from_the_raw_slots_through_the_fork(monkeypatch):
+    # N read off the slots of a forked walk by the Mertens function is the
+    # Mobius sum over n_star_by_divisor and over _walk_block's suffix sums,
+    # with mu by factoring
+    forks = []
+    real_fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    r = req(counting.WALK_SPLIT_MIN + 1, s_set=S23)
+    by_d, total = counting._walk(r.bound, r)[:2]
+    assert total == n_mobius(r.bound, r) == sum(mobius(e) * v for e, v in by_d.items())
+    assert len(forks) == 2  # _walk and n_mobius each walk in two processes
+    _no_child_left()
+    diff = counting._walk_block(r, r.bound)[0]
+    scale = 2 * int(r4k_main_coeff(1))  # jacobi at k = 1: 8 r*, doubled for the sign of x
+    suffix = 0
+    for e in range(len(diff) - 1, 0, -1):
+        suffix += diff[e]
+        total -= scale * mobius(e) * suffix
+    assert total == 0
 
 
 class _ParentFails(Exception):

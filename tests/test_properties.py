@@ -11,6 +11,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -19,10 +20,12 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from semicubic import cli  # noqa: E402
 from semicubic.analytic import EulerFactorInput, euler_constant, fp_series  # noqa: E402
-from semicubic.arith import PrimeSet, primes_up_to  # noqa: E402
+from semicubic.reps import r4k_main_coeff  # noqa: E402
+from semicubic.arith import PrimeSet, mobius, primes_up_to  # noqa: E402
 from semicubic.counting import (  # noqa: E402
     CountRequest,
     RSource,
+    _walk,
     _walk_block,
     _walk_runs,
     count_report,
@@ -82,6 +85,34 @@ def test_walk_runs_parts_sum_to_the_walk(bound, s_set, k, parts):
     walks = [_walk_runs(r, bound, i, parts) for i in range(parts)]
     assert ([sum(slot) for slot in zip(*(diff for diff, _ in walks))],
             sum(total for _, total in walks)) == _walk_runs(r, bound)
+
+
+@PROPERTY
+@given(bound=st.one_of(st.integers(1, 5000).map(Fraction),
+                       st.fractions(1, 5000, max_denominator=1000)),
+       s_set=st.sets(st.sampled_from(primes_up_to(50))), k=st.integers(1, 3),
+       parts=st.integers(1, 3))
+def test_walk_runs_parts_file_leaves_as_the_per_n_walk(bound, s_set, k, parts):
+    # the leaves filed inside their parents, in any part, give the per-n walk
+    r = _req(bound, k, PrimeSet(frozenset(s_set)), RSource.RSTAR)
+    walks = [_walk_runs(r, bound, i, parts) for i in range(parts)]
+    assert ([sum(slot) for slot in zip(*(diff for diff, _ in walks))],
+            sum(total for _, total in walks)) == _walk_block(r, bound)[:2]
+
+
+@PROPERTY
+@given(bound=BOUNDS_3000, s_set=st.sets(st.sampled_from(primes_up_to(50))),
+       k=st.integers(1, 2), source=st.sampled_from((RSource.JACOBI, RSource.RSTAR)))
+def test_mobius_sum_from_the_raw_slots(bound, s_set, k, source):
+    # N = scale sum_t diff[t] M(t) is the Mobius sum over n_star_by_divisor
+    # and over the suffix sums of the per-n walk
+    r = _req(bound, k, PrimeSet(frozenset(s_set)), source)
+    by_d, total = _walk(bound, r)[:2]
+    assert total == sum(mobius(e) * v for e, v in by_d.items())
+    diff = _walk_block(r, bound)[0]
+    scale = 2 * int(r4k_main_coeff(k)) if source == RSource.JACOBI else 2
+    suffix = list(accumulate(reversed(diff[1:])))[::-1]
+    assert total == scale * sum(mobius(e) * v for e, v in enumerate(suffix, 1))
 
 
 @PROPERTY
