@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -37,6 +38,7 @@ from .analytic import (
 )
 from .counting import (
     CountRequest,
+    NStarValues,
     RSource,
     count_report,
     n_mobius,
@@ -63,12 +65,14 @@ def _round_floats(obj):
     return obj
 
 
-# Artifacts are written in pieces of about 64 KiB: a line of the count's
-# n_star_values averages about 17 characters and a CSV row about 50.  Joining a
-# fixed number of lines keeps the loop in C.  json's indenting encoder is pure
-# Python: the 209 KB JSON of a count at B = 2*10^4 took 11-12 ms through it, as
-# one json.dumps string or in pieces, and 4.7-4.9 ms line by line into a
-# StringIO (medians of 31, on a 2-core x86 machine with Python 3.11).
+# Artifacts are written in pieces of at most this many lines, about 64 KiB: a
+# line of the count's n_star_values averages about 17 characters and a CSV row
+# about 50.  Joining a fixed number of CSV rows keeps the loop in C.  json's
+# indenting encoder is pure Python: the 209 KB JSON of a count at B = 2*10^4
+# took 11-12 ms through it, as one json.dumps string or in pieces.  Into a
+# StringIO it took 4.1-4.3 ms line by line, one str.format a line, and 1.8-2.3
+# ms a step at a time (_step_lines), medians of 41 on a 2-core x86 machine
+# with Python 3.11.
 _JSON_LINES_PER_PIECE = 1 << 12
 _CSV_ROWS_PER_PIECE = 1 << 10
 
@@ -82,12 +86,11 @@ def _emit(text: str, fh):
     fh.write(text)
 
 
-def _emit_text(lines, path, per_piece: int):
-    """Write the lines to path, or stdout without one, per_piece lines at a time."""
-    lines = iter(lines)
+def _emit_text(pieces, path):
+    """Write the pieces of text to path, or to stdout without one, as they come."""
     try:
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-            while piece := "".join(itertools.islice(lines, per_piece)):
+            for piece in pieces:
                 _emit(piece, fh)
     except OSError as exc:
         if not path:
@@ -104,8 +107,9 @@ def _json_lines(obj, head: str, tail: str, ind: str):
     """The lines of json.dumps(obj, indent=2) nested at indent ind, each with its newline.
 
     The first line starts with head and the last ends with tail.  Floats are
-    rounded to 15 significant digits as they are written.  A dict of plain
-    ints (the count's n_star_values) takes one str.format per line, in C.
+    rounded to 15 significant digits as they are written.  The count's
+    n_star_values, an NStarValues, goes a step at a time (_step_lines), so a
+    yielded str may hold up to _JSON_LINES_PER_PIECE lines.
     """
     if obj and isinstance(obj, (dict, list)):
         inner = ind + "  "
@@ -117,10 +121,8 @@ def _json_lines(obj, head: str, tail: str, ind: str):
             yield f"{ind}]{tail}\n"
             return
         yield head + "{\n"
-        if {*map(type, obj)} == {*map(type, obj.values())} == {int}:  # bools excluded
-            keys, values = iter(obj), iter(obj.values())
-            yield from map(f'{inner}"{{}}": {{}},\n'.format, itertools.islice(keys, last), values)
-            yield f'{inner}"{next(keys)}": {next(values)}\n'
+        if isinstance(obj, NStarValues):
+            yield from _step_lines(obj, inner)
         else:
             for i, (key, value) in enumerate(obj.items()):
                 yield from _json_lines(value, f"{inner}{_json_key(key)}: ",
@@ -132,9 +134,41 @@ def _json_lines(obj, head: str, tail: str, ind: str):
         yield f"{head}{text}{tail}\n"
 
 
+def _step_lines(values: NStarValues, ind: str):
+    """The lines '{ind}"e": value,' of a non-empty NStarValues, the last without
+    its comma, at most _JSON_LINES_PER_PIECE to a str.  Each step's value is
+    converted to text once, into a line with %d for the key, and the step's
+    keys are formatted into copies of that line by one % in C."""
+    text = None
+    for keys, value in values.steps():
+        line = f'{ind}"%d": {value},\n'
+        keys = tuple(keys)
+        for i in range(0, len(keys), _JSON_LINES_PER_PIECE):
+            if text:
+                yield text
+            block = keys[i:i + _JSON_LINES_PER_PIECE]
+            text = line * len(block) % block
+    yield text[:-2] + "\n"
+
+
+def _pieces(chunks, per_piece: int):
+    """The chunks, each of whole lines and at most per_piece of them, joined in
+    order into pieces of at most per_piece lines."""
+    piece, lines = [], 0
+    for chunk in chunks:
+        n = chunk.count("\n")
+        if lines + n > per_piece:
+            yield "".join(piece)
+            piece, lines = [], 0
+        piece.append(chunk)
+        lines += n
+    if piece:
+        yield "".join(piece)
+
+
 def _emit_json(obj, path):
     """json.dumps(_round_floats(obj), indent=2) and a newline, encoded as it is written."""
-    _emit_text(_json_lines(obj, "", "", ""), path, _JSON_LINES_PER_PIECE)
+    _emit_text(_pieces(_json_lines(obj, "", "", ""), _JSON_LINES_PER_PIECE), path)
 
 
 def _emit_csv(header, fmt: str, rows, path):
@@ -143,8 +177,8 @@ def _emit_csv(header, fmt: str, rows, path):
     fmt holds one field per column, "{}" for ints and "{:.15g}" for floats,
     and ends with a newline: each column holds one type.
     """
-    _emit_text(itertools.chain([",".join(header) + "\n"], itertools.starmap(fmt.format, rows)),
-               path, _CSV_ROWS_PER_PIECE)
+    lines = itertools.chain([",".join(header) + "\n"], itertools.starmap(fmt.format, rows))
+    _emit_text(iter(lambda: "".join(itertools.islice(lines, _CSV_ROWS_PER_PIECE)), ""), path)
 
 
 def _request(args, b) -> CountRequest:
@@ -173,7 +207,7 @@ def _cmd_count(args) -> int:
         rep["s_value"] = rep["t_value"] = None
     if not args.timings:
         del rep["timings"]
-    _check_printable([*rep["n_star_values"].values(),
+    _check_printable([*(value for _, value in rep["n_star_values"].steps()),
                       *(v for v in rep.values() if type(v) is int)])
     _emit_json(rep, args.out)
     return 0
@@ -474,8 +508,14 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser()'s parser, built once a process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config_from_args(args)
     except DomainError as exc:

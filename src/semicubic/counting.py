@@ -32,9 +32,7 @@ against prefix sums of the weights of p (_walk_runs), and the n with no
 run and no child below them, the leaves of its tree, are filed inside
 their parent's loop.  The exact table walks every n and files both
 weights.  All sums are of integers, so any order of summation gives a
-bit-identical total.  The Mobius sum over e is read off the difference
-array before its suffix sums, as the sum of diff[t] M(t) with M the
-running sums of mu (the Mertens function), over its few nonzero slots.
+bit-identical total.
 
 That is what lets the walk by runs split.  Its tree of m has the root
 m = 1, and the root's children head disjoint subtrees; each part walks
@@ -46,6 +44,13 @@ its slots back through a pipe (_walk_forked).  If the fork fails or the child en
 result, the parent walks part 1 too.  The deal uses a float estimate of
 each subtree's cost, which decides only where a subtree is walked, never
 what it adds.
+
+The walk files into few slots, and n_star(B/e) is constant for e between
+two of them, so no array of suffix sums is formed: the count's values are
+steps, one per nonzero slot t >= 1, each holding the sum of the slots
+from t on and the squarefree e down to the slot before (NStarValues).
+The Mobius sum over e is read off the same steps, as each step's value
+times the sum of mu over its e.
 """
 
 from __future__ import annotations
@@ -55,14 +60,14 @@ import math
 import os
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import isqrt
-from operator import mul
 
 from .arith import (
     CapacityError,
@@ -240,7 +245,7 @@ def indicator_1S(num: int, den: int, s_set: PrimeSet) -> int:
 
 def n_star(bound, req: CountRequest) -> int:
     """2 * sum over n <= B of weights of divisors d | n^3 with n^3/B < d <= B^2."""
-    return n_star_by_divisor(bound, req).get(1, 0)
+    return _walk(bound, req)[0].get(1, 0)
 
 
 def _check_walk_bound(nmax: int) -> None:
@@ -501,19 +506,21 @@ def _walk_forked(req: CountRequest, b: Fraction) -> tuple:
     """_walk_runs's (diff, total) from its two parts, part 1 walked by a forked child.
 
     The set-up is built before the fork, so the child inherits it.  The
-    child sends its total and its nonzero slots (a few hundred of the
-    2 * 10^4 at that bound: its subtrees have small tops), marshalled,
-    through a pipe and leaves by os._exit on every path.  The parent walks
-    part 0, then reads the child's part and adds it slot by slot.  If the
-    pipe or the fork fails, or the child ends without a complete result,
-    the parent walks part 1 itself, so no integer depends on the fork.  A
-    parent that unwinds kills its child; either way the child is reaped.
+    child sends its nonzero slots (a few hundred of the 2 * 10^4 at that
+    bound: its subtrees have small tops), their entries and its total,
+    marshalled, through a pipe and leaves by os._exit on every path.  The
+    parent walks part 0, then reads the child's part and adds it slot by
+    slot.  If the pipe or the fork fails, or the child ends without a
+    complete result, the parent walks part 1 itself, so no integer depends
+    on the fork.  A parent that unwinds kills its child; either way the
+    child is reaped.
     """
     setup = _run_setup(req, b.numerator // b.denominator)
 
-    def part1() -> tuple:  # the nonzero slots of part 1, and its total
+    def part1() -> tuple:  # the nonzero slots of part 1, their entries and its total
         diff1, total1 = _walk_runs(req, b, 1, 2, setup)
-        return {t: v for t, v in enumerate(diff1) if v}, total1
+        slots = list(compress(range(len(diff1)), diff1))
+        return slots, [diff1[t] for t in slots], total1
 
     r = w = pid = None
     try:
@@ -550,28 +557,89 @@ def _walk_forked(req: CountRequest, b: Fraction) -> tuple:
 
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    slots, total1 = sent or part1()
-    for t, v in slots.items():
+    slots, entries, total1 = sent or part1()
+    for t, v in zip(slots, entries):
         diff[t] += v
     return diff, total + total1
 
 
+class NStarValues(Mapping, dict):
+    """{e: n_star(B/e)} for the squarefree e with a nonzero value, read-only,
+    in increasing e: the count's n_star_values, kept as the walk's steps.
+
+    tops holds the nonzero slots t >= 1 of the walk in increasing order and
+    values the value of each: n_star(B/e) is values[i] for every e in
+    (tops[i - 1], tops[i]], tops[-1] read as 0, and 0 past the last top.
+    mu, the bytes of mu(0..n) mod 256 for some n >= the last top, picks the
+    squarefree e, those with a nonzero byte; a step may hold none of them.
+    Keys are ints.
+
+    It is a dict only because json's encoders write no other mapping as an
+    object.  Its own entries are the steps {top: value}: the C encoder
+    writes {} for a dict with no entries, and the first step holds e = 1,
+    so there are steps exactly when the mapping is not empty.  Every read
+    goes through the methods here and those of Mapping; dict's methods that
+    would write its entries, or read them as the mapping, raise TypeError.
+    """
+
+    __slots__ = ("_tops", "_values", "_mu")
+
+    def __init__(self, tops: list, values: list, mu: bytes):
+        dict.__init__(self, zip(tops, values))
+        self._tops, self._values, self._mu = tops, values, mu
+
+    def __getitem__(self, e):
+        if isinstance(e, int) and 0 < e <= self._last() and self._mu[e]:
+            return self._values[bisect_left(self._tops, e)]
+        raise KeyError(e)
+
+    def __iter__(self):
+        last = self._last()
+        return compress(range(1, last + 1), self._mu[1:last + 1])
+
+    def __len__(self) -> int:
+        last = self._last()
+        return last - self._mu.count(0, 1, last + 1)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+    def _last(self) -> int:
+        return self._tops[-1] if self._tops else 0
+
+    def steps(self):
+        """Per step, in increasing e: an iterator over its squarefree e, and their value."""
+        lo, mu = 0, self._mu
+        for top, value in zip(self._tops, self._values):
+            yield compress(range(lo + 1, top + 1), mu[lo + 1:top + 1]), value
+            lo = top
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = __or__ = __ror__ = _read_only
+    clear = copy = pop = popitem = setdefault = update = _read_only
+
+
 def _walk(bound, req: CountRequest) -> tuple:
-    """The one loop over n: ({e: n_star(B/e)}, their Mobius sum, S(B, B^2), T(B)).
+    """The one loop over n: (NStarValues, their Mobius sum, S(B, B^2), T(B)).
 
-    Squarefree e with nonzero entries only.  Each cofactor adds its weight
-    at top(c); suffix sums give n_star(B/e) / 2.  S and T come from the
-    model weights the same walk files: slot 0 takes top(c) = 0, that is
-    d > B^2, so S is the model total less slot 0, and T is the total less
-    every cofactor below B, the whole difference array.
+    Each cofactor adds its weight at top(c), so n_star(B/e) is scale times
+    the sum of the slots t >= e.  The walk files into few slots (364 of
+    20,001 at k = 1, B = 2 * 10^4, S empty), and that sum changes only at
+    them: one accumulate over the reversed nonzero entries gives each
+    nonzero slot t >= 1 its value, that of every e down to the slot before.
+    S and T come from the model weights the same walk files: slot 0 takes
+    top(c) = 0, that is d > B^2, so S is the model total less slot 0, and
+    T is the total less every cofactor below B, the whole difference array.
 
-    The Mobius sum is read off the raw slots before the suffix sums: with
-    M(t) = mu(1) + ... + mu(t), the Mertens function,
-
-        sum_e mu(e) n_star(B/e) = scale * sum_t diff[t] M(t),
-
-    a sum over the few nonzero slots.  The suffix sums then go in place, and
-    the squarefree e with a nonzero value are picked by mu.
+    The Mobius sum is read off the same steps: each adds its value times
+    the sum of mu(e) over its e, the count of e with mu(e) = 1 less the
+    count with mu(e) = -1, two bytes.count over the bytes of mu.
 
     The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
@@ -593,19 +661,21 @@ def _walk(bound, req: CountRequest) -> tuple:
         model, total = (_walk_forked if _splits(nmax) else _walk_runs)(req, b)
         diff = model
     s, t = total - model[0], total - sum(model)
-    mu = mobius_sieve(nmax)
+    diff[0] = 0  # d > B^2: in no window
     # jacobi: r4k_main_coeff(k) r*, 8 r* at k = 1 and 16 r* at k = 2, is r_4k
     scale = 2 * int(r4k_main_coeff(req.k)) if req.r_source == RSource.JACOBI else 2
-    mobius_total = scale * sum(map(mul, compress(diff, diff),
-                                   compress(accumulate(mu), diff)))
-    diff[:0:-1] = accumulate(diff[:0:-1])  # suffix sums, slot 0 left as it is
-    by_d = {e: scale * v for e, v in compress(enumerate(diff), mu) if v}
-    return by_d, mobius_total, s, t
+    tops = list(compress(range(nmax + 1), diff))
+    values = [scale * v for v in accumulate(diff[top] for top in reversed(tops))]
+    values.reverse()
+    mu = mobius_sieve(nmax).tobytes()  # -1 is 255
+    mobius_total = sum(v * (mu.count(1, lo + 1, top + 1) - mu.count(255, lo + 1, top + 1))
+                       for lo, top, v in zip([0, *tops], tops, values))
+    return NStarValues(tops, values, mu), mobius_total, s, t
 
 
 def n_star_by_divisor(bound, req: CountRequest) -> dict:
     """{e: n_star(B/e)} for squarefree e, nonzero entries only."""
-    return _walk(bound, req)[0]
+    return dict(_walk(bound, req)[0])
 
 
 def n_mobius(bound, req: CountRequest) -> int:
@@ -765,21 +835,21 @@ def point_classes(bound: int, k: int = 1) -> list:
 # Reports
 
 def count_report(req: CountRequest, with_oracle: bool = False) -> dict:
-    """The count artifact, keys in output order: {e: n_star(B/e)}, the Mobius
-    total as tuples and points, the oracle (None unless asked for), S and T,
-    then the timings of the routes that ran.  The oracle runs first, so its
-    table guard refuses before the walk."""
+    """The count artifact, keys in output order: {e: n_star(B/e)} as
+    NStarValues, the Mobius total as tuples and points, the oracle (None
+    unless asked for), S and T, then the timings of the routes that ran.
+    The oracle runs first, so its table guard refuses before the walk."""
     t0 = time.perf_counter()
     oracle = n_oracle(req.bound, req.k, req.s_set) if with_oracle else None
     t1 = time.perf_counter()
-    by_d, total, sv, tv = _walk(req.bound, req)
+    values, total, sv, tv = _walk(req.bound, req)
     timings = {"mobius_s": time.perf_counter() - t1}
     if with_oracle:
         timings["oracle_s"] = t1 - t0
     return {
         "schema": "v1",
         "request": req.to_json_dict(),
-        "n_star_values": by_d,  # int keys; json writes them as strings
+        "n_star_values": values,  # int keys; json writes them as strings
         "n_mobius": total,
         "tuples": total,
         "points": total // 2,

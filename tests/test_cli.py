@@ -411,6 +411,33 @@ def test_artifacts_are_written_in_pieces(tmp_path, capsys, monkeypatch):
     assert rounded["ratio"] == 0.333333333333333 and rep["ratio"] == 1 / 3
 
 
+def test_count_pieces_hold_at_most_a_piece_of_lines(capsys, monkeypatch):
+    # the count's n_star_values is written a step at a time, and a step with
+    # more keys than a piece holds (6,077 at B = 2 * 10^4) is split
+    pieces = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda text, fh: (pieces.append(text), emit(text, fh)))
+    code, out = _run(capsys, ["count", "--k", "1", "--bound", "20000"])
+    assert code == 0 and "".join(pieces) == out
+    lines = [piece.count("\n") for piece in pieces]
+    assert max(lines) <= cli._JSON_LINES_PER_PIECE and sum(lines) == len(out.splitlines())
+    assert len(json.loads(out)["n_star_values"]) == 12160 and len(pieces) >= 3
+
+
+def test_main_parses_with_one_parser(capsys):
+    # main keeps one parser a process; a parse leaves no option behind for
+    # the next, whose output is that of a fresh parser
+    assert main(["count", "--k", "1", "--bound", "30", "--with-st", "--timings",
+                 "--exclude-primes", "2,3"]) == 0
+    capsys.readouterr()
+    argv = ["count", "--k", "1", "--bound", "30"]
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert run(config_from_args(build_parser().parse_args(argv))) == 0
+    assert second == capsys.readouterr().out
+    assert cli._parser() is cli._parser()
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the rows up to 10^5, about 480 KB, are more than a pipe holds, so the
     # command is still writing when the reader closes the pipe after one line

@@ -1,16 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import signal
 import threading
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from semicubic import counting
+from semicubic import cli, counting
 from semicubic.arith import CapacityError, DomainError, PrimeSet, factorize, is_prime, mobius
 from semicubic.counting import (
     WALK_BOUND_LIMIT,
@@ -842,3 +845,60 @@ def test_count_report_mobius_recomputation():
     rep = count_report(req(30))
     recomputed = sum(mobius(e) * v for e, v in rep["n_star_values"].items())
     assert recomputed == rep["n_mobius"]
+
+
+def _reference_values(r):
+    """{e: n_star(B/e)} from _walk_block's slots by suffix sums, mu by factoring."""
+    b = r.bound
+    if r.r_source == RSource.EXACT:
+        table = counting._r4k_table(b.numerator ** 2 // b.denominator ** 2, r.k)
+        slots = counting._walk_block(r, b, table)[2]
+    else:
+        slots = counting._walk_block(r, b)[0]
+    scale = 2 * int(r4k_main_coeff(r.k)) if r.r_source == RSource.JACOBI else 2
+    suffix, ref = 0, {}
+    for e in range(len(slots) - 1, 0, -1):
+        suffix += slots[e]
+        if suffix and mobius(e):
+            ref[e] = scale * suffix
+    return dict(sorted(ref.items()))
+
+
+def test_n_star_values_are_the_suffix_sums(perfbench):
+    # the report's read-only mapping, read off the walk's steps, against the
+    # suffix sums of the per-n walk: as a mapping, as n_star_by_divisor's dict
+    # and as the count JSON, byte for byte, on every route and the
+    # benchmark's prime sets; B = 9 has a step with no squarefree e, and the
+    # top step at 2 * 10^4 holds more keys than a piece of the JSON
+    cases = [req(300, s_set=PrimeSet.parse(s)) for s in perfbench("workloads").S_GRID]
+    cases += [req(200, k=2, s_set=S23), req(Fraction(601, 2), s_set=S2, source=RSource.RSTAR),
+              req(150, k=2, source=RSource.EXACT), req(Fraction(121, 2), k=3, s_set=S23,
+                                                       source=RSource.EXACT),
+              req(1), req(9), req(2 * 10**4)]
+    for r in cases:
+        ref = _reference_values(r)
+        rep = count_report(r)
+        del rep["timings"]
+        values = rep["n_star_values"]
+        assert isinstance(values, Mapping)
+        assert values == ref and not values != ref and n_star_by_divisor(r.bound, r) == ref
+        assert list(values) == list(ref) and list(values.items()) == list(ref.items())
+        assert len(values) == len(ref) and bool(values) == bool(ref)
+        assert sum(mobius(e) * v for e, v in values.items()) == rep["n_mobius"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit_json(rep, None)
+        assert out.getvalue() == json.dumps({**rep, "n_star_values": ref}, indent=2) + "\n"
+        assert json.dumps(rep) == json.dumps({**rep, "n_star_values": ref})
+        past = r.bound.numerator // r.bound.denominator + 1
+        for e in (0, -1, past, *(e for e in (4, 8, 9, 12) if e < past)):
+            assert e not in values and values.get(e) is None
+            with pytest.raises(KeyError):
+                values[e]
+        with pytest.raises(TypeError):
+            values[1] = 0
+    assert len(count_report(req(1))["n_star_values"]) == 0
+    steps = [len(list(keys)) for keys, _ in count_report(req(9))["n_star_values"].steps()]
+    assert 0 in steps
+    steps = [len(list(keys)) for keys, _ in count_report(req(2 * 10**4))["n_star_values"].steps()]
+    assert (len(steps), steps.count(0), sum(steps), max(steps)) == (364, 90, 12160, 6077)

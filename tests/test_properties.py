@@ -149,7 +149,7 @@ JSON_SCALARS = st.one_of(
     st.sampled_from((-0.0, 1e16, 1 / 3, math.nan, math.inf, -math.inf)))
 JSON_KEYS = st.one_of(st.text(max_size=8), st.integers(-2**70, 2**70), st.booleans(), st.none())
 JSON_OBJECTS = st.recursive(
-    # a dict of plain ints is the count's n_star_values, written line by line
+    # a dict of plain ints, as n_star_by_divisor returns
     JSON_SCALARS | st.dictionaries(st.integers(-2**70, 2**70), st.integers(-2**70, 2**70)),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(JSON_KEYS, inner, max_size=5),
     max_leaves=20)
