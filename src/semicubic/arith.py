@@ -3,13 +3,18 @@
 p-adic valuations, deterministic factorization, the Mobius function,
 divisor windows on cubes, Bernoulli numbers, and zeta at the integers in
 128-bit fixed point.  Everything here is pure and exact except zeta_real,
-which rounds that fixed-point sum to the nearest float.
+which rounds that fixed-point sum to the nearest float.  _fork_pair, which
+runs one of two callables in a forked child, lives here too, for the
+counting walk and the CLI.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +30,70 @@ class DomainError(ValueError):
 
 class CapacityError(RuntimeError):
     """A configured resource budget would be exceeded."""
+
+
+def _can_fork() -> bool:
+    """Whether _fork_pair forks: os.fork exists, this process may run on two
+    CPUs or more, and no other thread runs (a lock another thread holds at
+    the fork stays held in the child)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return (cpus or 1) >= 2
+
+
+def _fork_pair(here, there) -> tuple:
+    """(here(), there()), with there() called in a forked child where _can_fork allows.
+
+    The child sends there()'s result, which marshal must take, through a
+    pipe and leaves by os._exit on every path, so it writes nothing else
+    and runs no exit handler.  The parent calls here() meanwhile, then
+    loads the result from the pipe as it comes, so it holds one copy of it.
+    If the pipe or the fork fails, or the child ends without a complete
+    result, the parent calls there() itself, so no result depends on the
+    fork.  A parent that unwinds kills its child; either way the child is
+    reaped.
+    """
+    if not _can_fork():
+        return here(), there()
+    r = w = pid = None
+    try:
+        r, w = os.pipe()
+        pid = os.fork()
+    except OSError:
+        pass
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(there()))
+            code = 0
+        finally:
+            os._exit(code)
+    if w is not None:
+        os.close(w)
+    sent = None
+    try:
+        result = here()
+        if pid is not None:
+            with open(r, "rb", closefd=False) as pipe:
+                try:
+                    sent = (marshal.load(pipe),)
+                except (EOFError, ValueError):  # the child ended part way
+                    pass
+            os.waitpid(pid, 0)
+            pid = None
+    finally:
+        if r is not None:
+            os.close(r)
+        if pid is not None:  # unwinding: the child's result is no longer wanted
+            import signal  # here, not at the top: 0.8 ms of every start-up
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return result, sent[0] if sent else there()
 
 
 # 2,3,5 wheel: candidate divisors 7, 11, 13, 17, 19, 23, 29, 31, ...
@@ -56,7 +125,9 @@ def is_prime(n: int) -> bool:
 # analytic.euler_product sieve this far; predict only checks its cutoff here.
 # On a 2-core x86 machine with Python 3.11, one cold local-factors run at a
 # cutoff of 10^6 took 0.43-0.74 s and peaked at 20.5 MiB (ru_maxrss) at k = 1,
-# 0.64-1.01 s at k = 6, and 0.85 s at 2 * 10^6; one cold euler_product(1, {},
+# 0.64-1.01 s at k = 6, and 0.85 s at 2 * 10^6, in one process (0.20-0.37 s
+# at k = 1 and 0.40-0.53 s at k = 6 with half its rows formatted in a forked
+# child, analytic.local_factors); one cold euler_product(1, {},
 # 10^6) took 0.13-0.30 s and peaked at 28 MiB (VmHWM).  So 2 * 10^6 would fit
 # a budget of 2 s, but the limit stays at the edge of the loop over n
 # (counting.WALK_BOUND_LIMIT), whose prefix sums and Mobius list come from

@@ -25,16 +25,16 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import (PRIME_SIEVE_LIMIT, CapacityError, DomainError, PrimeSet,
-                    check_sieve_limit, primes_up_to, vp)
+from .arith import (PRIME_SIEVE_LIMIT, CapacityError, DomainError, PrimeSet, _can_fork,
+                    _fork_pair, check_sieve_limit, primes_up_to, vp)
 from .analytic import (
     EulerFactorInput,
+    _local_factor_halves,
     _series_closed_sweep,
     centre_factors,
     constants_report,
     fp_closed,
     fp_series,
-    local_factors,
 )
 from .counting import (
     CountRequest,
@@ -76,6 +76,16 @@ def _round_floats(obj):
 _JSON_LINES_PER_PIECE = 1 << 12
 _CSV_ROWS_PER_PIECE = 1 << 10
 
+# Least --prime-cutoff at which local-factors formats half its rows in a
+# forked child (_cmd_local_factors).  The fork, the child's start and the
+# transfer cost a few ms; the rows' time halves.  Priced on 2026-10-22, on
+# d4050f7 with the split applied, on a 2-core x86 machine with Python 3.11:
+# in cold processes, cli.main's time at k = 1 with stdout in a StringIO, as
+# the medians of 11 or 21 interleaved pairs, changed by +18% and -15% at a
+# cutoff of 10^4, +11%, -4% and -2% at 2 * 10^4, -14%, -17% and -24% at
+# 3 * 10^4, -23% at 4 * 10^4 and -29% to -31% at 10^5.
+LOCAL_FACTORS_SPLIT_MIN = 3 * 10**4
+
 # json's encoder without indent, which runs in C: one scalar at a time, a str,
 # int, float, bool or None as json.dumps writes it
 _encode = json.JSONEncoder().encode
@@ -86,16 +96,25 @@ def _emit(text: str, fh):
     fh.write(text)
 
 
-def _emit_text(pieces, path):
-    """Write the pieces of text to path, or to stdout without one, as they come."""
+@contextlib.contextmanager
+def _output(path):
+    """The file at path, open for writing, or stdout without one.  An OSError
+    in the block becomes a DomainError naming the path, as one opening it
+    does; stdout's is raised as it is."""
     try:
         with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-            for piece in pieces:
-                _emit(piece, fh)
+            yield fh
     except OSError as exc:
         if not path:
             raise
         raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _emit_text(pieces, path):
+    """Write the pieces of text to path, or to stdout without one, as they come."""
+    with _output(path) as fh:
+        for piece in pieces:
+            _emit(piece, fh)
 
 
 def _json_key(key) -> str:
@@ -177,8 +196,16 @@ def _emit_csv(header, fmt: str, rows, path):
     fmt holds one field per column, "{}" for ints and "{:.15g}" for floats,
     and ends with a newline: each column holds one type.
     """
-    lines = itertools.chain([",".join(header) + "\n"], itertools.starmap(fmt.format, rows))
-    _emit_text(iter(lambda: "".join(itertools.islice(lines, _CSV_ROWS_PER_PIECE)), ""), path)
+    _emit_text(_csv_pieces(header, fmt, rows), path)
+
+
+def _csv_pieces(header, fmt: str, rows):
+    """The header, if any, and the rows as fmt formats them, in pieces of at
+    most _CSV_ROWS_PER_PIECE lines."""
+    lines = itertools.starmap(fmt.format, rows)
+    if header:
+        lines = itertools.chain([",".join(header) + "\n"], lines)
+    return iter(lambda: "".join(itertools.islice(lines, _CSV_ROWS_PER_PIECE)), "")
 
 
 def _request(args, b) -> CountRequest:
@@ -251,15 +278,29 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_local_factors(args) -> int:
-    rows = ((p, int(in_s), certified, printed, abs(certified - printed))
-            for p, in_s, certified, printed
-            in local_factors(args.k, args.exclude_primes, args.prime_cutoff))
-    _emit_csv(
-        ["p", "in_S", "gp_value", "gp_special_value", "abs_diff"],
-        "{},{},{:.15g},{:.15g},{:.15g}\n",
-        rows,
-        args.out,
-    )
+    """The CSV of local factors.  From a cutoff of LOCAL_FACTORS_SPLIT_MIN on,
+    where arith._can_fork allows a fork, a forked child formats the rows of
+    the upper half of the odd primes while this process writes the header
+    and the rows below them; then it writes the child's."""
+    lower, upper = _local_factor_halves(args.k, args.exclude_primes, args.prime_cutoff)
+    header = ["p", "in_S", "gp_value", "gp_special_value", "abs_diff"]
+    fmt = "{},{},{:.15g},{:.15g},{:.15g}\n"
+
+    def rows(factors):
+        return ((p, int(in_s), certified, printed, abs(certified - printed))
+                for p, in_s, certified, printed in factors)
+
+    if args.prime_cutoff < LOCAL_FACTORS_SPLIT_MIN or not _can_fork():
+        _emit_csv(header, fmt, rows(itertools.chain(lower, upper)), args.out)
+        return 0
+    with _output(args.out) as fh:
+        def write(pieces):
+            for piece in pieces:
+                _emit(piece, fh)
+
+        _, pieces = _fork_pair(lambda: write(_csv_pieces(header, fmt, rows(lower))),
+                               lambda: list(_csv_pieces(None, fmt, rows(upper))))
+        write(pieces)
     return 0
 
 
@@ -367,20 +408,27 @@ def _suite_euler(report) -> bool:
     return all([_check_euler_factors(report), _check_specializations(report)])
 
 
+def _run_suite(name: str) -> tuple:
+    """(text, ok): the suite's report as verify prints it, and whether it passed."""
+    suite = {"mpoints": _suite_mpoints, "routes": _suite_routes, "euler": _suite_euler}[name]
+    lines = [f"suite {name}:\n"]
+    ok = suite(lambda msg: lines.append(f"  {msg}\n"))
+    lines.append(f"{'ok' if ok else 'FAIL'} - {name}\n")
+    return "".join(lines), ok
+
+
 def _cmd_verify(args) -> int:
-    suites = {
-        "mpoints": _suite_mpoints,
-        "routes": _suite_routes,
-        "euler": _suite_euler,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    all_ok = True
-    for name in names:
-        print(f"suite {name}:")
-        ok = suites[name](lambda msg: print(f"  {msg}"))
-        print(f"{'ok' if ok else 'FAIL'} - {name}")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    """Run the suite, or all three, the euler suite in a forked child where
+    arith._can_fork allows it, and print their reports in order."""
+    if args.suite == "all":
+        here, euler = _fork_pair(lambda: [_run_suite("mpoints"), _run_suite("routes")],
+                                 lambda: _run_suite("euler"))
+        reports = [*here, euler]
+    else:
+        reports = [_run_suite(args.suite)]
+    for text, _ in reports:
+        sys.stdout.write(text)
+    return 0 if all(ok for _, ok in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

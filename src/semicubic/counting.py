@@ -38,12 +38,12 @@ That is what lets the walk by runs split.  Its tree of m has the root
 m = 1, and the root's children head disjoint subtrees; each part walks
 the subtrees dealt to it, part 0 the root too, and the parts' slots and
 totals add up to the whole walk's.  From floor(B) = WALK_SPLIT_MIN on,
-where the process may use two CPUs, os.fork exists and no other thread
-runs, a count walks part 0 itself and part 1 in a forked child that sends
-its slots back through a pipe (_walk_forked).  If the fork fails or the child ends without a
-result, the parent walks part 1 too.  The deal uses a float estimate of
-each subtree's cost, which decides only where a subtree is walked, never
-what it adds.
+where arith._can_fork allows a fork, a count walks part 0 itself and part
+1 in a forked child that sends its slots back (_walk_forked, through
+arith._fork_pair).  If the fork fails or the child ends without a result,
+the parent walks part 1 too.  The deal uses a float estimate of each
+subtree's cost, which decides only where a subtree is walked, never what
+it adds.
 
 The walk files into few slots, and n_star(B/e) is constant for e between
 two of them, so no array of suffix sums is formed: the count's values are
@@ -55,10 +55,7 @@ times the sum of mu over its e.
 
 from __future__ import annotations
 
-import marshal
 import math
-import os
-import threading
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
@@ -74,6 +71,8 @@ from .arith import (
     DomainError,
     PrimeSet,
     _as_fraction,
+    _can_fork,
+    _fork_pair,
     divisors_of_cube,
     factorize,
     mobius_sieve,
@@ -490,30 +489,14 @@ def _walk_runs(req: CountRequest, b: Fraction, part: int = 0, parts: int = 1,
     return diff, total
 
 
-def _splits(nmax: int) -> bool:
-    """Whether _walk forks its walk by runs: from nmax >= WALK_SPLIT_MIN on,
-    where os.fork exists, this process may run on two CPUs or more, and no
-    other thread runs (a lock another thread holds at the fork stays held
-    in the child)."""
-    if nmax < WALK_SPLIT_MIN or not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    return (cpus or 1) >= 2
-
-
 def _walk_forked(req: CountRequest, b: Fraction) -> tuple:
-    """_walk_runs's (diff, total) from its two parts, part 1 walked by a forked child.
+    """_walk_runs's (diff, total) from its two parts, part 1 walked by a forked
+    child through _fork_pair.
 
     The set-up is built before the fork, so the child inherits it.  The
     child sends its nonzero slots (a few hundred of the 2 * 10^4 at that
-    bound: its subtrees have small tops), their entries and its total,
-    marshalled, through a pipe and leaves by os._exit on every path.  The
-    parent walks part 0, then reads the child's part and adds it slot by
-    slot.  If the pipe or the fork fails, or the child ends without a
-    complete result, the parent walks part 1 itself, so no integer depends
-    on the fork.  A parent that unwinds kills its child; either way the
-    child is reaped.
+    bound: its subtrees have small tops), their entries and its total, and
+    the parent adds them slot by slot to part 0's.
     """
     setup = _run_setup(req, b.numerator // b.denominator)
 
@@ -522,42 +505,8 @@ def _walk_forked(req: CountRequest, b: Fraction) -> tuple:
         slots = list(compress(range(len(diff1)), diff1))
         return slots, [diff1[t] for t in slots], total1
 
-    r = w = pid = None
-    try:
-        r, w = os.pipe()
-        pid = os.fork()
-    except OSError:
-        pass
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as out:
-                out.write(marshal.dumps(part1()))
-            code = 0
-        finally:
-            os._exit(code)
-    if w is not None:
-        os.close(w)
-    sent = None
-    try:
-        diff, total = _walk_runs(req, b, 0, 2, setup)
-        if pid is not None:
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            pid = None
-            if status == 0:
-                sent = marshal.loads(data)
-    finally:
-        if r is not None:
-            os.close(r)
-        if pid is not None:  # unwinding: the child's part is no longer wanted
-            import signal  # here, not at the top: 0.8 ms of every start-up
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    slots, entries, total1 = sent or part1()
+    (diff, total), (slots, entries, total1) = _fork_pair(
+        lambda: _walk_runs(req, b, 0, 2, setup), part1)
     for t, v in zip(slots, entries):
         diff[t] += v
     return diff, total + total1
@@ -644,10 +593,10 @@ def _walk(bound, req: CountRequest) -> tuple:
     The model sources sum the n with a simple largest prime outside the
     set by runs of that prime (_walk_runs); the exact table, whose weights
     are not multiplicative, walks every n (_walk_block), filing each
-    cofactor's model weight and table weight side by side.  Where _splits
-    allows it, from floor(B) = WALK_SPLIT_MIN on, the walk by runs goes in
-    two parts, the second in a forked child (_walk_forked); its integers
-    are those of the walk in one process.
+    cofactor's model weight and table weight side by side.  Where
+    arith._can_fork allows it, from floor(B) = WALK_SPLIT_MIN on, the
+    walk by runs goes in two parts, the second in a forked child
+    (_walk_forked); its integers are those of the walk in one process.
     """
     b = _as_fraction(bound)
     if b < 1:
@@ -658,7 +607,8 @@ def _walk(bound, req: CountRequest) -> tuple:
         table = _r4k_table(b.numerator ** 2 // b.denominator ** 2, req.k)
         model, total, diff = _walk_block(req, b, table)
     else:
-        model, total = (_walk_forked if _splits(nmax) else _walk_runs)(req, b)
+        splits = nmax >= WALK_SPLIT_MIN and _can_fork()
+        model, total = (_walk_forked if splits else _walk_runs)(req, b)
         diff = model
     s, t = total - model[0], total - sum(model)
     diff[0] = 0  # d > B^2: in no window

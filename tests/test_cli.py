@@ -1,14 +1,17 @@
+import errno
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from semicubic import analytic, cli
-from semicubic.arith import PrimeSet
+from semicubic.arith import PrimeSet, primes_up_to
 from semicubic.cli import build_parser, config_from_args, main, run
 from semicubic.counting import RSource
 
@@ -483,3 +486,226 @@ def test_local_factors_overflow_writes_nothing(tmp_path, capsys):
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith("invalid arguments: --k or a bound is too large")
     assert not path.exists()
+
+
+# --- local-factors and verify --suite all, part in a forked child ---------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+# local-factors at cutoffs where the split is forced (the threshold patched
+# to 2), among them k = 6 and a set with a prime above the cutoff
+LF_CASES = [["local-factors", "--k", k, "--prime-cutoff", cutoff] + s
+            for k, cutoff, s in (("1", "2", []), ("1", "3", ["--exclude-primes", "3"]),
+                                 ("1", "5000", []), ("2", "5000", ["--exclude-primes", "2,3"]),
+                                 ("6", "3000", ["--exclude-primes", "5,7,101"]),
+                                 ("1", "3000", ["--exclude-primes", "5,7,10007"]))]
+VERIFY_ALL = ["verify", "--suite", "all"]
+FORK_ARGVS = LF_CASES + [VERIFY_ALL]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outputs(capsys, argvs) -> list:
+    """(exit code, stdout, stderr) of each command, in-process."""
+    out = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def _serial(capsys, monkeypatch) -> list:
+    """FORK_ARGVS' outputs with no fork: local-factors under its threshold and
+    verify --suite all as its three suites run one by one."""
+    monkeypatch.setattr(cli, "LOCAL_FACTORS_SPLIT_MIN", 10**9)
+    lf = _outputs(capsys, LF_CASES)
+    suites = _outputs(capsys, [["verify", "--suite", s] for s in ("mpoints", "routes", "euler")])
+    verify = (max(code for code, _, _ in suites), *("".join(parts) for parts in
+                                                     list(zip(*suites))[1:]))
+    return lf + [verify]
+
+
+def _split(monkeypatch, cpus=(0, 1)) -> list:
+    """Count the calls of os.fork, with local-factors split from a cutoff of 2
+    on and the given CPUs."""
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
+
+    real_fork = os.fork
+    monkeypatch.setattr(cli, "LOCAL_FACTORS_SPLIT_MIN", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_verify_all_is_its_three_suites(capsys):
+    # stdout and exit code of --suite all are those of the three suites run
+    # one by one, concatenated
+    code, out, err = _outputs(capsys, [VERIFY_ALL])[0]
+    suites = _outputs(capsys, [["verify", "--suite", s] for s in ("mpoints", "routes", "euler")])
+    assert out == "".join(s_out for _, s_out, _ in suites)
+    assert code == max(s_code for s_code, _, _ in suites) == 0 and err == ""
+
+
+@needs_fork
+def test_split_commands_fork_and_give_the_serial_output(capsys, monkeypatch):
+    # every command forks once and gives the serial bytes; no child is left
+    split_min = cli.LOCAL_FACTORS_SPLIT_MIN
+    serial = _serial(capsys, monkeypatch)
+    forks = _split(monkeypatch)
+    assert _outputs(capsys, FORK_ARGVS) == serial
+    assert len(forks) == len(FORK_ARGVS)
+    _no_child_left()
+    # the real threshold: the benchmark's cutoff of 10^5 forks, one below
+    # the threshold does not
+    monkeypatch.setattr(cli, "LOCAL_FACTORS_SPLIT_MIN", split_min)
+    for cutoff, forked in ((split_min - 1, 0), (10**5, 1)):
+        before = len(forks)
+        code, out, _ = _outputs(capsys, [["local-factors", "--prime-cutoff", str(cutoff)]])[0]
+        assert code == 0 and len(forks) - before == forked
+        assert len(out.splitlines()) == 1 + len(primes_up_to(cutoff))
+    _no_child_left()
+
+
+def _child_exits():
+    os._exit(1)
+
+
+def _child_raises():
+    raise MemoryError
+
+
+@needs_fork
+@pytest.mark.parametrize("death", [_child_exits, _child_raises])
+def test_split_commands_redo_a_dead_childs_part(capsys, monkeypatch, death):
+    # a child that ends without a result, by a nonzero exit or an error: the
+    # parent formats the rows or runs the euler suite itself
+    serial = _serial(capsys, monkeypatch)
+    forks = _split(monkeypatch)
+    parent, pieces, euler = os.getpid(), cli._csv_pieces, cli._suite_euler
+
+    def dying_pieces(header, fmt, rows):
+        if os.getpid() != parent:
+            death()
+        return pieces(header, fmt, rows)
+
+    def dying_euler(report):
+        if os.getpid() != parent:
+            death()
+        return euler(report)
+
+    monkeypatch.setattr(cli, "_csv_pieces", dying_pieces)
+    monkeypatch.setattr(cli, "_suite_euler", dying_euler)
+    assert _outputs(capsys, FORK_ARGVS) == serial
+    assert len(forks) == len(FORK_ARGVS)
+    _no_child_left()
+
+
+@needs_fork
+def test_split_commands_without_a_fork(capsys, monkeypatch):
+    # a fork that fails, or a pipe that does: the parent does both parts
+    serial = _serial(capsys, monkeypatch)
+    _split(monkeypatch)
+
+    def refused():
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert _outputs(capsys, FORK_ARGVS) == serial
+    monkeypatch.setattr(os, "pipe", refused)
+    assert _outputs(capsys, FORK_ARGVS) == serial
+    _no_child_left()
+
+
+@needs_fork
+def test_split_commands_on_one_cpu_or_beside_a_thread_do_not_fork(capsys, monkeypatch):
+    # one CPU, or another thread that may hold a lock at the fork: one process
+    serial = _serial(capsys, monkeypatch)
+    forks = _split(monkeypatch, cpus=(0,))
+    assert _outputs(capsys, FORK_ARGVS) == serial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        assert _outputs(capsys, FORK_ARGVS) == serial
+    finally:
+        release.set()
+        other.join(60)
+    assert not other.is_alive() and forks == []
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose writes fail with ENOSPC once they would pass the given
+    number of characters; main points its fileno, a file of its own, at
+    devnull."""
+
+    def __init__(self, path, room: int):
+        super().__init__()
+        self.fd, self.room = os.open(path, os.O_WRONLY | os.O_CREAT), room
+
+    def write(self, text):
+        if self.tell() + len(text) > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+def _failing_outputs(capsys, monkeypatch, tmp_path, argvs, rooms) -> list:
+    """(exit code, what was written, stderr) of each command on a stdout with the given room."""
+    out = []
+    for argv, room in zip(argvs, rooms):
+        fake = _FailingStdout(tmp_path / "stdout", room)
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", fake)
+            code = main(argv)
+        os.close(fake.fd)
+        out.append((code, fake.getvalue(), capsys.readouterr().err))
+    return out
+
+
+@needs_fork
+@pytest.mark.parametrize("share", [0, 0.5])
+def test_split_commands_when_the_parent_fails_to_write(capsys, monkeypatch, tmp_path, share):
+    # a stdout that fails from its first write (the parent's rows, the child
+    # still at work) or half way through the output: the serial exit code and
+    # stderr, and what was written is a start of the serial output
+    serial = _serial(capsys, monkeypatch)
+    rooms = [int(share * len(out)) for _, out, _ in serial]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)  # serial
+    failed = _failing_outputs(capsys, monkeypatch, tmp_path, FORK_ARGVS, rooms)
+    forks = _split(monkeypatch)
+    split = _failing_outputs(capsys, monkeypatch, tmp_path, FORK_ARGVS, rooms)
+    assert len(forks) == len(FORK_ARGVS)
+    _no_child_left()
+    for (code, written, err), (s_code, _, s_err), (_, out, _) in zip(split, failed, serial):
+        assert code == s_code == 2 and err == s_err and out.startswith(written)
+        assert err == "invalid arguments: cannot write stdout: No space left on device\n"
+
+
+@needs_fork
+def test_split_local_factors_with_a_bad_out(capsys, monkeypatch, tmp_path):
+    # --out in a missing directory, refused before the fork, and --out on a
+    # full device, which fails while the parent writes its rows: one usage
+    # line, as without the split
+    paths = [tmp_path / "missing" / "lf.csv"]
+    if os.path.exists("/dev/full"):
+        paths.append(Path("/dev/full"))
+    argvs = [LF_CASES[2] + ["--out", str(path)] for path in paths]
+    monkeypatch.setattr(cli, "LOCAL_FACTORS_SPLIT_MIN", 10**9)
+    serial = _outputs(capsys, argvs)
+    assert all(code == 2 and out == "" and err.startswith("invalid arguments: cannot write ")
+               for code, out, err in serial)
+    forks = _split(monkeypatch)
+    assert _outputs(capsys, argvs) == serial
+    assert len(forks) == len(paths) - 1
+    _no_child_left()

@@ -450,9 +450,10 @@ def test_walk_beside_a_thread_does_not_fork(monkeypatch):
 
 @needs_fork
 def test_mobius_sum_from_the_raw_slots_through_the_fork(monkeypatch):
-    # N read off the slots of a forked walk by the Mertens function is the
-    # Mobius sum over n_star_by_divisor and over _walk_block's suffix sums,
-    # with mu by factoring
+    # N, which _walk sums over the steps of a forked walk (each nonzero
+    # slot's value times the sum of mu over the e of its step), is the Mobius
+    # sum over n_star_by_divisor and over _walk_block's suffix sums, with mu
+    # by factoring
     forks = []
     real_fork = os.fork
 

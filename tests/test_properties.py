@@ -4,12 +4,14 @@ The acceptance gates check route equality on fixed grids; these draw the
 bound and the exceptional set at random (derandomized, so every run draws
 the same examples).  Then (k, S) is drawn for the Euler-product constant,
 the inputs of the raw Euler-factor series for its double-loop reference,
-and nested objects for the JSON writer.
+nested objects for the JSON writer, and (k, S, cutoff) for local-factors
+split across a fork.
 """
 import contextlib
 import io
 import json
 import math
+import os
 from fractions import Fraction
 from itertools import accumulate
 
@@ -104,8 +106,9 @@ def test_walk_runs_parts_file_leaves_as_the_per_n_walk(bound, s_set, k, parts):
 @given(bound=BOUNDS_3000, s_set=st.sets(st.sampled_from(primes_up_to(50))),
        k=st.integers(1, 2), source=st.sampled_from((RSource.JACOBI, RSource.RSTAR)))
 def test_mobius_sum_from_the_raw_slots(bound, s_set, k, source):
-    # N = scale sum_t diff[t] M(t) is the Mobius sum over n_star_by_divisor
-    # and over the suffix sums of the per-n walk
+    # N, which _walk sums step by step (each nonzero slot's value times the
+    # sum of mu over the e of its step), is the Mobius sum over
+    # n_star_by_divisor and over the suffix sums of the per-n walk
     r = _req(bound, k, PrimeSet(frozenset(s_set)), source)
     by_d, total = _walk(bound, r)[:2]
     assert total == sum(mobius(e) * v for e, v in by_d.items())
@@ -166,3 +169,35 @@ def test_emit_json_matches_json_dumps(obj):
     with contextlib.redirect_stdout(out):
         cli._emit_json(obj, None)
     assert out.getvalue() == json.dumps(cli._round_floats(obj), indent=2) + "\n"
+
+
+def _local_factors_csv(argv: list) -> tuple:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@PROPERTY
+@given(k=st.integers(1, 6), s_set=st.sets(st.sampled_from(primes_up_to(50))),
+       cutoff=st.integers(2, 5000))
+def test_split_local_factors_is_the_serial_csv(k, s_set, cutoff):
+    # the CSV with half its rows formatted in a forked child is the serial CSV
+    argv = ["local-factors", "--k", str(k), "--prime-cutoff", str(cutoff),
+            "--exclude-primes", ",".join(map(str, s_set))]
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return real_fork()
+
+    real_fork = os.fork
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "LOCAL_FACTORS_SPLIT_MIN", 10**9)
+        serial = _local_factors_csv(argv)
+        m.setattr(cli, "LOCAL_FACTORS_SPLIT_MIN", 2)
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        m.setattr(os, "fork", counted)
+        assert _local_factors_csv(argv) == serial and serial[0] == 0
+    assert len(forks) == 1

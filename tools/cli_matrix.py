@@ -167,6 +167,11 @@ EXTRA = [
     *(["predict", "--k", k, "--prime-cutoff", "1000000", "--exclude-primes", "3,5,7"]
       for k in ("1", "2")),
     ["local-factors", "--k", "2", "--prime-cutoff", "100000", "--exclude-primes", "2,3"],
+    # local-factors above the cutoff where half its rows are formatted in a
+    # forked child: k = 1 for three sets, and k = 6
+    *(with_s(["local-factors", "--k", "1", "--prime-cutoff", "100000"], s)
+      for s in ("", "2", "5,7")),
+    ["local-factors", "--k", "6", "--prime-cutoff", "100000"],
     # the benchmark's count-k1 ops at the ends of its bound grid, for every set
     *(with_s(["count", "--k", "1", "--bound", bound], s)
       for bound in ("19800", "20200") for s in S_GRID),
